@@ -20,7 +20,6 @@ from .graphs import (
     SeparationQuery,
     SeparationResult,
     TimedNode,
-    UndirectedGraph,
     augment,
     d_separated_moral,
     endo,
@@ -55,7 +54,6 @@ from .model import (
     validate,
 )
 from .stationary import (
-    AutocovarianceTable,
     CiVerdict,
     NodeSetCovariance,
     StateSpaceForm,

@@ -4,9 +4,10 @@ A causal path starts in the treatment set, never revisits it, and runs along
 directed endogenous edges only; the total effect is the sum over such paths of
 the products of edge coefficients. Because directed edges never point backward
 in time, every causal path lives inside the time window spanned by the query,
-so finite windows compute the infinite-graph quantity exactly. The separation
-condition for instruments has no such constructive bound; its window grows
-until the verdict stabilizes, and reports carry the window actually used.
+so finite windows compute the infinite-graph quantity exactly. Separation
+has no such constructive bound; one window-deepening loop serves both
+``stable_marginal_separation`` and the instrument condition, and reports
+carry the window actually used.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .graphs import (
     ENDOGENOUS,
     DirectedMixedGraph,
     SeparationQuery,
-    SeparationResult,
     TimedNode,
     m_separated,
 )
@@ -33,9 +33,8 @@ from .model import (
     marginalized_admg_window,
     require_valid,
 )
-from .stationary import conditional_covariance, solve_stationary
+from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
-RANK_RTOL = 1e-8
 MAX_STABILIZATION_ROUNDS = 12
 
 
@@ -142,47 +141,53 @@ def cut_causal_edges(window: Union[GraphWindow, DirectedMixedGraph],
     return g.without_directed(cut)
 
 
-def stable_marginal_separation(
-    spec: VarmaSpec,
-    query: SeparationQuery,
-    t_min: Optional[int] = None,
-    grow: Optional[int] = None,
-    max_rounds: int = MAX_STABILIZATION_ROUNDS,
-):
-    """m-separation in the full-time marginalized ADMG via growing windows.
+def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
+                          nodes: Sequence[TimedNode], top: int,
+                          t_min: Optional[int], cut: Optional[EffectQuery] = None):
+    """m-separation on marginalized windows [bottom, top] of deepening bottom.
+
+    The bottom starts at ``t_min`` (default: earliest of ``nodes`` minus
+    (max(p,q)+1)·(d+1), never above the earliest node) and moves down by
+    max(p,q,1) lags until two consecutive verdicts agree, for at most
+    MAX_STABILIZATION_ROUNDS windows. With ``cut`` set, the causal edges of
+    that effect query are removed from each window before the test.
+
+    Returns (SeparationResult, last GraphWindow built, stabilized).
+    """
+    earliest = min(v.time for v in nodes)
+    if t_min is None:
+        t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
+    bottom = min(t_min, earliest)
+    lag = max(spec.max_lag, 1)
+    previous = None
+    for _ in range(MAX_STABILIZATION_ROUNDS):
+        window = marginalized_admg_window(spec, bottom, top)
+        graph = window.graph if cut is None else cut_causal_edges(window, cut)
+        result = m_separated(graph, query)
+        if previous is not None and previous == result.separated:
+            return result, window, True
+        previous = result.separated
+        bottom -= lag
+    return result, window, False
+
+
+def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
+                               t_min: Optional[int] = None):
+    """m-separation in the full-time marginalized ADMG via deepening windows.
 
     Open paths never rise above the latest query time, so the window top is
     exact; the bottom starts at ``t_min`` (default: earliest query time minus
-    (max(p,q)+1)·(d+1)) and grows by max(p,q) lags until the verdict agrees
-    twice in a row. For stationary processes some finite depth always
+    (max(p,q)+1)·(d+1)) and moves down by max(p,q) lags until the verdict
+    agrees twice in a row. For stationary processes some finite depth always
     suffices, but no constructive bound is available, so the returned
     ``stabilized`` flag records that this is a heuristic stopping rule.
 
     Returns (SeparationResult, (t_min_used, t_max_used), stabilized).
     """
     nodes = (*query.a, *query.b, *query.c)
-    top = max(v.time for v in nodes)
-    lag = max(spec.max_lag, 1)
-    if t_min is None:
-        t_min = min(v.time for v in nodes) - (spec.max_lag + 1) * (spec.d + 1)
-    t_min = min(t_min, min(v.time for v in nodes))
-    grow = grow or lag
-
-    previous = None
-    bottom = t_min
-    result = None
-    stabilized = False
-    for _ in range(max_rounds):
-        window = marginalized_admg_window(spec, bottom, top)
-        result = m_separated(window.graph, query)
-        if previous is not None and previous == result.separated:
-            stabilized = True
-            break
-        previous = result.separated
-        bottom -= grow
-    else:
-        bottom += grow
-    return result, (bottom, top), stabilized
+    result, window, stabilized = _deepening_separation(
+        spec, query, nodes, max(v.time for v in nodes), t_min)
+    return result, (window.t_min, window.t_max), stabilized
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ class IvConditionReport:
     ancestors of b avoid spouses of descendants of x ∪ {y} (condition 2).
     ``rank``/``rank_ok``: rank of E[Cov(X, I | B)] vs dim(X) (condition 3).
     ``under_identified`` flags dim(X) > dim(I). ``stabilized`` reports whether
-    the growing-window verdict for condition 1 settled; the window bounds used
+    the deepening-window verdict for condition 1 settled; the window bounds used
     are included because the stopping rule is heuristic.
     """
 
@@ -236,28 +241,57 @@ def _query_sets(y, x_set, i_set, b_set):
     return sets["x"], sets["i"], sets["b"]
 
 
+def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
+               t_min: Optional[int], rank: int) -> IvConditionReport:
+    """Conditions 1 and 2 on the marginalized ADMG, with the rank of
+    E[Cov(X, I | B)] (condition 3) computed by the caller."""
+    nodes = (y, *x_set, *i_set, *b_set)
+    result, window, stabilized = _deepening_separation(
+        spec, SeparationQuery(i_set, b_set, (y,)), nodes,
+        max(v.time for v in nodes) + spec.q, t_min, cut=EffectQuery(y, x_set))
+
+    g = window.graph
+    an_b = set(g.ancestors(b_set)) if b_set else set()
+    sp_de = set(g.spouses_of_set(g.descendants((y, *x_set))))
+    confounding_free = not (an_b & sp_de)
+    rank_ok = rank == len(x_set)
+
+    return IvConditionReport(
+        instrument_separated=result.separated,
+        confounding_free=confounding_free,
+        rank=rank,
+        rank_ok=rank_ok,
+        under_identified=len(x_set) > len(i_set),
+        all_hold=result.separated and confounding_free and rank_ok,
+        window_used=(window.t_min, window.t_max),
+        stabilized=stabilized,
+        witness=result.witness,
+    )
+
+
 def check_iv_conditions(
     window: Union[GraphWindow, VarmaSpec],
     y: TimedNode,
     x_set: Sequence[TimedNode],
     i_set: Sequence[TimedNode],
     b_set: Sequence[TimedNode] = (),
-    rank_rtol: float = RANK_RTOL,
-    max_rounds: int = MAX_STABILIZATION_ROUNDS,
 ) -> IvConditionReport:
     """Evaluate the three identification conditions on the marginalized ADMG.
 
-    Accepts a marginalized window (its spec drives the re-windowing) or a spec
-    directly. Condition 2 is exact on a window topped out q lags above the
-    query (spouse pairs span at most q lags and ancestors of b are bounded by
-    b's times); condition 1 uses the growing-window heuristic.
+    Accepts a marginalized window (its spec and bottom start the deepening
+    loop) or a spec directly. Condition 1 uses the deepening-window heuristic
+    of :func:`stable_marginal_separation`, on windows topped out q lags above
+    the query. Condition 2 is read off the last of those windows; it is exact
+    there, because spouse pairs span at most q lags and ancestors of b are
+    bounded by b's times. Condition 3 compares the numerical rank of
+    E[Cov(X, I | B)] (singular values above 1e-8 of the largest) with dim(X).
     """
     if isinstance(window, VarmaSpec):
         spec = window
-        start_bottom = None
+        t_min = None
     else:
         spec = window.spec
-        start_bottom = window.t_min
+        t_min = window.t_min
         contained = set(v.time for v in (y, *x_set, *i_set, *b_set))
         if min(contained) < window.t_min or max(contained) > window.t_max:
             raise GraphError(
@@ -267,53 +301,5 @@ def check_iv_conditions(
     if not x_set or not i_set:
         raise ModelError("x and i sets must be non-empty")
 
-    effect_query = EffectQuery(y, x_set)
-    all_nodes = (y, *x_set, *i_set, *b_set)
-    top = max(v.time for v in all_nodes) + spec.q
-    lag = max(spec.max_lag, 1)
-    bottom = start_bottom
-    if bottom is None:
-        bottom = min(v.time for v in all_nodes) - (spec.max_lag + 1) * (spec.d + 1)
-    bottom = min(bottom, min(v.time for v in all_nodes))
-
-    sep_query = SeparationQuery(i_set, b_set, (y,))
-    previous = None
-    stabilized = False
-    result: SeparationResult = None
-    used = (bottom, top)
-    for _ in range(max_rounds):
-        gw = marginalized_admg_window(spec, bottom, top)
-        cut_graph = cut_causal_edges(gw, effect_query)
-        result = m_separated(cut_graph, sep_query)
-        used = (bottom, top)
-        if previous is not None and previous == result.separated:
-            stabilized = True
-            break
-        previous = result.separated
-        bottom -= lag
-
-    final_graph = marginalized_admg_window(spec, used[0], used[1]).graph
-    an_b = set(final_graph.ancestors(b_set)) if b_set else set()
-    de_xy = final_graph.descendants((y, *x_set))
-    sp_de = set(final_graph.spouses_of_set(de_xy))
-    confounding_free = not (an_b & sp_de)
-
-    ss = solve_stationary(spec)
-    moment = conditional_covariance(ss, x_set, i_set, b_set)
-    svals = np.linalg.svd(moment, compute_uv=False)
-    cutoff = rank_rtol * max(svals[0] if svals.size else 0.0, np.finfo(float).tiny)
-    rank = int(np.sum(svals > cutoff))
-    rank_ok = rank == len(x_set)
-    under_identified = len(x_set) > len(i_set)
-
-    return IvConditionReport(
-        instrument_separated=result.separated,
-        confounding_free=confounding_free,
-        rank=rank,
-        rank_ok=rank_ok,
-        under_identified=under_identified,
-        all_hold=result.separated and confounding_free and rank_ok,
-        window_used=used,
-        stabilized=stabilized,
-        witness=result.witness,
-    )
+    rank = numerical_rank(conditional_covariance(solve_stationary(spec), x_set, i_set, b_set))
+    return _iv_report(spec, y, x_set, i_set, b_set, t_min, rank)

@@ -17,10 +17,8 @@ import numpy as np
 from .errors import EstimationError, ModelError, UnderIdentifiedError
 from .graphs import ENDOGENOUS, TimedNode, endo
 from .model import VarmaSpec, require_valid
-from .effects import IvConditionReport, check_iv_conditions, _query_sets
-from .stationary import conditional_covariance, solve_stationary
-
-RANK_RTOL = 1e-8
+from .effects import IvConditionReport, _iv_report, _query_sets
+from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
 
 def _node_ref(v: TimedNode) -> dict:
@@ -102,35 +100,34 @@ class IvResult:
 
 
 def _weighted_solve(s_yi: np.ndarray, s_xi: np.ndarray, w: np.ndarray):
-    inner = s_xi @ w @ s_xi.T
-    cond = np.linalg.cond(inner)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise EstimationError(
-            f"moment matrix E[r_X r_I'] W E[r_I r_X'] is singular "
-            f"(condition number {cond:.3g})")
-    beta = np.linalg.solve(inner.T, (s_yi @ w @ s_xi.T).T).T
+    """beta minimizing (s_yi - beta s_xi) W (s_yi - beta s_xi)'; s_xi has full row rank.
+
+    With W = L L' this is the least-squares problem of (s_yi L)' on
+    (s_xi L)'. The normal matrix s_xi W s_xi' is never formed, so the
+    solve is conditioned like s_xi rather than like its square.
+    """
+    chol = np.linalg.cholesky(w)
+    beta, *_ = np.linalg.lstsq((s_xi @ chol).T, (s_yi @ chol).T, rcond=None)
+    beta = beta.T
     residual = float(np.max(np.abs(s_yi - beta @ s_xi)))
-    return np.asarray(beta).reshape(-1), residual
+    return beta.reshape(-1), residual
 
 
 def identify_population(spec: VarmaSpec, query: IvQuery,
-                        check_conditions: bool = True,
-                        rank_rtol: float = RANK_RTOL) -> IvResult:
+                        check_conditions: bool = True) -> IvResult:
     """Solve beta · E[Cov(X,I|B)] = E[Cov(Y,I|B)] from the stationary law.
 
     With full row rank the solution is unique; rank deficiency raises
     :class:`UnderIdentifiedError` carrying the rank found. When
     ``check_conditions`` is set the result carries the full graph-side
-    condition report.
+    condition report, built from the same stationary solve and rank.
     """
     require_valid(spec, allow_zero_variance=True)
     ss = solve_stationary(spec)
     s_xi = conditional_covariance(ss, query.x_set, query.i_set, query.b_set)
     s_yi = conditional_covariance(ss, (query.y,), query.i_set, query.b_set)
 
-    svals = np.linalg.svd(s_xi, compute_uv=False)
-    cutoff = rank_rtol * max(svals[0] if svals.size else 0.0, np.finfo(float).tiny)
-    rank = int(np.sum(svals > cutoff))
+    rank = numerical_rank(s_xi)
     if rank < len(query.x_set):
         raise UnderIdentifiedError(
             f"E[Cov(X,I|B)] has rank {rank} < dim(X) = {len(query.x_set)}; "
@@ -140,8 +137,8 @@ def identify_population(spec: VarmaSpec, query: IvQuery,
     beta, residual = _weighted_solve(s_yi, s_xi, query.weight_or_identity())
     conditions = None
     if check_conditions:
-        conditions = check_iv_conditions(
-            spec, query.y, query.x_set, query.i_set, query.b_set)
+        conditions = _iv_report(spec, query.y, query.x_set, query.i_set,
+                                query.b_set, None, rank)
     return IvResult(beta, residual, conditions, "population")
 
 
@@ -191,6 +188,8 @@ def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
     them, replaces each block by its OLS residuals on B (centering only when B
     is empty), and evaluates
     beta = E^[r_Y r_I'] W E^[r_I r_X'] (E^[r_X r_I'] W E^[r_I r_X'])^(-1).
+    A sample moment matrix E^[r_X r_I'] of numerical rank below dim(X)
+    raises :class:`EstimationError`.
 
     Linear residualization equals the conditional expectation on B under the
     Gaussian stationary law; for non-Gaussian innovations it is only the best
@@ -222,5 +221,9 @@ def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
 
     s_yi = r_y.T @ r_i / n_eff
     s_xi = r_x.T @ r_i / n_eff
+    rank = numerical_rank(s_xi)
+    if rank < nx:
+        raise EstimationError(
+            f"sample moment matrix E^[r_X r_I'] is singular (rank {rank} < dim(X) = {nx})")
     beta, residual = _weighted_solve(s_yi, s_xi, query.weight_or_identity())
     return IvResult(beta, residual, None, int(n_eff))

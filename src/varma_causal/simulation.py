@@ -4,7 +4,8 @@ faithfulness at desk scale.
 
 Determinism contract: a 64-bit experiment seed fully determines every
 sampled spec, query and series; each trial derives its own generator from
-(seed, trial index), so serial and parallel runs produce identical reports.
+(seed, trial index), so a trial's records do not depend on the trials run
+before it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -261,12 +260,6 @@ class ExperimentReport:
                 writer.writerow(row)
 
 
-def _resolve_threads(threads: Optional[int]) -> int:
-    if threads is None:
-        threads = int(os.environ.get("VARMA_CAUSAL_THREADS", "1") or 1)
-    return max(1, threads)
-
-
 def _draw_query(rng: np.random.Generator, d: int, window: int) -> SeparationQuery:
     pool = [endo(i, -t) for t in range(window + 1) for i in range(d)]
     rng.shuffle(pool)
@@ -301,7 +294,7 @@ def faithfulness_check(spec: VarmaSpec, query: SeparationQuery,
 
 
 def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
-                    seed, mode, threads):
+                    seed, mode):
     if mode not in ("population", "empirical"):
         raise ModelError(f"unknown experiment mode {mode!r}")
 
@@ -345,13 +338,7 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
             ))
         return records
 
-    n_threads = _resolve_threads(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_trial = list(pool.map(worker, range(trials)))
-    else:
-        per_trial = [worker(t) for t in range(trials)]
-    records = tuple(rec for batch in per_trial for rec in batch)
+    records = tuple(rec for trial in range(trials) for rec in worker(trial))
 
     separated = [r for r in records if r.separated]
     connected = [r for r in records if not r.separated]
@@ -380,19 +367,17 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
 
 def run_gmp_experiment(sampler, trials: int, queries_per_trial: int,
                        window: int = 5, tol: float = CI_TOL, seed: int = 0,
-                       mode: str = "population",
-                       threads: Optional[int] = None) -> ExperimentReport:
+                       mode: str = "population") -> ExperimentReport:
     """Sample specs and queries; every m-separated query must come out
     conditionally uncorrelated at ``tol``. Violations are recorded, not raised.
     """
     return _run_experiment("gmp", sampler, trials, queries_per_trial, window,
-                           tol, seed, mode, threads)
+                           tol, seed, mode)
 
 
 def run_faithfulness_experiment(sampler, trials: int, queries_per_trial: int,
                                 window: int = 5, tol: float = CI_TOL,
-                                seed: int = 0, mode: str = "population",
-                                threads: Optional[int] = None) -> ExperimentReport:
+                                seed: int = 0, mode: str = "population") -> ExperimentReport:
     """Count m-connected queries whose conditional covariance vanishes.
 
     Under absolutely continuous coefficient sampling these events have
@@ -400,4 +385,4 @@ def run_faithfulness_experiment(sampler, trials: int, queries_per_trial: int,
     sit near zero, with near-cancellations possible at finite precision.
     """
     return _run_experiment("faithfulness", sampler, trials, queries_per_trial,
-                           window, tol, seed, mode, threads)
+                           window, tol, seed, mode)

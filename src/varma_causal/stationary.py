@@ -10,7 +10,6 @@ Schur complements and zero conditional covariance is conditional independence.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,64 +19,47 @@ from .errors import ModelError
 from .graphs import ENDOGENOUS, SeparationQuery, TimedNode
 from .model import VarmaSpec, remove_instantaneous, require_valid
 
-LYAPUNOV_DIRECT_MAX_DIM = 60
 LYAPUNOV_RESIDUAL_RTOL = 1e-10
 PINV_RTOL = 1e-10
+RANK_RTOL = 1e-8
 CI_DEFAULT_TOL = 1e-7
 
 
-def _solve_lyapunov_direct(f: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = f.shape[0]
-    lhs = np.eye(n * n) - np.kron(f, f)
-    sigma = np.linalg.solve(lhs, q.reshape(-1)).reshape(n, n)
-    return (sigma + sigma.T) / 2.0
-
-
 def _solve_lyapunov_doubling(f: np.ndarray, q: np.ndarray, tol: float = 1e-12,
-                             max_iter: int = 200) -> np.ndarray:
-    # Smith doubling: converges quadratically for spectral radius < 1.
+                             max_iter: int = 200) -> tuple[np.ndarray, int]:
+    """Smith doubling; returns the solution and the number of doublings.
+
+    After k doublings the partial sum covers F^j Q F^j' for j < 2^k, so it
+    converges quadratically for spectral radius < 1 (about 25 doublings at
+    radius 1 - 1e-6).
+    """
     sigma = q.copy()
     a = f.copy()
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         nxt = sigma + a @ sigma @ a.T
         a = a @ a
-        if np.linalg.norm(nxt - sigma, "fro") <= tol * max(1.0, np.linalg.norm(nxt, "fro")):
-            sigma = nxt
-            break
+        # relative, so the stop does not depend on the scale of Q
+        done = np.linalg.norm(nxt - sigma, "fro") <= tol * np.linalg.norm(nxt, "fro")
         sigma = nxt
-    return (sigma + sigma.T) / 2.0
+        if done:
+            break
+    return (sigma + sigma.T) / 2.0, iterations
 
 
-class AutocovarianceTable:
-    """Lazily grown table of Cov(S_t, S_(t-h)); thread-safe extension."""
-
-    def __init__(self, f: np.ndarray, sigma_z: np.ndarray, d: int):
-        self._f = f
-        self._d = d
-        self._blocks = [sigma_z]
-        self._lock = threading.Lock()
-
-    @property
-    def horizon(self) -> int:
-        return len(self._blocks) - 1
-
-    def gamma_s(self, h: int) -> np.ndarray:
-        if h < 0:
-            return self.gamma_s(-h).T
-        if h > self.horizon:
-            with self._lock:
-                while h > self.horizon:
-                    self._blocks.append(self._f @ self._blocks[-1])
-        return self._blocks[h][: self._d, : self._d]
+def numerical_rank(m: np.ndarray) -> int:
+    """Number of singular values above RANK_RTOL times the largest."""
+    svals = np.linalg.svd(m, compute_uv=False)
+    cutoff = RANK_RTOL * max(svals[0] if svals.size else 0.0, np.finfo(float).tiny)
+    return int(np.sum(svals > cutoff))
 
 
 class StateSpaceForm:
     """Companion state space of the rewrite without instantaneous effects.
 
     The state stacks max(p,1) lags of S and q lags of eps; the stationary
-    state covariance solves Sigma_z = F Sigma_z F^T + G Gamma G^T, by direct
-    Kronecker vectorization up to state dimension 60 and by doubling
-    iteration above. The solve residual is checked to 1e-10 relative.
+    state covariance solves Sigma_z = F Sigma_z F^T + G Gamma G^T by Smith
+    doubling, and the solve residual is checked to 1e-10 relative.
+    Autocovariance blocks are computed on first use and cached.
     """
 
     def __init__(self, spec: VarmaSpec):
@@ -108,10 +90,7 @@ class StateSpaceForm:
             g[p_blocks * d:(p_blocks + 1) * d] = np.eye(d)
 
         q_mat = g @ np.diag(spec.gamma) @ g.T
-        if n <= LYAPUNOV_DIRECT_MAX_DIM:
-            sigma_z = _solve_lyapunov_direct(f, q_mat)
-        else:
-            sigma_z = _solve_lyapunov_doubling(f, q_mat)
+        sigma_z, _ = _solve_lyapunov_doubling(f, q_mat)
 
         denom = max(np.linalg.norm(sigma_z, "fro"), np.finfo(float).tiny)
         residual = np.linalg.norm(sigma_z - f @ sigma_z @ f.T - q_mat, "fro") / denom
@@ -124,11 +103,15 @@ class StateSpaceForm:
         self.g_load = g
         self.sigma_z = sigma_z
         self.residual = float(residual)
-        self.table = AutocovarianceTable(f, sigma_z, d)
+        self._blocks = [sigma_z]
 
     def autocov(self, h: int) -> np.ndarray:
         """Cov(S_t, S_(t-h)); negative h returns the transpose block."""
-        return self.table.gamma_s(h)
+        if h < 0:
+            return self.autocov(-h).T
+        while len(self._blocks) <= h:
+            self._blocks.append(self.f @ self._blocks[-1])
+        return self._blocks[h][: self.d, : self.d]
 
 
 def solve_stationary(spec: VarmaSpec) -> StateSpaceForm:

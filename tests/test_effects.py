@@ -15,6 +15,7 @@ from varma_causal import (
     stable_marginal_separation,
     total_causal_effect,
 )
+from varma_causal import effects
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -196,6 +197,26 @@ class TestIvConditions:
         with pytest.raises(ModelError, match="more than one"):
             check_iv_conditions(
                 varma_lagged_spec, endo(Y, 0), (endo(X, -1),), (endo(X, -1),))
+
+    def test_one_window_per_deepening_round(self, varma_lagged_spec, monkeypatch):
+        # condition 2 reads the last window of the loop instead of rebuilding it
+        calls = {"window": 0, "separation": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(effects, "marginalized_admg_window",
+                            counted("window", effects.marginalized_admg_window))
+        monkeypatch.setattr(effects, "m_separated",
+                            counted("separation", effects.m_separated))
+        report = check_iv_conditions(
+            varma_lagged_spec, endo(Y, 0), (endo(X, -1), endo(Y, -1)),
+            (endo(X, -2), endo(Y, -2)), b_set=(endo(Y, -3),))
+        assert report.stabilized and calls["separation"] >= 2
+        assert calls["window"] == calls["separation"]
 
     def test_window_too_small_error(self, varma_lagged_spec):
         window = marginalized_admg_window(varma_lagged_spec, -1, 0)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from varma_causal import (
+    CoefficientSampler,
     EffectQuery,
     EstimationError,
     IvQuery,
     ModelError,
     SimulationConfig,
+    StateSpaceForm,
     UnderIdentifiedError,
     VarmaSpec,
     check_iv_conditions,
@@ -14,6 +16,7 @@ from varma_causal import (
     estimate_from_data,
     identify_population,
     lagged_design,
+    sample_stable_spec,
     simulate,
     total_causal_effect,
 )
@@ -85,6 +88,35 @@ class TestIdentifyPopulation:
                         (endo(X, -2), endo(Y, -2), endo(X, -3)))
         result = identify_population(varma_lagged_spec, query, check_conditions=False)
         assert np.max(np.abs(result.beta - [1 / 3, 1 / 2])) < 1e-9
+
+    def test_one_stationary_solve_with_conditions(self, varma_lagged_spec, monkeypatch):
+        y, xs, instruments = endo(Y, 0), (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2))
+        reference = check_iv_conditions(varma_lagged_spec, y, xs, instruments)
+        solves = []
+        original = StateSpaceForm.__init__
+
+        def counting(self, spec):
+            solves.append(spec)
+            original(self, spec)
+
+        monkeypatch.setattr(StateSpaceForm, "__init__", counting)
+        result = identify_population(varma_lagged_spec, IvQuery(y, xs, instruments))
+        assert len(solves) == 1
+        assert result.conditions == reference
+
+    def test_wide_just_identified_query(self):
+        # 48 treatments (all components at lags 1-4), 48 instruments (lags
+        # 5-8); cond(S_XI) is about 1.4e6, so a solve through the normal
+        # matrix S_XI S_XI' would see about 2e12
+        d, p = 12, 4
+        spec = sample_stable_spec(CoefficientSampler(d=d, p=p, q=2), 7)
+        xs = [endo(i, -k) for k in range(1, p + 1) for i in range(d)]
+        instruments = [endo(i, -k) for k in range(p + 1, 2 * p + 1) for i in range(d)]
+        result = identify_population(spec, IvQuery(endo(0, 0), xs, instruments),
+                                     check_conditions=False)
+        ice = np.linalg.inv(np.eye(d) - spec.a[0])
+        row = np.concatenate([(ice @ spec.a[k])[0] for k in range(1, p + 1)])
+        assert np.max(np.abs(result.beta - row)) < 1e-9
 
     def test_agrees_with_path_counting_on_random_specs(self):
         rng = np.random.default_rng(51)

@@ -134,22 +134,6 @@ class TestExperiments:
         assert rep1.summary["separated"] > 0
         assert rep1.summary["all_stabilized"]
 
-    def test_parallel_matches_serial(self):
-        sampler = CoefficientSampler(d=2, p=1, q=0, sparsity=0.6)
-        serial = run_gmp_experiment(sampler, trials=6, queries_per_trial=4,
-                                    seed=7, threads=1)
-        parallel = run_gmp_experiment(sampler, trials=6, queries_per_trial=4,
-                                      seed=7, threads=3)
-        assert serial.to_dict() == parallel.to_dict()
-
-    def test_thread_cap_from_environment(self, monkeypatch):
-        sampler = CoefficientSampler(d=2, p=1, q=0, sparsity=0.6)
-        monkeypatch.setenv("VARMA_CAUSAL_THREADS", "2")
-        capped = run_gmp_experiment(sampler, trials=4, queries_per_trial=3, seed=7)
-        monkeypatch.delenv("VARMA_CAUSAL_THREADS")
-        serial = run_gmp_experiment(sampler, trials=4, queries_per_trial=3, seed=7)
-        assert capped.to_dict() == serial.to_dict()
-
     def test_diagonal_var_components_always_separated(self):
         # A0 = B = 0 with diagonal A1: distinct components never connect
         mask_diag = np.eye(2)

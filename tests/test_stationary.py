@@ -15,6 +15,7 @@ from varma_causal import (
     population_ci,
     rewritten_full_time_window,
     solve_stationary,
+    validate,
 )
 from varma_causal.stationary import (
     LYAPUNOV_RESIDUAL_RTOL,
@@ -42,7 +43,7 @@ class TestLyapunov:
             assert ss.residual < LYAPUNOV_RESIDUAL_RTOL
 
     def test_doubling_path_for_large_state(self):
-        # state dimension d*(p+q) = 7*9 = 63 > 60 exercises the doubling solver
+        # the largest state in this module: d*(p+q) = 7*9 = 63
         rng = np.random.default_rng(32)
         spec = random_stable_spec(rng, d=7, p=5, q=4, sparsity=0.8)
         ss = solve_stationary(spec)
@@ -52,13 +53,52 @@ class TestLyapunov:
         assert np.max(np.abs(ref - ss.sigma_z)) < 1e-9
 
     def test_doubling_agrees_with_direct_solver(self):
+        # scipy's direct method solves the Kronecker-vectorized system
         rng = np.random.default_rng(33)
         f = rng.uniform(-0.3, 0.3, (6, 6))
         g = rng.uniform(-1, 1, (6, 2))
         q = g @ g.T
-        direct = solve_discrete_lyapunov(f, q)
-        doubled = _solve_lyapunov_doubling(f, q)
+        direct = solve_discrete_lyapunov(f, q, method="direct")
+        doubled, _ = _solve_lyapunov_doubling(f, q)
         assert np.max(np.abs(direct - doubled)) < 1e-11
+
+    def test_near_unit_root_ar1(self):
+        phi = 1 - 1e-6
+        spec = VarmaSpec(a=[[[0.0]], [[phi]]], gamma=[1.0])
+        ss = solve_stationary(spec)
+        # 1 - phi is exact in floating point, 1 - phi**2 is not
+        exact = 1.0 / ((1.0 - phi) * (1.0 + phi))
+        assert ss.autocov(0)[0, 0] == pytest.approx(exact, rel=1e-9)
+        assert ss.residual < LYAPUNOV_RESIDUAL_RTOL
+        _, iterations = _solve_lyapunov_doubling(ss.f, ss.g_load @ ss.g_load.T)
+        assert iterations < 200
+
+    def test_small_variance_scale(self):
+        # the solve must not depend on the scale of the variances
+        phi, gamma = 0.9, 1e-10
+        ss = solve_stationary(VarmaSpec(a=[[[0.0]], [[phi]]], gamma=[gamma]))
+        assert ss.autocov(0)[0, 0] == pytest.approx(gamma / (1 - phi ** 2), rel=1e-12)
+        assert ss.residual < LYAPUNOV_RESIDUAL_RTOL
+
+    def test_near_unit_root_varma11(self):
+        # rewritten AR matrix with eigenvalues 1 - 1e-6, 0.4, -0.3 and an
+        # instantaneous edge 0 -> 2
+        rng = np.random.default_rng(37)
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        ar = v @ np.diag([1 - 1e-6, 0.4, -0.3]) @ v.T
+        a0 = np.zeros((3, 3))
+        a0[2, 0] = 0.5
+        spec = VarmaSpec([a0, (np.eye(3) - a0) @ ar],
+                         [rng.uniform(-0.3, 0.3, (3, 3))], [1.0, 0.5, 2.0])
+        assert validate(spec).passed
+        ss = solve_stationary(spec)
+        assert np.max(np.abs(np.linalg.eigvals(ss.f))) == pytest.approx(1 - 1e-6, abs=1e-12)
+        q = ss.g_load @ np.diag(spec.gamma) @ ss.g_load.T
+        ref = solve_discrete_lyapunov(ss.f, q)
+        assert np.max(np.abs(ref - ss.sigma_z)) < 1e-9 * np.max(np.abs(ref))
+        assert ss.residual < LYAPUNOV_RESIDUAL_RTOL
+        _, iterations = _solve_lyapunov_doubling(ss.f, q)
+        assert iterations < 200
 
     def test_unstable_spec_rejected(self):
         with pytest.raises(ModelError, match="unstable"):
