@@ -232,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", required=True,
                    help="time range a:b (use --window=-3:0 for negative starts)")
     p.add_argument("--marginalize", action="store_true",
-                   help="latent-project onto the endogenous nodes")
+                   help="marginalized ADMG over the endogenous nodes "
+                        "(innovations latent)")
     p.add_argument("--innovations", action="store_true",
                    help="include innovation nodes (full graph only)")
     p.add_argument("-o", "--output", help=".dot or .json target; default stdout")

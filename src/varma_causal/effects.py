@@ -177,7 +177,7 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
 
     Open paths never rise above the latest query time, so the window top is
     exact; the bottom starts at ``t_min`` (default: earliest query time minus
-    (max(p,q)+1)·(d+1)) and moves down by max(p,q) lags until the verdict
+    (max(p,q)+1)·(d+1)) and moves down by max(p,q,1) lags until the verdict
     agrees twice in a row. For stationary processes some finite depth always
     suffices, but no constructive bound is available, so the returned
     ``stabilized`` flag records that this is a heuristic stopping rule.

@@ -5,9 +5,12 @@ coefficient) and bi-directed edges. A graph with an empty bi-directed set
 behaves exactly like a DAG in every operation, so the same machinery covers
 d-separation on DAGs and m-separation on ADMGs.
 
-The separation verdict is computed on the augmented ancestral subgraph
-(undirected separation), and every verdict can be cross-checked against
-``m_separated_oracle``, a direct enumeration of simple paths.
+``m_separated`` decides separation with one reachability pass over
+(node, entered-with-arrowhead) states of the query's ancestral nodes and
+searches for a witness path only when the query is connected. The
+augmented-graph criterion (``augment``, ``moralize``, ``d_separated_moral``)
+serves ``extend_separated_sets`` and, with ``m_separated_oracle``, a direct
+enumeration of simple paths, cross-checks the verdicts in the tests.
 """
 
 from __future__ import annotations
@@ -176,10 +179,6 @@ class DirectedMixedGraph:
             or frozenset((v, w)) in self.bidirected
         )
 
-    @property
-    def is_dag(self) -> bool:
-        return not self.bidirected
-
     def topological_order(self) -> tuple[TimedNode, ...]:
         indeg = {v: len(self._parents[v]) for v in self.nodes}
         queue = [v for v in self.nodes if indeg[v] == 0]
@@ -261,9 +260,6 @@ class UndirectedGraph:
 
     def has_edge(self, v, w) -> bool:
         return frozenset((v, w)) in self.edges
-
-    def neighbors(self, v) -> tuple:
-        return sorted_nodes(self._adj[v])
 
     def separated(self, a, c, b) -> bool:
         """True iff no path from ``a`` to ``c`` avoids ``b``."""
@@ -385,35 +381,45 @@ def _junction_open(node, entered_head, exit_head, b_set, an_b):
     return node not in b_set
 
 
-def _connecting_path(g: DirectedMixedGraph, query: SeparationQuery):
-    """Deterministic search for one m-connecting path given ``query.b``.
-
-    Depth-first over simple paths, pruned by a (node, entered-with-arrowhead)
-    reachability table toward ``c``; the table is sound for walks, hence never
-    prunes a valid simple-path completion.
+def _connecting_states(g: DirectedMixedGraph, keep, b_set, an_b, c_nodes) -> set:
+    """States (x, entered-with-arrowhead-at-x) that start an m-connecting walk
+    to ``c_nodes`` through ``keep``: Bayes-ball reachability (Shachter 1998;
+    van der Zander, Liśkiewicz & Textor 2019) run backwards, in O(V + E).
     """
-    a_set, b_set, c_set = set(query.a), set(query.b), set(query.c)
-    an_b = set(g.ancestors(query.b)) if query.b else set()
-
-    good = set()
-    worklist = deque()
-    for cnode in query.c:
-        for flag in (False, True):
-            good.add((cnode, flag))
-            worklist.append((cnode, flag))
+    good = {(cnode, flag) for cnode in c_nodes for flag in (False, True)}
+    worklist = deque(good)
     while worklist:
         y, head_y = worklist.popleft()
         # propagate to states (x, a) that may step onto y via an edge whose
         # arrowhead flag at y matches head_y
         for x, head_y_side, head_x_side, _ in g._incident[y]:
-            if head_y_side != head_y:
+            if head_y_side != head_y or x not in keep:
                 continue
             for flag in (False, True):
-                if (x, flag) in good:
-                    continue
-                if x in c_set or _junction_open(x, flag, head_x_side, b_set, an_b):
+                if (x, flag) not in good and _junction_open(
+                        x, flag, head_x_side, b_set, an_b):
                     good.add((x, flag))
                     worklist.append((x, flag))
+    return good
+
+
+def _connecting_path(g: DirectedMixedGraph, query: SeparationQuery):
+    """Shortest m-connecting path given ``query.b``, or None when separated.
+
+    The reachability table of :func:`_connecting_states` over An(a ∪ b ∪ c)
+    decides: the query is connected iff a non-``a`` neighbour of an ``a`` node
+    starts an m-connecting walk to ``c``. Only then does a depth-first search
+    over simple paths run, pruned by the same table; the table is sound for
+    walks, hence never prunes a valid simple-path completion.
+    """
+    a_set, b_set, c_set = set(query.a), set(query.b), set(query.c)
+    keep = set(g.ancestors((*query.a, *query.b, *query.c)))
+    an_b = set(g.ancestors(query.b)) if query.b else set()
+    good = _connecting_states(g, keep, b_set, an_b, query.c)
+    starts = [(a, other, head_other) for a in query.a
+              for other, _, head_other, _ in g._incident[a] if other not in a_set]
+    if not any((other, head_other) in good for _, other, head_other in starts):
+        return None
 
     def dfs(node, entered_head, path, on_path, budget):
         for other, head_here, head_other, _ in g._incident[node]:
@@ -432,38 +438,29 @@ def _connecting_path(g: DirectedMixedGraph, query: SeparationQuery):
 
     # Iterative deepening returns the shortest connecting path, ties broken
     # by node order; the budget counts interior nodes still allowed.
-    for budget in range(len(g.nodes)):
-        for a in query.a:
-            for other, _, head_other, _ in g._incident[a]:
-                if other in a_set:
-                    continue
-                if other in c_set:
-                    return (a, other)
-                if budget == 0 or (other, head_other) not in good:
-                    continue
-                found = dfs(other, head_other, [a, other], {a, other}, budget - 1)
-                if found is not None:
-                    return tuple(found)
-    return None
+    for budget in range(len(keep)):
+        for a, other, head_other in starts:
+            if other in c_set:
+                return (a, other)
+            if budget == 0 or (other, head_other) not in good:
+                continue
+            found = dfs(other, head_other, [a, other], {a, other}, budget - 1)
+            if found is not None:
+                return tuple(found)
+    raise GraphError("internal inconsistency: reachability table connected "
+                     "but no m-connecting path found")
 
 
 def m_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationResult:
     """m-separation verdict with a connecting-path witness when it fails.
 
-    The verdict checks whether ``query.b`` separates ``query.a`` from
-    ``query.c`` in the augmented subgraph over the ancestors of all query
-    nodes. On a DAG this is d-separation.
+    One reachability pass over the ancestors of the query nodes decides, and
+    the witness search runs only for a connected query (see
+    :func:`_connecting_path`). On a DAG this is d-separation.
     """
     query.validate_in(g)
-    ancestral = g.subgraph(g.ancestors((*query.a, *query.b, *query.c)))
-    aug = augment(ancestral)
-    if aug.separated(query.a, query.c, query.b):
-        return SeparationResult(True, None)
-    witness = _connecting_path(ancestral, query)
-    if witness is None:
-        raise GraphError("internal inconsistency: augmented graph connected "
-                         "but no m-connecting path found")
-    return SeparationResult(False, witness)
+    witness = _connecting_path(g, query)
+    return SeparationResult(witness is None, witness)
 
 
 def is_m_connecting_path(g: DirectedMixedGraph, path, b) -> bool:

@@ -13,17 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ModelError
-from .graphs import (
-    DirectedMixedGraph,
-    endo,
-    innov,
-    latent_project,
-)
+from .graphs import DirectedMixedGraph, endo, innov
 
 STABILITY_MARGIN = 1e-8
 
@@ -81,9 +77,6 @@ class VarmaSpec:
     @property
     def max_lag(self) -> int:
         return max(self.p, self.q)
-
-    def component_name(self, i: int) -> str:
-        return self.names[i] if self.names else f"S{i}"
 
 
 def instantaneous_order(a0: np.ndarray):
@@ -293,34 +286,50 @@ class GraphWindow:
     marginalized: bool = False
 
 
-def _structural_window(d, t_min, t_max, ar_mats, eps_loadings, include_innovations):
-    """Window of the full-time graph of S_t = sum_k AR_k S_(t-k) + sum_l L_l eps_(t-l).
+def _lagged_edges(source, mats, t_min, t_max):
+    """Edges source(j, t-k) -> endo(i, t) with coefficient mats[k][i, j].
 
-    ``ar_mats[k]`` is the lag-k endogenous coefficient matrix (k = 0 means
-    instantaneous); ``eps_loadings[l]`` the lag-l innovation loading. An edge
-    exists iff its stored coefficient is non-zero, exactly.
+    One edge per exactly non-zero entry whose endpoints both lie in
+    [t_min, t_max].
     """
-    nodes = [endo(i, t) for t in range(t_min, t_max + 1) for i in range(d)]
+    support = [(k, np.argwhere(mat).tolist()) for k, mat in enumerate(mats)]
+    return [
+        (source(j, t - k), endo(i, t), float(mats[k][i, j]))
+        for t in range(t_min, t_max + 1)
+        for k, entries in support
+        if t - k >= t_min
+        for i, j in entries
+    ]
+
+
+def _endogenous_window(spec, t_min, t_max, rewritten):
+    """Validated endogenous nodes and edges of [t_min, t_max], and the
+    innovation loadings by lag.
+
+    Original form: lags A0..Ap, loadings I, B1..Bq. Rewritten form (no
+    instantaneous effects, original innovations): lags 0, C A1..C Ap,
+    loadings C, C B1..C Bq with C = (I - A0)^(-1).
+    """
+    if t_min > t_max:
+        raise ModelError(f"invalid window [{t_min}, {t_max}]")
+    if rewritten:
+        rw = remove_instantaneous(spec)
+        ar, loadings = [np.zeros((spec.d, spec.d)), *rw.ar], [rw.ice, *rw.ma_eps]
+    else:
+        require_valid(spec, allow_zero_variance=True)
+        ar, loadings = spec.a, [np.eye(spec.d), *spec.b]
+    nodes = [endo(i, t) for t in range(t_min, t_max + 1) for i in range(spec.d)]
+    return nodes, _lagged_edges(endo, ar, t_min, t_max), loadings
+
+
+def _structural_window(spec, t_min, t_max, rewritten, include_innovations):
+    """Window of the full-time DAG of S_t = sum_k AR_k S_(t-k) + sum_l L_l eps_(t-l)."""
+    nodes, directed, loadings = _endogenous_window(spec, t_min, t_max, rewritten)
     if include_innovations:
-        nodes += [innov(i, t) for t in range(t_min, t_max + 1) for i in range(d)]
-    directed = []
-    for t in range(t_min, t_max + 1):
-        for k, mat in enumerate(ar_mats):
-            if t - k < t_min:
-                continue
-            for i in range(d):
-                for j in range(d):
-                    if mat[i, j] != 0:
-                        directed.append((endo(j, t - k), endo(i, t), float(mat[i, j])))
-        if include_innovations:
-            for l, mat in enumerate(eps_loadings):
-                if t - l < t_min:
-                    continue
-                for i in range(d):
-                    for j in range(d):
-                        if mat[i, j] != 0:
-                            directed.append((innov(j, t - l), endo(i, t), float(mat[i, j])))
-    return DirectedMixedGraph(nodes, directed)
+        nodes += [innov(i, t) for t in range(t_min, t_max + 1) for i in range(spec.d)]
+        directed += _lagged_edges(innov, loadings, t_min, t_max)
+    graph = DirectedMixedGraph(nodes, directed)
+    return GraphWindow(spec, t_min, t_max, include_innovations, graph)
 
 
 def full_time_window(
@@ -332,14 +341,7 @@ def full_time_window(
     innovations, eps_t^i feeds S_t^i with unit coefficient and eps_(t-l)^j
     feeds S_t^i iff (Bl)[i,j] != 0.
     """
-    if t_min > t_max:
-        raise ModelError(f"invalid window [{t_min}, {t_max}]")
-    require_valid(spec, allow_zero_variance=True)
-    loadings = [np.eye(spec.d), *spec.b]
-    graph = _structural_window(
-        spec.d, t_min, t_max, spec.a, loadings, include_innovations
-    )
-    return GraphWindow(spec, t_min, t_max, include_innovations, graph)
+    return _structural_window(spec, t_min, t_max, False, include_innovations)
 
 
 def rewritten_full_time_window(
@@ -350,13 +352,7 @@ def rewritten_full_time_window(
     The rewrite keeps the original innovations: the contemporaneous loading is
     C = (I - A0)^(-1) and the lag-l loading is C Bl; endogenous lags are C Ak.
     """
-    if t_min > t_max:
-        raise ModelError(f"invalid window [{t_min}, {t_max}]")
-    rw = remove_instantaneous(spec)
-    ar = [np.zeros((spec.d, spec.d)), *rw.ar]
-    loadings = [rw.ice, *rw.ma_eps]
-    graph = _structural_window(spec.d, t_min, t_max, ar, loadings, include_innovations)
-    return GraphWindow(spec, t_min, t_max, include_innovations, graph)
+    return _structural_window(spec, t_min, t_max, True, include_innovations)
 
 
 def marginalized_admg_window(
@@ -364,22 +360,23 @@ def marginalized_admg_window(
 ) -> GraphWindow:
     """Window of the full-time marginalized ADMG over endogenous nodes.
 
-    Builds the full-time DAG over a window widened max(p,q)+1 steps to the
-    left, latent-projects over the endogenous nodes, and crops back to
-    [t_min, t_max]. Every projected edge spans at most max(p,q) lags (directed
-    edges come from the A matrices; bi-directed endpoints are children of one
-    innovation), so the crop equals the infinitely repeated structure and
-    windows are translation invariant.
+    Innovations have no parents and only endogenous children, so their latent
+    projection has a closed form: the directed edges are those of the
+    full-time DAG between endogenous nodes of [t_min, t_max], with their
+    coefficients, and S_i@t <-> S_k@u iff one innovation eps_j@s loads both
+    (the loadings of :func:`full_time_window`, or of
+    :func:`rewritten_full_time_window` when ``rewritten``). Only innovations
+    with s >= t_min - q reach the window, and the structure is translation
+    invariant.
     """
-    if t_min > t_max:
-        raise ModelError(f"invalid window [{t_min}, {t_max}]")
-    pad = spec.max_lag + 1
-    builder = rewritten_full_time_window if rewritten else full_time_window
-    wide = builder(spec, t_min - pad, t_max, include_innovations=True)
-    endogenous = [v for v in wide.graph.nodes if v.kind == "endogenous"]
-    projected = latent_project(wide.graph, endogenous)
-    cropped = projected.subgraph(v for v in projected.nodes if v.time >= t_min)
-    return GraphWindow(spec, t_min, t_max, False, cropped, marginalized=True)
+    nodes, directed, loadings = _endogenous_window(spec, t_min, t_max, rewritten)
+    children = {}
+    for eps, v, _ in _lagged_edges(innov, loadings, t_min - spec.q, t_max):
+        if v.time >= t_min:
+            children.setdefault(eps, []).append(v)
+    bidirected = [pair for kids in children.values() for pair in combinations(kids, 2)]
+    graph = DirectedMixedGraph(nodes, directed, bidirected)
+    return GraphWindow(spec, t_min, t_max, False, graph, marginalized=True)
 
 
 # -- JSON model format --------------------------------------------------------

@@ -15,7 +15,7 @@ from varma_causal import (
     stable_marginal_separation,
     total_causal_effect,
 )
-from varma_causal import effects
+from varma_causal import effects, graphs
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -217,6 +217,41 @@ class TestIvConditions:
             (endo(X, -2), endo(Y, -2)), b_set=(endo(Y, -3),))
         assert report.stabilized and calls["separation"] >= 2
         assert calls["window"] == calls["separation"]
+
+    def test_one_graph_per_deepening_round(self, varma_lagged_spec, monkeypatch):
+        # the window is built in closed form and the verdict needs no derived
+        # graph; the IV conditions add only the cut window
+        calls = {"window": 0, "graph": 0}
+        build_graph = graphs.DirectedMixedGraph.__init__
+        build_window = effects.marginalized_admg_window
+
+        def counted_graph(self, *args, **kwargs):
+            calls["graph"] += 1
+            build_graph(self, *args, **kwargs)
+
+        def counted_window(*args, **kwargs):
+            calls["window"] += 1
+            return build_window(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("off the separation path")
+
+        monkeypatch.setattr(graphs.DirectedMixedGraph, "__init__", counted_graph)
+        monkeypatch.setattr(effects, "marginalized_admg_window", counted_window)
+        monkeypatch.setattr(graphs, "augment", forbidden)
+        monkeypatch.setattr(graphs, "latent_project", forbidden)
+
+        query = SeparationQuery([endo(X, 0)], [endo(X, -1), endo(Y, -1)], [endo(Y, 0)])
+        _, _, stabilized = stable_marginal_separation(varma_lagged_spec, query)
+        assert stabilized and calls["window"] >= 2
+        assert calls["graph"] == calls["window"]
+
+        calls.update(window=0, graph=0)
+        report = check_iv_conditions(
+            varma_lagged_spec, endo(Y, 0), (endo(X, -1), endo(Y, -1)),
+            (endo(X, -2), endo(Y, -2)), b_set=(endo(Y, -3),))
+        assert report.stabilized and calls["window"] >= 2
+        assert calls["graph"] <= 2 * calls["window"]
 
     def test_window_too_small_error(self, varma_lagged_spec):
         window = marginalized_admg_window(varma_lagged_spec, -1, 0)

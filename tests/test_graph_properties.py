@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -99,9 +100,12 @@ class TestSeparationEquivalence:
             q = random_query(rng, g)
             if q is None:
                 continue
+            nx_dag = nx.DiGraph(list(g.directed))
+            nx_dag.add_nodes_from(g.nodes)
             oracle = m_separated_oracle(g, q)
             assert m_separated(g, q).separated == oracle
             assert d_separated_moral(g, q) == oracle
+            assert nx.is_d_separator(nx_dag, set(q.a), set(q.c), set(q.b)) == oracle
             checked += 1
 
     def test_admgs_agree_with_oracle(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from varma_causal import (
+    CoefficientSampler,
     ModelError,
     TimedNode,
     VarmaSpec,
@@ -12,9 +13,11 @@ from varma_causal import (
     full_time_window,
     ice_matrix,
     innov,
+    latent_project,
     marginalized_admg_window,
     remove_instantaneous,
     rewritten_full_time_window,
+    sample_stable_spec,
     spec_from_json,
     spec_to_json,
     validate,
@@ -254,6 +257,26 @@ class TestWindows:
         rewritten = marginalized_admg_window(varma_instant_spec, -2, 0, rewritten=True).graph
         assert original.bidirected < rewritten.bidirected
         assert frozenset((endo(X, 0), endo(Y, 0))) in rewritten.bidirected
+
+    @pytest.mark.parametrize("rewritten", [False, True])
+    def test_closed_form_equals_latent_projection(self, varma_instant_spec, rewritten):
+        # reference: project a DAG widened max(p,q)+1 steps left onto its
+        # endogenous nodes, then crop to the window
+        specs = [varma_instant_spec] + [
+            sample_stable_spec(CoefficientSampler(d=d, p=p, q=q, sparsity=0.65), (55, d, p, q))
+            for d in (1, 2, 3) for p in (1, 2) for q in (0, 1, 2)]
+        builder = rewritten_full_time_window if rewritten else full_time_window
+        for spec in specs:
+            for t_min, t_max in ((-3, 0), (-12, 0), (5, 9)):
+                wide = builder(spec, t_min - spec.max_lag - 1, t_max,
+                               include_innovations=True).graph
+                projected = latent_project(
+                    wide, [v for v in wide.nodes if v.kind == "endogenous"])
+                reference = projected.subgraph(v for v in projected.nodes if v.time >= t_min)
+                g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten).graph
+                assert g.nodes == reference.nodes
+                assert g.directed == reference.directed
+                assert g.bidirected == reference.bidirected
 
 
 def build_g_star(spec, t_min, t_max):
