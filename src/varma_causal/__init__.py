@@ -37,7 +37,6 @@ from .graphs import (
     to_dot,
 )
 from .model import (
-    GraphWindow,
     RewrittenVarSpec,
     ValidationReport,
     VarmaSpec,

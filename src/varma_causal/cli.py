@@ -108,14 +108,14 @@ def _cmd_graph(args) -> int:
     spec = load_spec(args.model)
     lo, hi = _parse_window(args.window)
     if args.marginalize:
-        window = marginalized_admg_window(spec, lo, hi)
+        graph = marginalized_admg_window(spec, lo, hi)
     else:
-        window = full_time_window(spec, lo, hi, include_innovations=args.innovations)
+        graph = full_time_window(spec, lo, hi, include_innovations=args.innovations)
     names = list(spec.names) if spec.names else None
     if args.output and args.output.endswith(".json"):
-        payload = json.dumps(graph_to_json(window.graph), indent=2)
+        payload = json.dumps(graph_to_json(graph), indent=2)
     else:
-        payload = to_dot(window.graph, names)
+        payload = to_dot(graph, names)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

@@ -7,14 +7,15 @@ in time, every causal path lives inside the time window spanned by the query,
 so finite windows compute the infinite-graph quantity exactly. Separation
 has no such constructive bound; one window-deepening loop serves both
 ``stable_marginal_separation`` and the instrument condition, and reports
-carry the window actually used.
+carry the window actually used. The loop builds no window graph: it runs the
+separation core of ``graphs`` on the spec's compiled incidence templates.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -24,15 +25,11 @@ from .graphs import (
     DirectedMixedGraph,
     SeparationQuery,
     TimedNode,
-    m_separated,
+    _closure,
+    _connection,
+    _result,
 )
-from .model import (
-    GraphWindow,
-    VarmaSpec,
-    full_time_window,
-    marginalized_admg_window,
-    require_valid,
-)
+from .model import VarmaSpec, _compiled_admg, full_time_window, require_valid
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
 MAX_STABILIZATION_ROUNDS = 12
@@ -89,56 +86,47 @@ def total_causal_effect(spec: VarmaSpec, query: EffectQuery) -> TotalEffect:
     full-time window spanning the query; treatments that lie later than y get
     entry 0 (no causal path can exist).
     """
-    require_valid(spec, allow_zero_variance=True)
     times = [v.time for v in (query.y, *query.x_set)]
-    window = full_time_window(spec, min(times), max(times), include_innovations=False)
-    g = window.graph
-    x_set = frozenset(query.x_set)
-    sums = _path_sums_to(g, query.y, x_set)
-    beta = np.zeros(len(query.x_set))
-    for j, x in enumerate(query.x_set):
-        total = 0.0
-        for w in g.children(x):
-            if w in x_set:
-                continue
-            hw = sums.get(w, 0.0)
-            if hw != 0.0:
-                total += g.directed[(x, w)] * hw
-        beta[j] = total
-    return TotalEffect(query, beta)
+    g = full_time_window(spec, min(times), max(times), include_innovations=False)
+    sums = _path_sums_to(g, query.y, frozenset(query.x_set))
+    return TotalEffect(query, np.array([sums[x] for x in query.x_set]))
 
 
-def _causal_reach(g: DirectedMixedGraph, y: TimedNode, x_set: frozenset) -> set:
-    """Nodes with a directed path to y whose interior avoids x_set."""
-    reach = {y}
-    queue = deque([y])
-    while queue:
-        u = queue.popleft()
-        if u != y and u in x_set:
-            continue  # paths may start in x_set but never pass through it
-        for v in g.parents(u):
-            if v not in reach:
-                reach.add(v)
-                queue.append(v)
-    return reach
+def _causal_cut(parents, y: TimedNode, x_set: frozenset) -> set:
+    """(tail, head) pairs of the treatment edges that start a causal path to y.
+
+    Causal paths may start in x_set but never pass through it. ``parents``
+    may omit nodes earlier than every treatment: none heads a treatment edge.
+    """
+    reach = _closure((y,), lambda u: () if u in x_set else parents(u))
+    return {(x, head) for head in reach - x_set for x in parents(head) if x in x_set}
 
 
-def cut_causal_edges(window: Union[GraphWindow, DirectedMixedGraph],
-                     query: EffectQuery) -> DirectedMixedGraph:
+def cut_causal_edges(g: DirectedMixedGraph, query: EffectQuery) -> DirectedMixedGraph:
     """Remove every outgoing treatment edge that starts a causal path to y."""
-    g = window.graph if isinstance(window, GraphWindow) else window
     for v in (query.y, *query.x_set):
         if not g.has_node(v):
             raise GraphError(
                 f"node {v!r} missing from window; build a wider window")
-    x_set = frozenset(query.x_set)
-    reach = _causal_reach(g, query.y, x_set)
-    cut = [
-        (tail, head)
-        for (tail, head) in g.directed
-        if tail in x_set and head not in x_set and head in reach
-    ]
-    return g.without_directed(cut)
+    cut = _causal_cut(g.parents, query.y, frozenset(query.x_set))
+    directed = [(t, h, c) for (t, h), c in g.directed.items() if (t, h) not in cut]
+    return DirectedMixedGraph(g.nodes, directed, g.bidirected)
+
+
+def _incidence(admg, cut=frozenset()):
+    """Memoized incidence lists for one query, without the edges in ``cut``."""
+    @functools.cache
+    def incident(v):
+        return [(w, here, there) for w, here, there in admg.incident(v)
+                if here == there or ((w, v) if here else (v, w)) not in cut]
+    return incident
+
+
+def _step(incident, flags, bottom, top):
+    """Neighbors in [bottom, top] along edges whose (head here, head there) is
+    ``flags``: (True, False) for parents, (False, True) children, (True, True) spouses."""
+    return lambda v: [w for w, here, there in incident(v)
+                      if (here, there) == flags and bottom <= w.time <= top]
 
 
 def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
@@ -150,44 +138,59 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     (max(p,q)+1)·(d+1), never above the earliest node) and moves down by
     max(p,q,1) lags until two consecutive verdicts agree, for at most
     MAX_STABILIZATION_ROUNDS windows. With ``cut`` set, the causal edges of
-    that effect query are removed from each window before the test.
+    that effect query are removed first. No window is built: no edge points
+    back in time, so An(a ∪ b ∪ c) in a window is the ancestor closure over
+    the compiled templates cut at its bottom, and the search never leaves it.
+    Rounds decide the verdict only; the witness is searched on the last one.
 
-    Returns (SeparationResult, last GraphWindow built, stabilized).
+    Returns (SeparationResult, (bottom, top) of the last window, stabilized).
     """
+    admg = _compiled_admg(spec)
+    for v in nodes:
+        if v.kind != ENDOGENOUS or not 0 <= v.component < spec.d:
+            raise GraphError(f"unknown node {v!r} in separation query")
+    incident = _incidence(admg)
+    if cut is not None:
+        x_set = frozenset(cut.x_set)
+        parents = _step(incident, (True, False), min(v.time for v in x_set), top)
+        incident = _incidence(admg, _causal_cut(parents, cut.y, x_set))
     earliest = min(v.time for v in nodes)
     if t_min is None:
         t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
-    bottom = min(t_min, earliest)
     lag = max(spec.max_lag, 1)
-    previous = None
+    bottom = min(t_min, earliest) + lag
+    previous, stabilized = None, False
     for _ in range(MAX_STABILIZATION_ROUNDS):
-        window = marginalized_admg_window(spec, bottom, top)
-        graph = window.graph if cut is None else cut_causal_edges(window, cut)
-        result = m_separated(graph, query)
-        if previous is not None and previous == result.separated:
-            return result, window, True
-        previous = result.separated
         bottom -= lag
-    return result, window, False
+        parents = _step(incident, (True, False), bottom, top)
+        keep = _closure((*query.a, *query.b, *query.c), parents)
+        an_b = _closure(query.b, parents)
+        connection = _connection(incident, query, keep, an_b)
+        if previous is not None and previous == (connection is None):
+            stabilized = True
+            break
+        previous = connection is None
+    return _result(incident, query, keep, an_b, connection), (bottom, top), stabilized
 
 
 def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
                                t_min: Optional[int] = None):
     """m-separation in the full-time marginalized ADMG via deepening windows.
 
-    Open paths never rise above the latest query time, so the window top is
-    exact; the bottom starts at ``t_min`` (default: earliest query time minus
+    Runs on the spec's compiled marginalized ADMG. Open paths never rise
+    above the latest query time, so the window top is exact; the bottom
+    starts at ``t_min`` (default: earliest query time minus
     (max(p,q)+1)·(d+1)) and moves down by max(p,q,1) lags until the verdict
     agrees twice in a row. For stationary processes some finite depth always
     suffices, but no constructive bound is available, so the returned
-    ``stabilized`` flag records that this is a heuristic stopping rule.
+    ``stabilized`` flag records that this is a heuristic stopping rule. The
+    verdict and witness equal :func:`~varma_causal.graphs.m_separated` on
+    ``marginalized_admg_window(spec, *window)``.
 
     Returns (SeparationResult, (t_min_used, t_max_used), stabilized).
     """
     nodes = (*query.a, *query.b, *query.c)
-    result, window, stabilized = _deepening_separation(
-        spec, query, nodes, max(v.time for v in nodes), t_min)
-    return result, (window.t_min, window.t_max), stabilized
+    return _deepening_separation(spec, query, nodes, max(v.time for v in nodes), t_min)
 
 
 @dataclass(frozen=True)
@@ -242,17 +245,21 @@ def _query_sets(y, x_set, i_set, b_set):
 
 
 def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
-               t_min: Optional[int], rank: int) -> IvConditionReport:
+               rank: int) -> IvConditionReport:
     """Conditions 1 and 2 on the marginalized ADMG, with the rank of
     E[Cov(X, I | B)] (condition 3) computed by the caller."""
     nodes = (y, *x_set, *i_set, *b_set)
-    result, window, stabilized = _deepening_separation(
+    result, (bottom, top), stabilized = _deepening_separation(
         spec, SeparationQuery(i_set, b_set, (y,)), nodes,
-        max(v.time for v in nodes) + spec.q, t_min, cut=EffectQuery(y, x_set))
+        max(v.time for v in nodes) + spec.q, None, cut=EffectQuery(y, x_set))
 
-    g = window.graph
-    an_b = set(g.ancestors(b_set)) if b_set else set()
-    sp_de = set(g.spouses_of_set(g.descendants((y, *x_set))))
+    # condition 2 on the uncut last window: An(b) ∩ Sp(De(x ∪ y)), where Sp
+    # adds one bi-directed step and keeps the nodes themselves
+    incident = _incidence(_compiled_admg(spec))
+    an_b = _closure(b_set, _step(incident, (True, False), bottom, top))
+    de = _closure((y, *x_set), _step(incident, (False, True), bottom, top))
+    spouses = _step(incident, (True, True), bottom, top)
+    sp_de = de | {w for v in de for w in spouses(v)}
     confounding_free = not (an_b & sp_de)
     rank_ok = rank == len(x_set)
 
@@ -263,14 +270,14 @@ def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
         rank_ok=rank_ok,
         under_identified=len(x_set) > len(i_set),
         all_hold=result.separated and confounding_free and rank_ok,
-        window_used=(window.t_min, window.t_max),
+        window_used=(bottom, top),
         stabilized=stabilized,
         witness=result.witness,
     )
 
 
 def check_iv_conditions(
-    window: Union[GraphWindow, VarmaSpec],
+    spec: VarmaSpec,
     y: TimedNode,
     x_set: Sequence[TimedNode],
     i_set: Sequence[TimedNode],
@@ -278,28 +285,19 @@ def check_iv_conditions(
 ) -> IvConditionReport:
     """Evaluate the three identification conditions on the marginalized ADMG.
 
-    Accepts a marginalized window (its spec and bottom start the deepening
-    loop) or a spec directly. Condition 1 uses the deepening-window heuristic
-    of :func:`stable_marginal_separation`, on windows topped out q lags above
-    the query. Condition 2 is read off the last of those windows; it is exact
-    there, because spouse pairs span at most q lags and ancestors of b are
-    bounded by b's times. Condition 3 compares the numerical rank of
-    E[Cov(X, I | B)] (singular values above 1e-8 of the largest) with dim(X).
+    Conditions 1 and 2 run on the spec's compiled marginalized ADMG.
+    Condition 1 uses the deepening-window heuristic of
+    :func:`stable_marginal_separation` after cutting the causal treatment
+    edges, on windows topped out q lags above the query. Condition 2 is read
+    off the last of those windows, uncut; it is exact there, because spouse
+    pairs span at most q lags and ancestors of b are bounded by b's times.
+    Condition 3 compares the numerical rank of E[Cov(X, I | B)] (singular
+    values above 1e-8 of the largest) with dim(X).
     """
-    if isinstance(window, VarmaSpec):
-        spec = window
-        t_min = None
-    else:
-        spec = window.spec
-        t_min = window.t_min
-        contained = set(v.time for v in (y, *x_set, *i_set, *b_set))
-        if min(contained) < window.t_min or max(contained) > window.t_max:
-            raise GraphError(
-                "query nodes fall outside the given window; build a wider window")
     require_valid(spec, allow_zero_variance=True)
     x_set, i_set, b_set = _query_sets(y, x_set, i_set, b_set)
     if not x_set or not i_set:
         raise ModelError("x and i sets must be non-empty")
 
     rank = numerical_rank(conditional_covariance(solve_stationary(spec), x_set, i_set, b_set))
-    return _iv_report(spec, y, x_set, i_set, b_set, t_min, rank)
+    return _iv_report(spec, y, x_set, i_set, b_set, rank)

@@ -7,7 +7,8 @@ d-separation on DAGs and m-separation on ADMGs.
 
 ``m_separated`` decides separation with one reachability pass over
 (node, entered-with-arrowhead) states of the query's ancestral nodes and
-searches for a witness path only when the query is connected. The
+searches for a witness path only when the query is connected; both read
+incidence lists through a function, so they run on compiled templates too. The
 augmented-graph criterion (``augment``, ``moralize``, ``d_separated_moral``)
 serves ``extend_separated_sets`` and, with ``m_separated_oracle``, a direct
 enumeration of simple paths, cross-checks the verdicts in the tests.
@@ -15,6 +16,7 @@ enumeration of simple paths, cross-checks the verdicts in the tests.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
@@ -57,12 +59,21 @@ def node_label(v: TimedNode, names: Optional[list[str]] = None) -> str:
     return f"{name}@{v.time}"
 
 
-# Internal incident-edge record: (neighbor, head_here, head_there, edge_id).
+# Internal incident-edge record: (neighbor, head_here, head_there). The
 # head_* flags say whether the edge carries an arrowhead at that endpoint;
 # they are all a path algorithm needs to classify colliders.
-_DIR_OUT = 0
-_DIR_IN = 1
-_BI = 2
+
+
+def _closure(starts, step) -> set:
+    """``starts`` together with every node reachable from them by ``step``."""
+    seen = set(starts)
+    queue = deque(seen)
+    while queue:
+        for w in step(queue.popleft()):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 class DirectedMixedGraph:
@@ -107,70 +118,60 @@ class DirectedMixedGraph:
             for v in pair:
                 self._require(v)
 
-        self._parents: dict[TimedNode, list[TimedNode]] = {v: [] for v in self.nodes}
-        self._children: dict[TimedNode, list[TimedNode]] = {v: [] for v in self.nodes}
-        for tail, head in self.directed:
-            self._children[tail].append(head)
-            self._parents[head].append(tail)
-        self._spouse_adj: dict[TimedNode, list[TimedNode]] = {v: [] for v in self.nodes}
-        for pair in self.bidirected:
-            v, w = tuple(pair)
-            self._spouse_adj[v].append(w)
-            self._spouse_adj[w].append(v)
-        for adj in (self._parents, self._children, self._spouse_adj):
-            for v in adj:
-                adj[v] = sorted(adj[v], key=node_sort_key)
-
-        self._check_acyclic()
         self._incident = self._build_incident()
+        self._order = self._kahn_order()
 
     def _require(self, v: TimedNode) -> None:
         if v not in self._node_set:
             raise GraphError(f"unknown node {v!r}")
 
-    def _check_acyclic(self) -> None:
-        indeg = {v: len(self._parents[v]) for v in self.nodes}
-        queue = deque(v for v in self.nodes if indeg[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for w in self._children[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if seen != len(self.nodes):
-            cycle = sorted_nodes(v for v in self.nodes if indeg[v] > 0)
-            raise GraphError(f"directed cycle among {[tuple(v) for v in cycle]}")
-
     def _build_incident(self):
         incident = {v: [] for v in self.nodes}
         for tail, head in sorted(self.directed, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))):
-            incident[tail].append((head, False, True, (_DIR_OUT, tail, head)))
-            incident[head].append((tail, True, False, (_DIR_IN, tail, head)))
+            incident[tail].append((head, False, True))
+            incident[head].append((tail, True, False))
         for pair in sorted(self.bidirected, key=lambda p: sorted_nodes(p)):
             v, w = sorted_nodes(pair)
-            incident[v].append((w, True, True, (_BI, v, w)))
-            incident[w].append((v, True, True, (_BI, v, w)))
+            incident[v].append((w, True, True))
+            incident[w].append((v, True, True))
         return incident
+
+    def _kahn_order(self) -> tuple[TimedNode, ...]:
+        """Topological order, earliest free node first; raises on a cycle."""
+        indeg = {v: len(self.parents(v)) for v in self.nodes}
+        heap = [(node_sort_key(v), v) for v in self.nodes if indeg[v] == 0]
+        order = []
+        while heap:
+            _, v = heapq.heappop(heap)
+            order.append(v)
+            for w in self.children(v):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    heapq.heappush(heap, (node_sort_key(w), w))
+        if len(order) != len(self.nodes):
+            cycle = sorted_nodes(v for v in self.nodes if indeg[v] > 0)
+            raise GraphError(f"directed cycle among {[tuple(v) for v in cycle]}")
+        return tuple(order)
 
     # -- local neighborhoods ------------------------------------------------
 
     def has_node(self, v: TimedNode) -> bool:
         return v in self._node_set
 
-    def parents(self, v: TimedNode) -> tuple[TimedNode, ...]:
+    def _neighbors(self, v, head_here, head_there):
         self._require(v)
-        return tuple(self._parents[v])
+        return tuple(w for w, here, there in self._incident[v]
+                     if here == head_here and there == head_there)
+
+    def parents(self, v: TimedNode) -> tuple[TimedNode, ...]:
+        return self._neighbors(v, True, False)
 
     def children(self, v: TimedNode) -> tuple[TimedNode, ...]:
-        self._require(v)
-        return tuple(self._children[v])
+        return self._neighbors(v, False, True)
 
     def spouses(self, v: TimedNode) -> tuple[TimedNode, ...]:
         """Bi-directed neighbors of ``v``; a node is a spouse of itself."""
-        self._require(v)
-        return sorted_nodes(set(self._spouse_adj[v]) | {v})
+        return sorted_nodes({*self._neighbors(v, True, True), v})
 
     def adjacent(self, v: TimedNode, w: TimedNode) -> bool:
         return (
@@ -180,18 +181,7 @@ class DirectedMixedGraph:
         )
 
     def topological_order(self) -> tuple[TimedNode, ...]:
-        indeg = {v: len(self._parents[v]) for v in self.nodes}
-        queue = [v for v in self.nodes if indeg[v] == 0]
-        order = []
-        while queue:
-            queue.sort(key=node_sort_key)
-            v = queue.pop(0)
-            order.append(v)
-            for w in self._children[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return tuple(order)
+        return self._order
 
     # -- reachability sets --------------------------------------------------
 
@@ -201,30 +191,10 @@ class DirectedMixedGraph:
         Bi-directed edges carry no ancestry. Every node is an ancestor of
         itself.
         """
-        return self._closure(s, self._parents)
+        return sorted_nodes(_closure(s, self.parents))
 
     def descendants(self, s: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
-        return self._closure(s, self._children)
-
-    def _closure(self, s, adjacency):
-        s = list(s)
-        for v in s:
-            self._require(v)
-        seen = set(s)
-        queue = deque(s)
-        while queue:
-            v = queue.popleft()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return sorted_nodes(seen)
-
-    def spouses_of_set(self, s: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
-        out = set()
-        for v in s:
-            out.update(self.spouses(v))
-        return sorted_nodes(out)
+        return sorted_nodes(_closure(s, self.children))
 
     # -- derived graphs -----------------------------------------------------
 
@@ -237,13 +207,6 @@ class DirectedMixedGraph:
         ]
         bidirected = [pair for pair in self.bidirected if pair <= keep]
         return DirectedMixedGraph(keep, directed, bidirected)
-
-    def without_directed(self, edges: Iterable[tuple]) -> "DirectedMixedGraph":
-        drop = {(t, h) for t, h in edges}
-        directed = [
-            (t, h, c) for (t, h), c in self.directed.items() if (t, h) not in drop
-        ]
-        return DirectedMixedGraph(self.nodes, directed, self.bidirected)
 
 
 class UndirectedGraph:
@@ -354,7 +317,7 @@ def augment(g: DirectedMixedGraph) -> UndirectedGraph:
         # arrowhead at it, i.e. the node is a collider on the walk.
         seen = set()
         queue = deque()
-        for other, _, head_other, _ in g._incident[source]:
+        for other, _, head_other in g._incident[source]:
             state = (other, head_other)
             if other != source and state not in seen:
                 seen.add(state)
@@ -365,7 +328,7 @@ def augment(g: DirectedMixedGraph) -> UndirectedGraph:
                 edges.add(frozenset((source, node)))
             if not entered_head:
                 continue
-            for other, head_here, head_other, _ in g._incident[node]:
+            for other, head_here, head_other in g._incident[node]:
                 if not head_here or other == source:
                     continue
                 state = (other, head_other)
@@ -381,48 +344,55 @@ def _junction_open(node, entered_head, exit_head, b_set, an_b):
     return node not in b_set
 
 
-def _connecting_states(g: DirectedMixedGraph, keep, b_set, an_b, c_nodes) -> set:
+def _connecting_states(incident, keep, b_set, an_b, c_nodes) -> set:
     """States (x, entered-with-arrowhead-at-x) that start an m-connecting walk
     to ``c_nodes`` through ``keep``: Bayes-ball reachability (Shachter 1998;
     van der Zander, Liśkiewicz & Textor 2019) run backwards, in O(V + E).
+    ``incident(v)`` lists the incident-edge records of ``v``.
     """
-    good = {(cnode, flag) for cnode in c_nodes for flag in (False, True)}
-    worklist = deque(good)
-    while worklist:
-        y, head_y = worklist.popleft()
-        # propagate to states (x, a) that may step onto y via an edge whose
-        # arrowhead flag at y matches head_y
-        for x, head_y_side, head_x_side, _ in g._incident[y]:
-            if head_y_side != head_y or x not in keep:
-                continue
-            for flag in (False, True):
-                if (x, flag) not in good and _junction_open(
-                        x, flag, head_x_side, b_set, an_b):
-                    good.add((x, flag))
-                    worklist.append((x, flag))
-    return good
+    def step(state):
+        # states (x, flag) that may step onto y via an edge whose arrowhead
+        # flag at y matches head_y
+        y, head_y = state
+        return [(x, flag) for x, head_y_side, head_x_side in incident(y)
+                if head_y_side == head_y and x in keep
+                for flag in (False, True) if _junction_open(x, flag, head_x_side, b_set, an_b)]
+
+    return _closure({(cnode, flag) for cnode in c_nodes for flag in (False, True)}, step)
 
 
-def _connecting_path(g: DirectedMixedGraph, query: SeparationQuery):
-    """Shortest m-connecting path given ``query.b``, or None when separated.
+def _connection(incident, query: SeparationQuery, keep, an_b):
+    """Reachability table and first steps of a connected query, or None when
+    ``query.b`` separates it.
 
-    The reachability table of :func:`_connecting_states` over An(a ∪ b ∪ c)
-    decides: the query is connected iff a non-``a`` neighbour of an ``a`` node
-    starts an m-connecting walk to ``c``. Only then does a depth-first search
-    over simple paths run, pruned by the same table; the table is sound for
-    walks, hence never prunes a valid simple-path completion.
+    ``keep`` is An(a ∪ b ∪ c) and ``an_b`` is An(b). The table of
+    :func:`_connecting_states` decides: the query is connected iff a
+    non-``a`` neighbour of an ``a`` node starts an m-connecting walk to ``c``.
     """
-    a_set, b_set, c_set = set(query.a), set(query.b), set(query.c)
-    keep = set(g.ancestors((*query.a, *query.b, *query.c)))
-    an_b = set(g.ancestors(query.b)) if query.b else set()
-    good = _connecting_states(g, keep, b_set, an_b, query.c)
+    good = _connecting_states(incident, keep, set(query.b), an_b, query.c)
+    a_set = set(query.a)
     starts = [(a, other, head_other) for a in query.a
-              for other, _, head_other, _ in g._incident[a] if other not in a_set]
+              for other, _, head_other in incident(a) if other not in a_set]
     if not any((other, head_other) in good for _, other, head_other in starts):
         return None
+    return good, starts
+
+
+def _result(incident, query: SeparationQuery, keep, an_b, connection) -> SeparationResult:
+    """Separated, or connected with its shortest m-connecting path as witness
+    (ties broken by incidence order), given what :func:`_connection` found.
+
+    The witness comes from a depth-first search over simple paths, pruned by
+    the reachability table; the table is sound for walks, hence never prunes
+    a valid simple-path completion.
+    """
+    if connection is None:
+        return SeparationResult(True)
+    good, starts = connection
+    b_set, c_set = set(query.b), set(query.c)
 
     def dfs(node, entered_head, path, on_path, budget):
-        for other, head_here, head_other, _ in g._incident[node]:
+        for other, head_here, head_other in incident(node):
             if other in on_path:
                 continue
             if not _junction_open(node, entered_head, head_here, b_set, an_b):
@@ -436,17 +406,17 @@ def _connecting_path(g: DirectedMixedGraph, query: SeparationQuery):
                 return found
         return None
 
-    # Iterative deepening returns the shortest connecting path, ties broken
-    # by node order; the budget counts interior nodes still allowed.
+    # Iterative deepening returns the shortest connecting path; the budget
+    # counts interior nodes still allowed.
     for budget in range(len(keep)):
         for a, other, head_other in starts:
             if other in c_set:
-                return (a, other)
+                return SeparationResult(False, (a, other))
             if budget == 0 or (other, head_other) not in good:
                 continue
             found = dfs(other, head_other, [a, other], {a, other}, budget - 1)
             if found is not None:
-                return tuple(found)
+                return SeparationResult(False, tuple(found))
     raise GraphError("internal inconsistency: reachability table connected "
                      "but no m-connecting path found")
 
@@ -456,11 +426,13 @@ def m_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationResu
 
     One reachability pass over the ancestors of the query nodes decides, and
     the witness search runs only for a connected query (see
-    :func:`_connecting_path`). On a DAG this is d-separation.
+    :func:`_connection`). On a DAG this is d-separation.
     """
     query.validate_in(g)
-    witness = _connecting_path(g, query)
-    return SeparationResult(witness is None, witness)
+    keep = set(g.ancestors((*query.a, *query.b, *query.c)))
+    an_b = set(g.ancestors(query.b)) if query.b else set()
+    incident = g._incident.__getitem__
+    return _result(incident, query, keep, an_b, _connection(incident, query, keep, an_b))
 
 
 def is_m_connecting_path(g: DirectedMixedGraph, path, b) -> bool:
@@ -523,7 +495,7 @@ def m_separated_oracle(
     def dfs(node, entered_head, prefix_open, on_path):
         # extends the path ending at `node`; returns True iff an open
         # completion to c exists among the enumerated ones
-        for other, head_here, head_other, _ in g._incident[node]:
+        for other, head_here, head_other in g._incident[node]:
             if other in on_path:
                 continue
             step_open = prefix_open and _junction_open(
@@ -539,7 +511,7 @@ def m_separated_oracle(
         return False
 
     for a in query.a:
-        for other, _, head_other, _ in g._incident[a]:
+        for other, _, head_other in g._incident[a]:
             if other in c_set:
                 count_one()
                 return False  # single-edge path has no junctions, always open
@@ -613,7 +585,7 @@ def latent_project(g: DirectedMixedGraph, keep: Iterable[TimedNode]) -> Directed
             if w in seen:
                 continue
             seen.add(w)
-            stack.extend(g._children[w])
+            stack.extend(g.children(w))
         return reached
 
     directed = {}
@@ -621,13 +593,13 @@ def latent_project(g: DirectedMixedGraph, keep: Iterable[TimedNode]) -> Directed
         if tail in keep and head in keep:
             directed[(tail, head)] = coeff
     for v in keep:
-        for w in latent_reach(g._children[v]):
+        for w in latent_reach(g.children(v)):
             if w != v and (v, w) not in directed:
                 directed[(v, w)] = None
 
     bidirected = set()
     for u in latent:
-        reached = sorted_nodes(latent_reach(g._children[u]))
+        reached = sorted_nodes(latent_reach(g.children(u)))
         for i in range(len(reached)):
             for j in range(i + 1, len(reached)):
                 bidirected.add(frozenset((reached[i], reached[j])))

@@ -138,7 +138,7 @@ def identify_population(spec: VarmaSpec, query: IvQuery,
     conditions = None
     if check_conditions:
         conditions = _iv_report(spec, query.y, query.x_set, query.i_set,
-                                query.b_set, None, rank)
+                                query.b_set, rank)
     return IvResult(beta, residual, conditions, "population")
 
 

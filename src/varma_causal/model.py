@@ -6,20 +6,20 @@ variances gamma. The module provides validity checking, the canonical
 rewrites (instantaneous-effect elimination, total-instantaneous-effect matrix,
 doubled-dimension VAR embedding) and finite full-time graph windows, both as
 DAGs over (endogenous, innovation) nodes and as marginalized ADMGs over the
-endogenous nodes only.
+endogenous nodes only, all read off incidence templates compiled once per
+spec, which the separation loop of ``effects`` uses directly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ModelError
-from .graphs import DirectedMixedGraph, endo, innov
+from .graphs import DirectedMixedGraph, TimedNode, endo, innov, node_sort_key, sorted_nodes
 
 STABILITY_MARGIN = 1e-8
 
@@ -70,6 +70,7 @@ class VarmaSpec:
             raise ModelError(f"names must have length {d}")
         for arr in (*self.a, *self.b, self.gamma):
             arr.setflags(write=False)
+        self._compiled = {}  # form -> _MarginalizedAdmg, see _compiled_admg
 
     def __repr__(self):
         return f"VarmaSpec(d={self.d}, p={self.p}, q={self.q})"
@@ -274,27 +275,15 @@ def embed_as_var(spec: VarmaSpec) -> VarmaSpec:
     return VarmaSpec([c0, *lags], (), gamma, names=names)
 
 
-@dataclass(frozen=True)
-class GraphWindow:
-    """A finite time slice of a full-time graph."""
-
-    spec: VarmaSpec
-    t_min: int
-    t_max: int
-    include_innovations: bool
-    graph: DirectedMixedGraph
-    marginalized: bool = False
-
-
-def _lagged_edges(source, mats, t_min, t_max):
-    """Edges source(j, t-k) -> endo(i, t) with coefficient mats[k][i, j].
+def _innovation_edges(loadings, t_min, t_max):
+    """Edges innov(j, t-k) -> endo(i, t) with coefficient loadings[k][i, j].
 
     One edge per exactly non-zero entry whose endpoints both lie in
     [t_min, t_max].
     """
-    support = [(k, np.argwhere(mat).tolist()) for k, mat in enumerate(mats)]
+    support = [(k, np.argwhere(mat).tolist()) for k, mat in enumerate(loadings)]
     return [
-        (source(j, t - k), endo(i, t), float(mats[k][i, j]))
+        (innov(j, t - k), endo(i, t), float(loadings[k][i, j]))
         for t in range(t_min, t_max + 1)
         for k, entries in support
         if t - k >= t_min
@@ -302,39 +291,88 @@ def _lagged_edges(source, mats, t_min, t_max):
     ]
 
 
-def _endogenous_window(spec, t_min, t_max, rewritten):
-    """Validated endogenous nodes and edges of [t_min, t_max], and the
-    innovation loadings by lag.
+class _MarginalizedAdmg:
+    """The full-time marginalized ADMG of a spec, validated and compiled once.
 
-    Original form: lags A0..Ap, loadings I, B1..Bq. Rewritten form (no
-    instantaneous effects, original innovations): lags 0, C A1..C Ap,
-    loadings C, C B1..C Bq with C = (I - A0)^(-1).
+    Lags A0..Ap and innovation loadings I, B1..Bq; in the rewritten form (no
+    instantaneous effects, original innovations) lags 0, C A1..C Ap and
+    loadings C, C B1..C Bq with C = (I - A0)^(-1). The graph is translation
+    invariant, so component i keeps one template: the edges at S_i@0 as
+    (component, time offset, head here, head there, coefficient), in the
+    order of ``DirectedMixedGraph._incident``, which breaks witness ties.
     """
-    if t_min > t_max:
-        raise ModelError(f"invalid window [{t_min}, {t_max}]")
-    if rewritten:
-        rw = remove_instantaneous(spec)
-        ar, loadings = [np.zeros((spec.d, spec.d)), *rw.ar], [rw.ice, *rw.ma_eps]
-    else:
-        require_valid(spec, allow_zero_variance=True)
-        ar, loadings = spec.a, [np.eye(spec.d), *spec.b]
-    nodes = [endo(i, t) for t in range(t_min, t_max + 1) for i in range(spec.d)]
-    return nodes, _lagged_edges(endo, ar, t_min, t_max), loadings
+
+    def __init__(self, spec: VarmaSpec, rewritten: bool):
+        if rewritten:
+            rw = remove_instantaneous(spec)
+            self.lags = (np.zeros((spec.d, spec.d)), *rw.ar)
+            self.loadings = (rw.ice, *rw.ma_eps)
+        else:
+            require_valid(spec, allow_zero_variance=True)
+            self.lags, self.loadings = spec.a, (np.eye(spec.d), *spec.b)
+        self.d = spec.d
+        self.templates = tuple(self._template(i) for i in range(spec.d))
+
+    def _template(self, i):
+        v = endo(i, 0)
+        directed = []  # S_j@-k -> S_i@0 iff lag k has entry (i, j)
+        for k, mat in enumerate(self.lags):
+            for j in np.flatnonzero(mat[i]).tolist():
+                directed.append(((endo(j, -k), v), (j, -k, True, False, float(mat[i, j]))))
+            for j in np.flatnonzero(mat[:, i]).tolist():
+                directed.append(((v, endo(j, k)), (j, k, False, True, float(mat[j, i]))))
+        directed.sort(key=lambda edge: tuple(map(node_sort_key, edge[0])))
+        # S_i@0 <-> S_k@(l2-l1) iff one innovation has loading l1 on S_i and l2 on S_k
+        supports = [mat != 0 for mat in self.loadings]
+        spouses = {(k, l2 - l1) for l1, s1 in enumerate(supports) for l2, s2 in enumerate(supports)
+                   for k in np.flatnonzero((s2 & s1[i]).any(axis=1)).tolist()} - {(i, 0)}
+        # time-sorted pairs compared as TimedNode tuples, all distinct
+        bidirected = sorted((sorted_nodes((v, endo(k, offset))), (k, offset, True, True, None))
+                            for k, offset in spouses)
+        return tuple(entry for _, entry in directed + bidirected)
+
+    def incident(self, v: TimedNode) -> list:
+        """Incident-edge records (neighbor, head here, head there) of ``v``."""
+        return [(endo(j, v.time + k), here, there)
+                for j, k, here, there, _ in self.templates[v.component]]
+
+    def window(self, t_min: int, t_max: int):
+        """Nodes, directed (with coefficients) and bi-directed edges of [t_min, t_max]."""
+        if t_min > t_max:
+            raise ModelError(f"invalid window [{t_min}, {t_max}]")
+        nodes = [endo(i, t) for t in range(t_min, t_max + 1) for i in range(self.d)]
+        directed, bidirected = [], []
+        for v in nodes:
+            for j, k, here, there, coeff in self.templates[v.component]:
+                if t_min <= v.time + k <= t_max:
+                    w = endo(j, v.time + k)
+                    if here and there:
+                        bidirected.append((v, w))
+                    elif there:
+                        directed.append((v, w, coeff))
+        return nodes, directed, bidirected
+
+
+def _compiled_admg(spec: VarmaSpec, rewritten: bool = False) -> _MarginalizedAdmg:
+    """The spec's marginalized ADMG, validated and compiled on first use."""
+    if rewritten not in spec._compiled:
+        spec._compiled[rewritten] = _MarginalizedAdmg(spec, rewritten)
+    return spec._compiled[rewritten]
 
 
 def _structural_window(spec, t_min, t_max, rewritten, include_innovations):
     """Window of the full-time DAG of S_t = sum_k AR_k S_(t-k) + sum_l L_l eps_(t-l)."""
-    nodes, directed, loadings = _endogenous_window(spec, t_min, t_max, rewritten)
+    admg = _compiled_admg(spec, rewritten)
+    nodes, directed, _ = admg.window(t_min, t_max)
     if include_innovations:
         nodes += [innov(i, t) for t in range(t_min, t_max + 1) for i in range(spec.d)]
-        directed += _lagged_edges(innov, loadings, t_min, t_max)
-    graph = DirectedMixedGraph(nodes, directed)
-    return GraphWindow(spec, t_min, t_max, include_innovations, graph)
+        directed += _innovation_edges(admg.loadings, t_min, t_max)
+    return DirectedMixedGraph(nodes, directed)
 
 
 def full_time_window(
     spec: VarmaSpec, t_min: int, t_max: int, include_innovations: bool = False
-) -> GraphWindow:
+) -> DirectedMixedGraph:
     """Finite window of the process's full-time DAG.
 
     Endogenous edges come from the A matrices (lag 0 included); with
@@ -346,7 +384,7 @@ def full_time_window(
 
 def rewritten_full_time_window(
     spec: VarmaSpec, t_min: int, t_max: int, include_innovations: bool = True
-) -> GraphWindow:
+) -> DirectedMixedGraph:
     """Window of the full-time DAG of the rewrite without instantaneous effects.
 
     The rewrite keeps the original innovations: the contemporaneous loading is
@@ -357,7 +395,7 @@ def rewritten_full_time_window(
 
 def marginalized_admg_window(
     spec: VarmaSpec, t_min: int, t_max: int, rewritten: bool = False
-) -> GraphWindow:
+) -> DirectedMixedGraph:
     """Window of the full-time marginalized ADMG over endogenous nodes.
 
     Innovations have no parents and only endogenous children, so their latent
@@ -365,18 +403,10 @@ def marginalized_admg_window(
     full-time DAG between endogenous nodes of [t_min, t_max], with their
     coefficients, and S_i@t <-> S_k@u iff one innovation eps_j@s loads both
     (the loadings of :func:`full_time_window`, or of
-    :func:`rewritten_full_time_window` when ``rewritten``). Only innovations
-    with s >= t_min - q reach the window, and the structure is translation
-    invariant.
+    :func:`rewritten_full_time_window` when ``rewritten``), read off the
+    spec's compiled templates on which the separation loop also runs.
     """
-    nodes, directed, loadings = _endogenous_window(spec, t_min, t_max, rewritten)
-    children = {}
-    for eps, v, _ in _lagged_edges(innov, loadings, t_min - spec.q, t_max):
-        if v.time >= t_min:
-            children.setdefault(eps, []).append(v)
-    bidirected = [pair for kids in children.values() for pair in combinations(kids, 2)]
-    graph = DirectedMixedGraph(nodes, directed, bidirected)
-    return GraphWindow(spec, t_min, t_max, False, graph, marginalized=True)
+    return DirectedMixedGraph(*_compiled_admg(spec, rewritten).window(t_min, t_max))
 
 
 # -- JSON model format --------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from varma_causal import (
+    CoefficientSampler,
     EffectQuery,
     GraphError,
     ModelError,
@@ -11,11 +12,13 @@ from varma_causal import (
     cut_causal_edges,
     endo,
     full_time_window,
+    m_separated,
     marginalized_admg_window,
+    sample_stable_spec,
     stable_marginal_separation,
     total_causal_effect,
 )
-from varma_causal import effects, graphs
+from varma_causal import effects, graphs, model, simulation
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -24,7 +27,7 @@ X, Y = 0, 1
 def brute_force_effect(spec, query):
     """Enumerate causal paths on the spanning window; sum coefficient products."""
     times = [v.time for v in (query.y, *query.x_set)]
-    g = full_time_window(spec, min(times), max(times)).graph
+    g = full_time_window(spec, min(times), max(times))
     forbidden = set(query.x_set)
     out = []
     for x in query.x_set:
@@ -103,16 +106,16 @@ class TestCutCausalEdges:
         query = EffectQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1)))
         window = marginalized_admg_window(varma_lagged_spec, -3, 0)
         cut = cut_causal_edges(window, query)
-        removed = set(window.graph.directed) - set(cut.directed)
+        removed = set(window.directed) - set(cut.directed)
         assert removed == {(endo(X, -1), endo(Y, 0)), (endo(Y, -1), endo(Y, 0))}
         assert (endo(X, -1), endo(X, 0)) in cut.directed
-        assert cut.bidirected == window.graph.bidirected
+        assert cut.bidirected == window.bidirected
 
     def test_no_causal_path_leaves_graph_unchanged(self, varma_lagged_spec):
         query = EffectQuery(endo(X, 0), (endo(Y, -2),))  # Y never feeds X
         window = marginalized_admg_window(varma_lagged_spec, -3, 0)
         cut = cut_causal_edges(window, query)
-        assert set(cut.directed) == set(window.graph.directed)
+        assert set(cut.directed) == set(window.directed)
 
     def test_chain_cuts_only_first_edge(self):
         spec = VarmaSpec(
@@ -198,66 +201,57 @@ class TestIvConditions:
             check_iv_conditions(
                 varma_lagged_spec, endo(Y, 0), (endo(X, -1),), (endo(X, -1),))
 
-    def test_one_window_per_deepening_round(self, varma_lagged_spec, monkeypatch):
-        # condition 2 reads the last window of the loop instead of rebuilding it
-        calls = {"window": 0, "separation": 0}
+    def test_no_window_graph_and_one_compile_per_spec(self, monkeypatch):
+        # separation and the IV conditions run on the compiled templates:
+        # no graph is built, nothing is projected, the spec compiles and
+        # validates once, not once per deepening round
+        spec = VarmaSpec(
+            a=[np.zeros((2, 2)), [[1 / 2, 0], [1 / 3, 1 / 2]]],
+            b=[[[0, 1 / 4], [0, 0]]], gamma=[1, 1])
+        compiles, validations = [], []
+        compile_admg, validate = model._MarginalizedAdmg.__init__, model.validate
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_compile(self, *args, **kwargs):
+            compiles.append(args)
+            compile_admg(self, *args, **kwargs)
 
-        monkeypatch.setattr(effects, "marginalized_admg_window",
-                            counted("window", effects.marginalized_admg_window))
-        monkeypatch.setattr(effects, "m_separated",
-                            counted("separation", effects.m_separated))
-        report = check_iv_conditions(
-            varma_lagged_spec, endo(Y, 0), (endo(X, -1), endo(Y, -1)),
-            (endo(X, -2), endo(Y, -2)), b_set=(endo(Y, -3),))
-        assert report.stabilized and calls["separation"] >= 2
-        assert calls["window"] == calls["separation"]
-
-    def test_one_graph_per_deepening_round(self, varma_lagged_spec, monkeypatch):
-        # the window is built in closed form and the verdict needs no derived
-        # graph; the IV conditions add only the cut window
-        calls = {"window": 0, "graph": 0}
-        build_graph = graphs.DirectedMixedGraph.__init__
-        build_window = effects.marginalized_admg_window
-
-        def counted_graph(self, *args, **kwargs):
-            calls["graph"] += 1
-            build_graph(self, *args, **kwargs)
-
-        def counted_window(*args, **kwargs):
-            calls["window"] += 1
-            return build_window(*args, **kwargs)
+        def counted_validate(*args, **kwargs):
+            validations.append(args)
+            return validate(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("off the separation path")
 
-        monkeypatch.setattr(graphs.DirectedMixedGraph, "__init__", counted_graph)
-        monkeypatch.setattr(effects, "marginalized_admg_window", counted_window)
-        monkeypatch.setattr(graphs, "augment", forbidden)
-        monkeypatch.setattr(graphs, "latent_project", forbidden)
+        monkeypatch.setattr(model, "validate", counted_validate)
+        monkeypatch.setattr(model._MarginalizedAdmg, "__init__", counted_compile)
+        monkeypatch.setattr(graphs.DirectedMixedGraph, "__init__", forbidden)
+        for module in (model, graphs, effects):
+            for name in ("marginalized_admg_window", "latent_project", "augment"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
 
         query = SeparationQuery([endo(X, 0)], [endo(X, -1), endo(Y, -1)], [endo(Y, 0)])
-        _, _, stabilized = stable_marginal_separation(varma_lagged_spec, query)
-        assert stabilized and calls["window"] >= 2
-        assert calls["graph"] == calls["window"]
-
-        calls.update(window=0, graph=0)
+        first, _, stabilized = stable_marginal_separation(spec, query)
+        assert first.separated and stabilized
+        shifted = SeparationQuery([endo(X, 3)], [endo(Y, 2)], [endo(Y, 5)])
+        assert not stable_marginal_separation(spec, shifted)[0].separated
+        assert len(validations) == 1
         report = check_iv_conditions(
-            varma_lagged_spec, endo(Y, 0), (endo(X, -1), endo(Y, -1)),
+            spec, endo(Y, 0), (endo(X, -1), endo(Y, -1)),
             (endo(X, -2), endo(Y, -2)), b_set=(endo(Y, -3),))
-        assert report.stabilized and calls["window"] >= 2
-        assert calls["graph"] <= 2 * calls["window"]
+        assert report.stabilized
+        assert len(compiles) == 1
 
-    def test_window_too_small_error(self, varma_lagged_spec):
-        window = marginalized_admg_window(varma_lagged_spec, -1, 0)
-        with pytest.raises(GraphError, match="wider window"):
-            check_iv_conditions(
-                window, endo(Y, 0), (endo(X, -1),), (endo(X, -4),))
+    def test_condition2_spouses_are_one_step(self):
+        # De(x ∪ y) reaches back to X@-1 and Y@-1; one bi-directed step adds
+        # X@-2 and Y@-2, outside An(b) = {X@t : t <= -3}, while a second
+        # step X@-2 <-> X@-3 would enter it
+        spec = VarmaSpec([[[0, 0], [0, 0]], [[-0.42, 0], [-0.31, 0]]],
+                         [[[-0.38, 0], [-0.43, -0.29]]], [1, 1])
+        report = check_iv_conditions(
+            spec, endo(Y, 0), (endo(X, -1), endo(Y, -1)),
+            (endo(X, -2), endo(Y, -2)), b_set=(endo(X, -3),))
+        assert report.confounding_free is True
 
 
 class TestStableSeparation:
@@ -273,3 +267,73 @@ class TestStableSeparation:
         r1, _, _ = stable_marginal_separation(varma_lagged_spec, q1)
         r2, _, _ = stable_marginal_separation(varma_lagged_spec, q2)
         assert r1.separated == r2.separated
+
+
+def sampled_query_specs(rng, count):
+    return [sample_stable_spec(
+        CoefficientSampler(d=1 + k % 3, p=1 + k % 2, q=k % 3, sparsity=0.65), rng)
+        for k in range(count)]
+
+
+def draw_iv_sets(rng, d):
+    y = endo(int(rng.integers(0, d)), 0)
+    pool = [endo(i, -t) for t in range(1, 5) for i in range(d)]
+    rng.shuffle(pool)
+    nx, ni, nb = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(0, 2))
+    return y, tuple(pool[:nx]), tuple(pool[nx:nx + ni]), tuple(pool[nx + ni:nx + ni + nb])
+
+
+class TestWindowOracle:
+    """The template rounds against m_separated on materialized windows."""
+
+    def test_each_round_matches_its_window(self, monkeypatch):
+        rounds = effects.MAX_STABILIZATION_ROUNDS
+        monkeypatch.setattr(effects, "MAX_STABILIZATION_ROUNDS", 1)
+        rng = np.random.default_rng(606)
+        for spec in sampled_query_specs(rng, 12):
+            lag = max(spec.max_lag, 1)
+            for _ in range(4):
+                query = simulation._draw_query(rng, spec.d, 5)
+                nodes = (*query.a, *query.b, *query.c)
+                top = max(v.time for v in nodes)
+                start = min(v.time for v in nodes) - (spec.max_lag + 1) * (spec.d + 1)
+                for bottom in range(start, start - rounds * lag, -lag):
+                    result, window, _ = stable_marginal_separation(spec, query, t_min=bottom)
+                    assert window == (bottom, top)
+                    assert result == m_separated(
+                        marginalized_admg_window(spec, bottom, top), query)
+
+    def test_each_iv_round_matches_its_cut_window(self, monkeypatch):
+        rounds = effects.MAX_STABILIZATION_ROUNDS
+        monkeypatch.setattr(effects, "MAX_STABILIZATION_ROUNDS", 1)
+        rng = np.random.default_rng(607)
+        for spec in sampled_query_specs(rng, 12):
+            lag = max(spec.max_lag, 1)
+            for _ in range(4):
+                y, xs, instruments, b = draw_iv_sets(rng, spec.d)
+                query = SeparationQuery(instruments, b, (y,))
+                nodes = (y, *xs, *instruments, *b)
+                top = max(v.time for v in nodes) + spec.q
+                start = min(v.time for v in nodes) - (spec.max_lag + 1) * (spec.d + 1)
+                for bottom in range(start, start - rounds * lag, -lag):
+                    result, window, _ = effects._deepening_separation(
+                        spec, query, nodes, top, bottom, cut=EffectQuery(y, xs))
+                    assert window == (bottom, top)
+                    cut = cut_causal_edges(
+                        marginalized_admg_window(spec, bottom, top), EffectQuery(y, xs))
+                    assert result == m_separated(cut, query)
+
+    def test_iv_report_matches_its_last_window(self):
+        rng = np.random.default_rng(608)
+        for spec in sampled_query_specs(rng, 12):
+            for _ in range(4):
+                y, xs, instruments, b = draw_iv_sets(rng, spec.d)
+                report = check_iv_conditions(spec, y, xs, instruments, b)
+                g = marginalized_admg_window(spec, *report.window_used)
+                cut = cut_causal_edges(g, EffectQuery(y, xs))
+                result = m_separated(cut, SeparationQuery(instruments, b, (y,)))
+                assert (report.instrument_separated, report.witness) == (
+                    result.separated, result.witness)
+                an_b = set(g.ancestors(b)) if b else set()
+                sp_de = {s for v in g.descendants((y, *xs)) for s in g.spouses(v)}
+                assert report.confounding_free == (not an_b & sp_de)

@@ -59,7 +59,7 @@ def brute_collider_connected(g, v, w):
         return True
 
     def dfs(node, entered_head, on_path):
-        for other, head_here, head_other, _ in g._incident[node]:
+        for other, head_here, head_other in g._incident[node]:
             if other in on_path:
                 continue
             if not (entered_head and head_here):
@@ -70,7 +70,7 @@ def brute_collider_connected(g, v, w):
                 return True
         return False
 
-    for other, _, head_other, _ in g._incident[v]:
+    for other, _, head_other in g._incident[v]:
         if other == w:
             return True
         if dfs(other, head_other, {v, other}):

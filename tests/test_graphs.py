@@ -70,7 +70,7 @@ class TestNeighborhoods:
         assert g.ancestors([b]) == (b,)
 
     def test_ancestors_var_instant_window(self, var_instant_spec):
-        g = full_time_window(var_instant_spec, -2, 0).graph
+        g = full_time_window(var_instant_spec, -2, 0)
         anc = g.ancestors([endo(Y, 0)])
         assert set(anc) == {endo(i, t) for i in (X, Y) for t in (-2, -1, 0)}
 
@@ -90,7 +90,7 @@ class TestNeighborhoods:
             assert g.spouses(v) == (v,)
 
     def test_spouses_marginalized_window(self, varma_lagged_spec):
-        g = marginalized_admg_window(varma_lagged_spec, -2, 0).graph
+        g = marginalized_admg_window(varma_lagged_spec, -2, 0)
         assert g.spouses(endo(X, 0)) == (endo(Y, -1), endo(X, 0))
 
 
@@ -113,14 +113,14 @@ class TestMoralizeAugment:
             moralize(g)
 
     def test_varma_instant_window_marriage(self, varma_instant_spec):
-        g = full_time_window(varma_instant_spec, -1, 0, include_innovations=True).graph
+        g = full_time_window(varma_instant_spec, -1, 0, include_innovations=True)
         moral = moralize(g)
         # X@-1 and Y@-1 share the child Y@0; eps(Y)@0 and X@0 do too
         assert moral.has_edge(endo(X, -1), endo(Y, -1))
         assert moral.has_edge(innov(Y, 0), endo(X, 0))
 
     def test_augment_equals_moralize_on_dag(self, var_instant_spec):
-        g = full_time_window(var_instant_spec, -2, 0).graph
+        g = full_time_window(var_instant_spec, -2, 0)
         assert augment(g).edges == moralize(g).edges
 
     def test_bidirected_chain_collider_connected(self):
@@ -132,7 +132,7 @@ class TestMoralizeAugment:
 
 class TestSeparation:
     def test_var_instant_reference_query_separated(self, var_instant_spec):
-        g = full_time_window(var_instant_spec, -2, 0).graph
+        g = full_time_window(var_instant_spec, -2, 0)
         q = SeparationQuery([endo(Y, 0)], [endo(X, 0), endo(Y, -1)], [endo(X, -1)])
         assert m_separated(g, q).separated
         assert m_separated_oracle(g, q)
@@ -140,7 +140,7 @@ class TestSeparation:
     def test_var_instant_rewritten_query_connected(self, var_instant_spec):
         # the rewrite adds X@-1 -> Y@0, so the same query is connected there
         g = rewritten_full_time_window(var_instant_spec, -2, 0,
-                                       include_innovations=False).graph
+                                       include_innovations=False)
         q = SeparationQuery([endo(Y, 0)], [endo(X, 0), endo(Y, -1)], [endo(X, -1)])
         result = m_separated(g, q)
         assert not result.separated
@@ -149,7 +149,7 @@ class TestSeparation:
 
     def test_marginalized_rewrite_query_connected(self, varma_instant_spec):
         # in the rewritten marginalized ADMG, X@0 <-> Y@0 links the pair
-        g = marginalized_admg_window(varma_instant_spec, -2, 0, rewritten=True).graph
+        g = marginalized_admg_window(varma_instant_spec, -2, 0, rewritten=True)
         q = SeparationQuery([endo(X, 0)], [endo(X, -1), endo(Y, -1)], [endo(Y, 0)])
         result = m_separated(g, q)
         assert result.separated is False
@@ -157,13 +157,13 @@ class TestSeparation:
         assert is_m_connecting_path(g, result.witness, q.b)
 
     def test_marginalized_original_query_separated(self, varma_lagged_spec):
-        g = marginalized_admg_window(varma_lagged_spec, -2, 0).graph
+        g = marginalized_admg_window(varma_lagged_spec, -2, 0)
         q = SeparationQuery([endo(X, 0)], [endo(X, -1), endo(Y, -1)], [endo(Y, 0)])
         assert m_separated(g, q).separated is True
         assert m_separated_oracle(g, q) is True
 
     def test_witness_is_connecting_path(self, varma_lagged_spec):
-        g = marginalized_admg_window(varma_lagged_spec, -3, 0).graph
+        g = marginalized_admg_window(varma_lagged_spec, -3, 0)
         q = SeparationQuery([endo(X, -2)], [], [endo(Y, 0)])
         result = m_separated(g, q)
         assert not result.separated
@@ -260,8 +260,8 @@ class TestLatentProjection:
         # projecting the rewritten full-time DAG over the endogenous nodes
         # yields both bi-directed families of the rewritten marginalized ADMG
         window = rewritten_full_time_window(varma_instant_spec, -2, 0)
-        keep = [v for v in window.graph.nodes if v.kind == "endogenous"]
-        proj = latent_project(window.graph, keep)
+        keep = [v for v in window.nodes if v.kind == "endogenous"]
+        proj = latent_project(window, keep)
         assert frozenset((endo(Y, -1), endo(X, 0))) in proj.bidirected
         assert frozenset((endo(X, 0), endo(Y, 0))) in proj.bidirected
         assert frozenset((endo(Y, -1), endo(Y, 0))) in proj.bidirected
@@ -269,14 +269,14 @@ class TestLatentProjection:
 
 class TestSerialization:
     def test_json_round_trip(self, varma_lagged_spec):
-        g = marginalized_admg_window(varma_lagged_spec, -2, 0).graph
+        g = marginalized_admg_window(varma_lagged_spec, -2, 0)
         g2 = graph_from_json(graph_to_json(g))
         assert g2.nodes == g.nodes
         assert dict(g2.directed) == dict(g.directed)
         assert g2.bidirected == g.bidirected
 
     def test_dot_contains_both_edge_kinds(self, varma_lagged_spec):
-        g = marginalized_admg_window(varma_lagged_spec, -1, 0).graph
+        g = marginalized_admg_window(varma_lagged_spec, -1, 0)
         dot = to_dot(g, ["X", "Y"])
         assert '"X@-1" -> "X@0"' in dot
         assert '"Y@-1" -> "X@0" [dir=both];' in dot

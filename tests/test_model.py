@@ -22,6 +22,7 @@ from varma_causal import (
     spec_to_json,
     validate,
 )
+from varma_causal import model
 
 X, Y = 0, 1
 
@@ -199,7 +200,7 @@ class TestEmbedding:
 
 class TestWindows:
     def test_varma_lagged_full_window_adjacency(self, varma_lagged_spec):
-        g = full_time_window(varma_lagged_spec, -2, 1, include_innovations=True).graph
+        g = full_time_window(varma_lagged_spec, -2, 1, include_innovations=True)
         assert g.directed[(innov(Y, -1), endo(X, 0))] == pytest.approx(0.25)
         assert g.directed[(innov(X, 0), endo(X, 0))] == 1.0
         assert g.directed[(endo(X, -1), endo(Y, 0))] == pytest.approx(1 / 3)
@@ -208,14 +209,14 @@ class TestWindows:
     def test_zero_matrices_only_unit_innovation_edges(self):
         spec = VarmaSpec(a=[np.zeros((2, 2)), np.zeros((2, 2))],
                          b=[np.zeros((2, 2))], gamma=[1, 1])
-        g = full_time_window(spec, -1, 0, include_innovations=True).graph
+        g = full_time_window(spec, -1, 0, include_innovations=True)
         assert set(g.directed) == {
             (innov(i, t), endo(i, t)) for i in (0, 1) for t in (-1, 0)
         }
 
     def test_translation_isomorphism(self, varma_instant_spec):
-        w1 = full_time_window(varma_instant_spec, 0, 3, include_innovations=True).graph
-        w2 = full_time_window(varma_instant_spec, 10, 13, include_innovations=True).graph
+        w1 = full_time_window(varma_instant_spec, 0, 3, include_innovations=True)
+        w2 = full_time_window(varma_instant_spec, 10, 13, include_innovations=True)
         shift = lambda v: TimedNode(v.component, v.time + 10, v.kind)
         assert {(shift(t), shift(h)): c for (t, h), c in w1.directed.items()} == dict(
             w2.directed)
@@ -227,7 +228,7 @@ class TestWindows:
             marginalized_admg_window(varma_lagged_spec, 1, 0)
 
     def test_varma_lagged_marginalized_adjacency(self, varma_lagged_spec):
-        g = marginalized_admg_window(varma_lagged_spec, -2, 0).graph
+        g = marginalized_admg_window(varma_lagged_spec, -2, 0)
         expected_directed = set()
         for t in (-1, 0):
             expected_directed |= {
@@ -241,20 +242,20 @@ class TestWindows:
         )
 
     def test_marginalized_window_translation_invariant(self, varma_instant_spec):
-        w1 = marginalized_admg_window(varma_instant_spec, -3, 0).graph
-        w2 = marginalized_admg_window(varma_instant_spec, 7, 10).graph
+        w1 = marginalized_admg_window(varma_instant_spec, -3, 0)
+        w2 = marginalized_admg_window(varma_instant_spec, 7, 10)
         shift = lambda v: TimedNode(v.component, v.time + 10, v.kind)
         assert {frozenset(map(shift, p)) for p in w1.bidirected} == set(w2.bidirected)
         assert {(shift(t), shift(h)) for t, h in w1.directed} == set(w2.directed)
 
     def test_pure_var_has_no_bidirected(self, var_instant_spec):
-        g = marginalized_admg_window(var_instant_spec, -2, 0).graph
+        g = marginalized_admg_window(var_instant_spec, -2, 0)
         assert not g.bidirected
         assert (endo(X, 0), endo(Y, 0)) in g.directed  # instantaneous edge kept
 
     def test_rewrite_adds_bidirected_families(self, varma_instant_spec):
-        original = marginalized_admg_window(varma_instant_spec, -2, 0).graph
-        rewritten = marginalized_admg_window(varma_instant_spec, -2, 0, rewritten=True).graph
+        original = marginalized_admg_window(varma_instant_spec, -2, 0)
+        rewritten = marginalized_admg_window(varma_instant_spec, -2, 0, rewritten=True)
         assert original.bidirected < rewritten.bidirected
         assert frozenset((endo(X, 0), endo(Y, 0))) in rewritten.bidirected
 
@@ -262,27 +263,44 @@ class TestWindows:
     def test_closed_form_equals_latent_projection(self, varma_instant_spec, rewritten):
         # reference: project a DAG widened max(p,q)+1 steps left onto its
         # endogenous nodes, then crop to the window
-        specs = [varma_instant_spec] + [
-            sample_stable_spec(CoefficientSampler(d=d, p=p, q=q, sparsity=0.65), (55, d, p, q))
-            for d in (1, 2, 3) for p in (1, 2) for q in (0, 1, 2)]
+        specs = [varma_instant_spec] + sampled_window_specs()
         builder = rewritten_full_time_window if rewritten else full_time_window
         for spec in specs:
             for t_min, t_max in ((-3, 0), (-12, 0), (5, 9)):
                 wide = builder(spec, t_min - spec.max_lag - 1, t_max,
-                               include_innovations=True).graph
+                               include_innovations=True)
                 projected = latent_project(
                     wide, [v for v in wide.nodes if v.kind == "endogenous"])
                 reference = projected.subgraph(v for v in projected.nodes if v.time >= t_min)
-                g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten).graph
+                g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten)
                 assert g.nodes == reference.nodes
                 assert g.directed == reference.directed
                 assert g.bidirected == reference.bidirected
+
+    @pytest.mark.parametrize("rewritten", [False, True])
+    def test_template_incidence_order(self, varma_instant_spec, rewritten):
+        # the compiled templates, cut to a window, list each node's edges in
+        # the order of the window graph's incidence table, which breaks ties
+        # between shortest separation witnesses
+        for spec in [varma_instant_spec] + sampled_window_specs():
+            admg = model._compiled_admg(spec, rewritten)
+            for t_min, t_max in ((-3, 0), (-12, 0), (5, 9)):
+                g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten)
+                for v in g.nodes:
+                    inside = [e for e in admg.incident(v) if t_min <= e[0].time <= t_max]
+                    assert inside == g._incident[v]
+
+
+def sampled_window_specs():
+    """18 seeded sampler specs: d 1-3, p 1-2, q 0-2."""
+    return [sample_stable_spec(CoefficientSampler(d=d, p=p, q=q, sparsity=0.65), (55, d, p, q))
+            for d in (1, 2, 3) for p in (1, 2) for q in (0, 1, 2)]
 
 
 def build_g_star(spec, t_min, t_max):
     """Extended DAG: lagged parents of instantaneous ancestors are drawn into
     every node, then all instantaneous edges are removed."""
-    base = full_time_window(spec, t_min, t_max).graph
+    base = full_time_window(spec, t_min, t_max)
     extra = set()
     for v in base.nodes:
         instantaneous_ancestors = [
@@ -303,8 +321,8 @@ class TestRewriteGraphProperties:
         rng = np.random.default_rng(21)
         for _ in range(25):
             spec = random_stable_spec(rng)
-            orig = full_time_window(spec, -4, 0, include_innovations=True).graph
-            rewr = rewritten_full_time_window(spec, -4, 0).graph
+            orig = full_time_window(spec, -4, 0, include_innovations=True)
+            rewr = rewritten_full_time_window(spec, -4, 0)
             for i in range(spec.d):
                 node = endo(i, 0)
                 an_orig = set(orig.ancestors([node]))
@@ -316,7 +334,7 @@ class TestRewriteGraphProperties:
         for _ in range(25):
             spec = random_stable_spec(rng, q=0)
             rewr = rewritten_full_time_window(
-                spec, -3, 0, include_innovations=False).graph
+                spec, -3, 0, include_innovations=False)
             g_star_edges = build_g_star(spec, -3, 0)
             assert set(rewr.directed) <= g_star_edges
 
@@ -327,7 +345,7 @@ class TestRewriteGraphProperties:
             a0 = random_acyclic_a0(rng, d, keep=0.4)
             spec = VarmaSpec([a0, np.zeros((d, d))], gamma=rng.uniform(0.5, 2, d))
             rw = remove_instantaneous(spec)
-            g = full_time_window(spec, 0, 0).graph
+            g = full_time_window(spec, 0, 0)
             for i in range(d):
                 for j in range(i + 1, d):
                     an_i = {v for v in g.ancestors([endo(i, 0)])}

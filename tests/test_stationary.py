@@ -204,7 +204,7 @@ class TestPopulationCi:
         # the rewritten full-time DAG connects the pair, yet the distribution
         # keeps the conditional independence of the original separation
         g = rewritten_full_time_window(var_instant_spec, -2, 0,
-                                       include_innovations=False).graph
+                                       include_innovations=False)
         q = SeparationQuery([endo(Y, 0)], [endo(X, 0), endo(Y, -1)], [endo(X, -1)])
         assert not m_separated(g, q).separated
         assert population_ci(solve_stationary(var_instant_spec), q).independent
