@@ -24,6 +24,7 @@ from .model import (
     marginalized_admg_window,
     validate,
 )
+from .stationary import CI_DEFAULT_TOL
 from .effects import EffectQuery, stable_marginal_separation, total_causal_effect
 from .iv import IvQuery, estimate_from_data, identify_population
 from .simulation import (
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--sparsity", type=float, default=0.65)
     p.add_argument("--window", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=CI_DEFAULT_TOL)
     p.add_argument("--mode", choices=["population", "empirical"],
                    default="population")
     p.add_argument("-o", "--output", help="JSON report path")

@@ -29,7 +29,7 @@ from .graphs import (
     _connection,
     _result,
 )
-from .model import VarmaSpec, _compiled_admg, full_time_window, require_valid
+from .model import VarmaSpec, _compiled_admg, full_time_window
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
 MAX_STABILIZATION_ROUNDS = 12
@@ -294,7 +294,6 @@ def check_iv_conditions(
     Condition 3 compares the numerical rank of E[Cov(X, I | B)] (singular
     values above 1e-8 of the largest) with dim(X).
     """
-    require_valid(spec, allow_zero_variance=True)
     x_set, i_set, b_set = _query_sets(y, x_set, i_set, b_set)
     if not x_set or not i_set:
         raise ModelError("x and i sets must be non-empty")

@@ -17,7 +17,7 @@ enumeration of simple paths, cross-checks the verdicts in the tests.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
@@ -76,6 +76,21 @@ def _closure(starts, step) -> set:
     return seen
 
 
+def _kahn_order(nodes, children, key) -> tuple:
+    """Topological order, smallest free node by ``key`` first; short on a cycle."""
+    indeg = Counter(w for v in nodes for w in children(v))
+    heap = sorted((key(v), v) for v in nodes if indeg[v] == 0)
+    order = []
+    while heap:
+        _, v = heapq.heappop(heap)
+        order.append(v)
+        for w in children(v):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, (key(w), w))
+    return tuple(order)
+
+
 class DirectedMixedGraph:
     """Finite graph over :class:`TimedNode` with directed and bi-directed edges.
 
@@ -119,7 +134,10 @@ class DirectedMixedGraph:
                 self._require(v)
 
         self._incident = self._build_incident()
-        self._order = self._kahn_order()
+        self._order = _kahn_order(self.nodes, self.children, node_sort_key)
+        if len(self._order) != len(self.nodes):
+            cycle = sorted_nodes(set(self.nodes) - set(self._order))
+            raise GraphError(f"directed cycle among {[tuple(v) for v in cycle]}")
 
     def _require(self, v: TimedNode) -> None:
         if v not in self._node_set:
@@ -135,23 +153,6 @@ class DirectedMixedGraph:
             incident[v].append((w, True, True))
             incident[w].append((v, True, True))
         return incident
-
-    def _kahn_order(self) -> tuple[TimedNode, ...]:
-        """Topological order, earliest free node first; raises on a cycle."""
-        indeg = {v: len(self.parents(v)) for v in self.nodes}
-        heap = [(node_sort_key(v), v) for v in self.nodes if indeg[v] == 0]
-        order = []
-        while heap:
-            _, v = heapq.heappop(heap)
-            order.append(v)
-            for w in self.children(v):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(heap, (node_sort_key(w), w))
-        if len(order) != len(self.nodes):
-            cycle = sorted_nodes(v for v in self.nodes if indeg[v] > 0)
-            raise GraphError(f"directed cycle among {[tuple(v) for v in cycle]}")
-        return tuple(order)
 
     # -- local neighborhoods ------------------------------------------------
 

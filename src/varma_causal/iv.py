@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EstimationError, ModelError, UnderIdentifiedError
 from .graphs import ENDOGENOUS, TimedNode, endo
-from .model import VarmaSpec, require_valid
+from .model import VarmaSpec
 from .effects import IvConditionReport, _iv_report, _query_sets
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
@@ -122,7 +122,6 @@ def identify_population(spec: VarmaSpec, query: IvQuery,
     ``check_conditions`` is set the result carries the full graph-side
     condition report, built from the same stationary solve and rank.
     """
-    require_valid(spec, allow_zero_variance=True)
     ss = solve_stationary(spec)
     s_xi = conditional_covariance(ss, query.x_set, query.i_set, query.b_set)
     s_yi = conditional_covariance(ss, (query.y,), query.i_set, query.b_set)

@@ -19,15 +19,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ModelError
-from .graphs import DirectedMixedGraph, TimedNode, endo, innov, node_sort_key, sorted_nodes
+from .graphs import (
+    DirectedMixedGraph, TimedNode, _kahn_order, endo, innov, node_sort_key, sorted_nodes,
+)
 
 STABILITY_MARGIN = 1e-8
 
 
 def _as_matrix(m, d, what):
-    arr = np.asarray(m, dtype=float)
+    arr = np.array(m, dtype=float)  # a copy, so no caller can change a validated spec
     if arr.shape != (d, d):
         raise ModelError(f"{what} must be {d}x{d}, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ModelError(f"{what} has non-finite entries")
     return arr
 
 
@@ -45,8 +49,10 @@ class VarmaSpec:
         Innovation variances (diagonal of the innovation covariance).
     names : optional component names, used for display only.
 
-    Shape errors raise immediately; stability and acyclicity are checked by
-    :func:`validate`. Instances are immutable after construction.
+    Shape errors and non-finite or negative entries raise immediately;
+    stability and acyclicity are checked by :func:`validate`. Instances are
+    immutable after construction. Every layer needs a valid spec: it is
+    validated once on first use; the result is cached on the immutable spec.
     """
 
     def __init__(self, a: Sequence, b: Sequence = (), gamma: Sequence = None, names=None):
@@ -60,9 +66,11 @@ class VarmaSpec:
         self.q = len(self.b)
         if gamma is None:
             gamma = np.ones(d)
-        self.gamma = np.asarray(gamma, dtype=float)
+        self.gamma = np.array(gamma, dtype=float)
         if self.gamma.shape != (d,):
             raise ModelError(f"gamma must have length {d}, got shape {self.gamma.shape}")
+        if not np.all(np.isfinite(self.gamma)):
+            raise ModelError("gamma has non-finite entries")
         if np.any(self.gamma < 0):
             raise ModelError("gamma entries must be non-negative")
         self.names = tuple(names) if names is not None else None
@@ -70,7 +78,7 @@ class VarmaSpec:
             raise ModelError(f"names must have length {d}")
         for arr in (*self.a, *self.b, self.gamma):
             arr.setflags(write=False)
-        self._compiled = {}  # form -> _MarginalizedAdmg, see _compiled_admg
+        self._compiled = {}  # "rewrite" and the two _MarginalizedAdmg forms
 
     def __repr__(self):
         return f"VarmaSpec(d={self.d}, p={self.p}, q={self.q})"
@@ -86,18 +94,8 @@ def instantaneous_order(a0: np.ndarray):
     Returns None when the support graph is cyclic.
     """
     d = a0.shape[0]
-    children = {j: [i for i in range(d) if a0[i, j] != 0] for j in range(d)}
-    indeg = {i: sum(1 for j in range(d) if a0[i, j] != 0) for i in range(d)}
-    order, queue = [], sorted(i for i in range(d) if indeg[i] == 0)
-    while queue:
-        j = queue.pop(0)
-        order.append(j)
-        for i in children[j]:
-            indeg[i] -= 1
-            if indeg[i] == 0:
-                queue.append(i)
-        queue.sort()
-    return tuple(order) if len(order) == d else None
+    order = _kahn_order(range(d), lambda j: np.flatnonzero(a0[:, j]).tolist(), int)
+    return order if len(order) == d else None
 
 
 def companion_matrix(ar_mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -120,7 +118,6 @@ class ValidationReport:
     topological_order: Optional[tuple[int, ...]]
     spectral_radius: float
     gamma_positive: bool
-    gamma_nonnegative: bool
     passed: bool
     messages: tuple[str, ...]
 
@@ -165,29 +162,21 @@ def validate(spec: VarmaSpec, allow_zero_variance: bool = False) -> ValidationRe
         messages.append(f"unstable: companion spectral radius {radius:.6g} >= 1 - 1e-8")
 
     gamma_pos = bool(np.all(spec.gamma > 0))
-    gamma_nonneg = bool(np.all(spec.gamma >= 0))
     if not gamma_pos and not allow_zero_variance:
         messages.append("gamma entries must be strictly positive")
     passed = (
         acyclic
         and radius < 1 - STABILITY_MARGIN
-        and (gamma_pos or (allow_zero_variance and gamma_nonneg))
+        and (gamma_pos or allow_zero_variance)
     )
     return ValidationReport(
         instantaneous_acyclic=acyclic,
         topological_order=order,
         spectral_radius=radius,
         gamma_positive=gamma_pos,
-        gamma_nonnegative=gamma_nonneg,
         passed=passed,
         messages=tuple(messages),
     )
-
-
-def require_valid(spec: VarmaSpec, allow_zero_variance: bool = False) -> None:
-    report = validate(spec, allow_zero_variance=allow_zero_variance)
-    if not report.passed:
-        raise ModelError("invalid process specification: " + "; ".join(report.messages))
 
 
 def ice_matrix(a0: np.ndarray) -> np.ndarray:
@@ -222,7 +211,8 @@ class RewrittenVarSpec:
     the MA loadings when the equation is written against the original
     innovations (with contemporaneous loading C); ``ma_delta`` holds
     C Bl C^(-1), the loadings against delta_t = C eps_t; ``sigma_delta`` is
-    Var(delta_t) = C Gamma C^T.
+    Var(delta_t) = C Gamma C^T. The arrays are read-only, as one rewrite
+    is shared by every caller of the spec.
     """
 
     ice: np.ndarray
@@ -230,23 +220,35 @@ class RewrittenVarSpec:
     ma_eps: tuple[np.ndarray, ...]
     ma_delta: tuple[np.ndarray, ...]
     sigma_delta: np.ndarray
-    topological_order: tuple[int, ...]
 
 
 def remove_instantaneous(spec: VarmaSpec) -> RewrittenVarSpec:
-    """Rewrite the process without instantaneous effects (distribution kept)."""
-    require_valid(spec, allow_zero_variance=True)
+    """Rewrite the process without instantaneous effects (distribution kept).
+
+    Every layer validates a spec here: the first call checks it with
+    :func:`validate` (zero innovation variances allowed), raises
+    :class:`ModelError` with the report's messages if it is invalid, and
+    caches the read-only rewrite on the spec for all later calls.
+    """
+    if "rewrite" in spec._compiled:
+        return spec._compiled["rewrite"]
+    report = validate(spec, allow_zero_variance=True)
+    if not report.passed:
+        raise ModelError("invalid process specification: " + "; ".join(report.messages))
     a0 = spec.a[0]
     ice = ice_matrix(a0)
     inv_ice = np.eye(spec.d) - a0
-    return RewrittenVarSpec(
+    rw = RewrittenVarSpec(
         ice=ice,
         ar=tuple(ice @ ak for ak in spec.a[1:]),
         ma_eps=tuple(ice @ bl for bl in spec.b),
         ma_delta=tuple(ice @ bl @ inv_ice for bl in spec.b),
         sigma_delta=ice @ np.diag(spec.gamma) @ ice.T,
-        topological_order=instantaneous_order(a0),
     )
+    for arr in (rw.ice, *rw.ar, *rw.ma_eps, *rw.ma_delta, rw.sigma_delta):
+        arr.setflags(write=False)
+    spec._compiled["rewrite"] = rw
+    return rw
 
 
 def embed_as_var(spec: VarmaSpec) -> VarmaSpec:
@@ -258,7 +260,7 @@ def embed_as_var(spec: VarmaSpec) -> VarmaSpec:
     instantaneous block carries A0 together with the unit loading of eps_t on
     S_t, so the embedded full-time DAG is the VARMA full-time DAG.
     """
-    require_valid(spec, allow_zero_variance=True)
+    remove_instantaneous(spec)  # validates the spec
     d, p, q = spec.d, spec.p, spec.q
     ell = max(p, q)
     zero = np.zeros((d, d))
@@ -303,12 +305,11 @@ class _MarginalizedAdmg:
     """
 
     def __init__(self, spec: VarmaSpec, rewritten: bool):
+        rw = remove_instantaneous(spec)  # validates the spec
         if rewritten:
-            rw = remove_instantaneous(spec)
             self.lags = (np.zeros((spec.d, spec.d)), *rw.ar)
             self.loadings = (rw.ice, *rw.ma_eps)
         else:
-            require_valid(spec, allow_zero_variance=True)
             self.lags, self.loadings = spec.a, (np.eye(spec.d), *spec.b)
         self.d = spec.d
         self.templates = tuple(self._template(i) for i in range(spec.d))

@@ -20,12 +20,10 @@ import numpy as np
 
 from .errors import EstimationError, ModelError
 from .graphs import SeparationQuery, TimedNode, endo
-from .model import VarmaSpec, remove_instantaneous, require_valid, validate
-from .stationary import StateSpaceForm, population_ci, solve_stationary
+from .model import VarmaSpec, remove_instantaneous, validate
+from .stationary import CI_DEFAULT_TOL, StateSpaceForm, population_ci, solve_stationary
 from .effects import stable_marginal_separation
 from .iv import lagged_design
-
-CI_TOL = 1e-7
 
 
 def default_burn_in(spec: VarmaSpec) -> int:
@@ -56,9 +54,11 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     linear update; the MA part is vectorized up front.
     """
     spec = config.spec
-    require_valid(spec, allow_zero_variance=True)
+    rw = remove_instantaneous(spec)
     if config.n <= 0:
         raise ModelError("need n > 0 simulation steps")
+    if config.burn_in is not None and config.burn_in < 0:
+        raise ModelError("need burn_in >= 0")
     burn = config.burn_in if config.burn_in is not None else default_burn_in(spec)
     rng = np.random.default_rng(config.seed)
     total = config.n + burn
@@ -72,7 +72,6 @@ def simulate(config: SimulationConfig) -> np.ndarray:
             raise ModelError(f"innovation law must return shape {(total, d)}")
     eps = eps * np.sqrt(spec.gamma)
 
-    rw = remove_instantaneous(spec)
     driven = eps @ rw.ice.T
     for lag, mat in enumerate(rw.ma_eps, start=1):
         driven[lag:] += eps[:-lag] @ mat.T
@@ -276,9 +275,9 @@ def _draw_query(rng: np.random.Generator, d: int, window: int) -> SeparationQuer
 
 
 def faithfulness_check(spec: VarmaSpec, query: SeparationQuery,
-                       tol: float = CI_TOL,
+                       tol: float = CI_DEFAULT_TOL,
                        ss: Optional[StateSpaceForm] = None):
-    """Return (separated, ci_verdict, violation) for one query.
+    """Return (separated, ci_verdict, violation, stabilized) for one query.
 
     A faithfulness violation is an m-connected query whose population
     conditional covariance vanishes at tolerance ``tol`` (non-degenerate).
@@ -314,12 +313,9 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
         records = []
         for _ in range(queries_per_trial):
             query = _draw_query(rng, spec.d, window)
-            result, _, stabilized = stable_marginal_separation(spec, query)
-            ci = population_ci(ss, query, tol=tol)
+            separated, ci, violation, stabilized = faithfulness_check(spec, query, tol, ss)
             if kind == "gmp":
-                violation = result.separated and not ci.independent
-            else:
-                violation = (not result.separated) and ci.independent and not ci.degenerate
+                violation = separated and not ci.independent
             p_value = None
             if series is not None:
                 p_value = min(
@@ -329,7 +325,7 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
             records.append(QueryRecord(
                 trial=trial,
                 a=query.a, b=query.b, c=query.c,
-                separated=result.separated,
+                separated=separated,
                 stabilized=stabilized,
                 magnitude=ci.max_abs_correlation,
                 degenerate=ci.degenerate,
@@ -366,7 +362,7 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
 
 
 def run_gmp_experiment(sampler, trials: int, queries_per_trial: int,
-                       window: int = 5, tol: float = CI_TOL, seed: int = 0,
+                       window: int = 5, tol: float = CI_DEFAULT_TOL, seed: int = 0,
                        mode: str = "population") -> ExperimentReport:
     """Sample specs and queries; every m-separated query must come out
     conditionally uncorrelated at ``tol``. Violations are recorded, not raised.
@@ -376,7 +372,7 @@ def run_gmp_experiment(sampler, trials: int, queries_per_trial: int,
 
 
 def run_faithfulness_experiment(sampler, trials: int, queries_per_trial: int,
-                                window: int = 5, tol: float = CI_TOL,
+                                window: int = 5, tol: float = CI_DEFAULT_TOL,
                                 seed: int = 0, mode: str = "population") -> ExperimentReport:
     """Count m-connected queries whose conditional covariance vanishes.
 

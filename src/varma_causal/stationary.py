@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ModelError
 from .graphs import ENDOGENOUS, SeparationQuery, TimedNode
-from .model import VarmaSpec, remove_instantaneous, require_valid
+from .model import VarmaSpec, remove_instantaneous
 
 LYAPUNOV_RESIDUAL_RTOL = 1e-10
 PINV_RTOL = 1e-10
@@ -63,11 +63,11 @@ class StateSpaceForm:
     relative error delta leaves a residual of about delta·(1 - rho²), so with
     ill-conditioned eigenvectors an error of 4.2e-8 was measured at a
     residual of 2.0e-13.
-    Autocovariance blocks are computed on first use and cached.
+    The spec is validated through its cached rewrite, but each form solves
+    the Lyapunov equation anew. Autocovariance blocks are cached on first use.
     """
 
     def __init__(self, spec: VarmaSpec):
-        require_valid(spec, allow_zero_variance=True)
         self.spec = spec
         d = spec.d
         rw = remove_instantaneous(spec)
@@ -122,12 +122,15 @@ def solve_stationary(spec: VarmaSpec) -> StateSpaceForm:
     return StateSpaceForm(spec)
 
 
-def _check_endogenous(nodes: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
+def _check_endogenous(ss: StateSpaceForm, nodes: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
     nodes = tuple(nodes)
     for v in nodes:
         if v.kind != ENDOGENOUS:
             raise ModelError(
                 f"population covariances are over endogenous nodes; got {v!r}")
+        if not 0 <= v.component < ss.d:
+            raise ModelError(
+                f"component {v.component} outside a process with {ss.d} components")
     return nodes
 
 
@@ -141,8 +144,8 @@ class NodeSetCovariance:
 def cross_covariance(ss: StateSpaceForm, u: Sequence[TimedNode],
                      v: Sequence[TimedNode]) -> NodeSetCovariance:
     """Cov(U, V) for ordered endogenous node lists, from the stationary law."""
-    u = _check_endogenous(u)
-    v = _check_endogenous(v)
+    u = _check_endogenous(ss, u)
+    v = _check_endogenous(ss, v)
     mat = np.empty((len(u), len(v)))
     for i, a in enumerate(u):
         for j, b in enumerate(v):
@@ -158,9 +161,6 @@ def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
     With B empty this is the plain cross covariance. Singular values of
     Cov(B, B) below 1e-10 of the largest are treated as zero.
     """
-    a = _check_endogenous(a)
-    c = _check_endogenous(c)
-    b = _check_endogenous(b)
     overlap = (set(a) | set(c)) & set(b)
     if overlap:
         raise ModelError(f"conditioning set overlaps a/c nodes: {sorted(overlap)}")

@@ -57,6 +57,18 @@ class TestValidateCommand:
         code, _, err = run_cli(capsys, "validate", "-m", "/nonexistent.json")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("text, matrix", [
+        ('{"A": [[[0,0],[0,0]], [[NaN,0],[0,0.5]]], "gamma": [1,1]}', "A1"),
+        ('{"A": [[[0,0],[0,0]], [[0.5,0],[0,0.5]]], "gamma": [1,NaN]}', "gamma"),
+        ('{"A": [[[0]], [[0.5]]], "B": [[[Infinity]]], "gamma": [1]}', "B1"),
+    ])
+    def test_non_finite_entries_are_domain_errors(self, capsys, tmp_path, text, matrix):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "-m", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {matrix} has non-finite entries\n"
+
 
 class TestGraphCommand:
     def test_dot_output(self, capsys, model_path):
@@ -146,6 +158,13 @@ class TestSimulateCommand:
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "X,Y"
         assert len(lines) == 101
+
+    def test_negative_burn_in_is_domain_error(self, capsys, tmp_path, model_path):
+        target = tmp_path / "sim.csv"
+        code, _, err = run_cli(capsys, "simulate", "-m", model_path, "-n", "100",
+                               "--seed", "1", "--burn-in", "-5", "-o", str(target))
+        assert code == 1 and err == "error: need burn_in >= 0\n"
+        assert not target.exists()
 
 
 class TestExperimentCommand:

@@ -241,6 +241,7 @@ class TestIvConditions:
             (endo(X, -2), endo(Y, -2)), b_set=(endo(Y, -3),))
         assert report.stabilized
         assert len(compiles) == 1
+        assert len(validations) == 1
 
     def test_condition2_spouses_are_one_step(self):
         # De(x ∪ y) reaches back to X@-1 and Y@-1; one bi-directed step adds

@@ -74,6 +74,14 @@ class TestIdentifyPopulation:
             identify_population(varma_lagged_spec, query)
         assert excinfo.value.rank == 1 and excinfo.value.required == 2
 
+    def test_components_outside_the_spec_rejected(self, varma_lagged_spec):
+        xs, instruments = (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2))
+        for y in (endo(-1, 0), endo(5, 0)):
+            for check_conditions in (False, True):
+                with pytest.raises(ModelError, match="outside"):
+                    identify_population(varma_lagged_spec, IvQuery(y, xs, instruments),
+                                        check_conditions=check_conditions)
+
     def test_weight_scaling_invariance(self, varma_lagged_spec):
         query = IvQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1)),
                         (endo(X, -2), endo(Y, -2)))

@@ -5,21 +5,30 @@ import pytest
 
 from varma_causal import (
     CoefficientSampler,
+    IvQuery,
     ModelError,
+    SeparationQuery,
+    SimulationConfig,
     TimedNode,
     VarmaSpec,
+    check_iv_conditions,
     embed_as_var,
     endo,
+    estimate_from_data,
     full_time_window,
     ice_matrix,
+    identify_population,
     innov,
     latent_project,
     marginalized_admg_window,
     remove_instantaneous,
     rewritten_full_time_window,
     sample_stable_spec,
+    simulate,
+    solve_stationary,
     spec_from_json,
     spec_to_json,
+    stable_marginal_separation,
     validate,
 )
 from varma_causal import model
@@ -93,6 +102,22 @@ class TestValidation:
         report = validate(spec, allow_zero_variance=True)
         assert report.passed and not report.gamma_positive
 
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(ModelError, match="A1 has non-finite"):
+            VarmaSpec(a=[np.zeros((2, 2)), [[np.nan, 0], [0, 0.5]]], gamma=[1, 1])
+        with pytest.raises(ModelError, match="B1 has non-finite"):
+            VarmaSpec(a=[np.zeros((1, 1))], b=[[[-np.inf]]], gamma=[1])
+        with pytest.raises(ModelError, match="gamma has non-finite"):
+            VarmaSpec(a=[np.zeros((2, 2))], gamma=[1.0, np.inf])
+        with pytest.raises(ModelError, match="gamma has non-finite"):
+            VarmaSpec(a=[np.zeros((2, 2))], gamma=[np.nan, 1.0])
+
+    def test_topological_order_takes_smallest_free_component(self):
+        # edges 3 -> 0 -> 2; components 1 and 3 are free from the start
+        a0 = np.zeros((4, 4))
+        a0[0, 3], a0[2, 0] = 0.5, 0.3
+        assert validate(VarmaSpec(a=[a0], gamma=np.ones(4))).topological_order == (1, 3, 0, 2)
+
 
 class TestRewrite:
     def test_var_instant_rewrite_numbers(self, var_instant_spec):
@@ -118,6 +143,53 @@ class TestRewrite:
         # C Bl C^{-1} * C = C Bl
         recovered = rw.ma_delta[0] @ rw.ice
         assert np.max(np.abs(recovered - rw.ma_eps[0])) < 1e-14
+
+    def test_rewrite_cached_and_read_only(self, varma_instant_spec):
+        rw = remove_instantaneous(varma_instant_spec)
+        assert remove_instantaneous(varma_instant_spec) is rw
+        for arr in (rw.ice, *rw.ar, *rw.ma_eps, *rw.ma_delta, rw.sigma_delta):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
+    def test_spec_owns_its_arrays(self):
+        base = np.array([[0.5, 0.0, 9.0], [0.0, 0.5, 9.0]])
+        gamma = np.ones(2)
+        spec = VarmaSpec(a=[np.zeros((2, 2)), base[:, :2]], gamma=gamma)
+        rw = remove_instantaneous(spec)
+        base[0, 0], gamma[0] = 2.0, 5.0  # the caller's arrays stay writable
+        assert spec.a[1][0, 0] == 0.5 and spec.gamma[0] == 1.0
+        assert rw.ar[0][0, 0] == 0.5
+
+    def test_invalid_spec_raises_on_every_call(self):
+        spec = VarmaSpec(a=[[[0, 0.5], [0.5, 0]]], gamma=[1, 1])
+        for _ in range(2):
+            with pytest.raises(ModelError, match="invalid process specification: .*cycle"):
+                remove_instantaneous(spec)
+
+    def test_one_validation_across_layers(self, monkeypatch):
+        spec = VarmaSpec(
+            a=[[[0, 0], [1 / 5, 0]], [[1 / 2, 0], [1 / 3, 1 / 2]]],
+            b=[[[0, 1 / 4], [0, 0]]], gamma=[1, 1])
+        validations = []
+        original = model.validate
+
+        def counted_validate(*args, **kwargs):
+            validations.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model, "validate", counted_validate)
+        y, xs, instruments = endo(Y, 0), (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2))
+        query = IvQuery(y, xs, instruments)
+        solve_stationary(spec)
+        estimate_from_data(simulate(SimulationConfig(spec, n=2_000, seed=3)), query)
+        assert identify_population(spec, query).conditions is not None
+        check_iv_conditions(spec, y, xs, instruments)
+        stable_marginal_separation(
+            spec, SeparationQuery([endo(X, 0)], [endo(X, -1), endo(Y, -1)], [endo(Y, 0)]))
+        marginalized_admg_window(spec, -3, 0)
+        marginalized_admg_window(spec, -3, 0, rewritten=True)
+        embed_as_var(spec)
+        assert len(validations) == 1
 
 
 class TestIceMatrix:

@@ -83,6 +83,11 @@ class TestSimulate:
         with pytest.raises(ModelError, match="unstable"):
             simulate(SimulationConfig(spec, n=10, seed=0))
 
+    def test_negative_burn_in_rejected(self, varma_lagged_spec):
+        with pytest.raises(ModelError, match="burn_in"):
+            simulate(SimulationConfig(varma_lagged_spec, n=100, seed=1, burn_in=-5))
+        assert len(simulate(SimulationConfig(varma_lagged_spec, n=100, seed=1, burn_in=0))) == 100
+
 
 class TestSampler:
     def test_univariate_small_scale_always_accepted(self):

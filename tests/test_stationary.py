@@ -143,6 +143,16 @@ class TestCrossCovariance:
         with pytest.raises(ModelError, match="endogenous"):
             cross_covariance(ss, [innov(X, 0)], [endo(X, 0)])
 
+    def test_components_outside_the_spec_rejected(self, varma_lagged_spec):
+        ss = solve_stationary(varma_lagged_spec)
+        for bad in (endo(-1, 0), endo(2, -1), endo(5, 0)):
+            with pytest.raises(ModelError, match="outside"):
+                cross_covariance(ss, [endo(X, 0)], [bad])
+            with pytest.raises(ModelError, match="outside"):
+                conditional_covariance(ss, [endo(X, 0)], [endo(Y, 0)], [bad])
+            with pytest.raises(ModelError, match="outside"):
+                population_ci(ss, SeparationQuery([bad], [], [endo(Y, 0)]))
+
     def test_embedded_pipeline_matches_direct(self):
         rng = np.random.default_rng(35)
         for _ in range(10):
