@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from varma_causal import model
 from varma_causal import (
     CoefficientSampler,
     EstimationError,
@@ -13,6 +14,7 @@ from varma_causal import (
     endo,
     faithfulness_check,
     fisher_z_pvalue,
+    remove_instantaneous,
     run_faithfulness_experiment,
     run_gmp_experiment,
     sample_stable_spec,
@@ -20,8 +22,99 @@ from varma_causal import (
     solve_stationary,
     validate,
 )
+from varma_causal.simulation import default_burn_in
 
 X, Y = 0, 1
+
+
+def per_step_simulation(config):
+    """The recursion one step at a time: the reference for ``simulate``."""
+    spec = config.spec
+    rw = remove_instantaneous(spec)
+    burn = config.burn_in if config.burn_in is not None else default_burn_in(spec)
+    rng = np.random.default_rng(config.seed)
+    total, d = config.n + burn, spec.d
+    if config.innovation_law is None:
+        eps = rng.standard_normal((total, d))
+    else:
+        eps = np.asarray(config.innovation_law(rng, total, d), dtype=float)
+    eps = eps * np.sqrt(spec.gamma)
+    driven = eps @ rw.ice.T
+    for lag, mat in enumerate(rw.ma_eps, start=1):
+        driven[lag:] += eps[:-lag] @ mat.T
+    ar_t = [m.T.copy() for m in rw.ar]
+    series = np.zeros((total, d))
+    for t in range(total):
+        acc = driven[t]
+        for k, mat_t in enumerate(ar_t, start=1):
+            if t - k >= 0:
+                acc = acc + series[t - k] @ mat_t
+        series[t] = acc
+    return series[burn:]
+
+
+def assert_matches_per_step(config, rtol=1e-12):
+    blocked, reference = simulate(config), per_step_simulation(config)
+    assert blocked.shape == reference.shape == (config.n, config.spec.d)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(blocked - reference)) <= rtol * scale
+
+
+def uniform_law(rng, n, d):
+    return rng.uniform(-np.sqrt(3), np.sqrt(3), (n, d))
+
+
+SPARSE_LAG_70 = VarmaSpec(
+    a=[np.zeros((2, 2)), 0.3 * np.eye(2), *[np.zeros((2, 2))] * 68,
+       np.array([[0.5, 0.0], [0.2, 0.5]])],
+    gamma=[1, 2])
+
+
+class TestBlockedRecursion:
+    @pytest.mark.parametrize("shape, seed", [((3, 2, 2), 11), ((2, 3, 2), 5)])
+    def test_sampled_specs_match_per_step(self, shape, seed):
+        d, p, q = shape
+        spec = sample_stable_spec(CoefficientSampler(d=d, p=p, q=q), seed)
+        assert_matches_per_step(SimulationConfig(spec, n=5_000, seed=seed))
+
+    def test_worked_spec_matches_per_step(self, varma_lagged_spec):
+        assert_matches_per_step(SimulationConfig(varma_lagged_spec, n=20_000, seed=2024))
+
+    def test_near_unit_root_matches_per_step(self):
+        # both codes round differently in a near random walk, so the gap
+        # grows with n; 1.1e-13 relative was measured at this length
+        spec = VarmaSpec(a=[[[0.0]], [[1 - 1e-6]]], gamma=[1.0])
+        assert_matches_per_step(SimulationConfig(spec, n=50_000, seed=9))
+
+    def test_moving_average_only_is_bitwise(self):
+        spec = VarmaSpec(a=[[[0, 0], [0.4, 0]]], b=[[[0.3, 0.2], [0, 0.1]], [[0, 0], [-0.5, 0]]],
+                         gamma=[1, 0.5])
+        config = SimulationConfig(spec, n=1_000, seed=4)
+        assert np.array_equal(simulate(config), per_step_simulation(config))
+
+    @pytest.mark.parametrize("burn_in", [0, None])
+    def test_lag_order_above_block(self, burn_in):
+        # lag 70 reaches back across more than one 64-step block
+        assert_matches_per_step(SimulationConfig(SPARSE_LAG_70, n=300, seed=6, burn_in=burn_in))
+
+    @pytest.mark.parametrize("n, burn_in", [(10, 5), (64, 0), (65, 0), (100, 30)])
+    def test_short_series_and_partial_blocks(self, varma_lagged_spec, n, burn_in):
+        assert_matches_per_step(SimulationConfig(varma_lagged_spec, n=n, seed=1, burn_in=burn_in))
+
+    def test_zero_burn_in_with_custom_law(self):
+        spec = sample_stable_spec(CoefficientSampler(d=3, p=2, q=2), 11)
+        assert_matches_per_step(SimulationConfig(spec, n=1_000, seed=12, burn_in=0,
+                                                 innovation_law=uniform_law))
+
+    def test_seed_contract_independent_of_recursion(self):
+        # with every A and B zero the series is the scaled innovations, so
+        # this pins which draws a seed makes whatever the recursion does
+        gamma = np.array([0.5, 1.0, 2.0])
+        spec = VarmaSpec(a=[np.zeros((3, 3))] * 3, b=[np.zeros((3, 3))], gamma=gamma)
+        n, seed = 500, 77
+        burn = default_burn_in(spec)
+        expected = np.sqrt(gamma) * np.random.default_rng(seed).standard_normal((n + burn, 3))[burn:]
+        assert np.array_equal(simulate(SimulationConfig(spec, n=n, seed=seed)), expected)
 
 
 class TestSimulate:
@@ -60,9 +153,6 @@ class TestSimulate:
         assert abs(prods.mean() - 16 / 27) < 5 * se
 
     def test_innovation_law_pluggable(self, varma_lagged_spec):
-        def uniform_law(rng, n, d):
-            return rng.uniform(-np.sqrt(3), np.sqrt(3), (n, d))
-
         cfg = SimulationConfig(varma_lagged_spec, n=50_000, seed=8,
                                innovation_law=uniform_law)
         series = simulate(cfg)
@@ -100,6 +190,23 @@ class TestSampler:
         for seed in range(200):
             spec = sample_stable_spec(sampler, seed)
             assert validate(spec).passed
+
+    def test_accepted_spec_validated_once(self, monkeypatch):
+        # count the reports validate builds, so a call is counted however
+        # the caller imported validate
+        validations = []
+        original = model.ValidationReport
+
+        def counted_report(**fields):
+            validations.append(fields)
+            return original(**fields)
+
+        monkeypatch.setattr(model, "ValidationReport", counted_report)
+        spec, rejections = sample_stable_spec(
+            CoefficientSampler(d=2, p=1, q=1), 3, return_rejections=True)
+        solve_stationary(spec)
+        assert rejections == 0
+        assert len(validations) == 1
 
     def test_acceptance_rate_positive(self):
         sampler = CoefficientSampler(d=3, p=2, q=1)
