@@ -1,9 +1,8 @@
 """Causal analysis of VARMA(p,q) time series with instantaneous effects.
 
-Full-time graphs and their marginalized ADMGs, d-/m-separation with
-path-oracle cross-checks, exact stationary (conditional) covariances via the
-state-space Lyapunov equation, total causal effects, and instrumental-variable
-identification and estimation.
+Full-time graphs and their marginalized ADMGs, d-/m-separation, exact
+stationary (conditional) covariances via the state-space Lyapunov equation,
+total causal effects, and instrumental-variable identification and estimation.
 """
 
 from .errors import (
@@ -21,7 +20,6 @@ from .graphs import (
     SeparationResult,
     TimedNode,
     augment,
-    d_separated_moral,
     endo,
     extend_separated_sets,
     graph_from_json,
@@ -30,8 +28,6 @@ from .graphs import (
     is_m_connecting_path,
     latent_project,
     m_separated,
-    m_separated_oracle,
-    moralize,
     node_label,
     sorted_nodes,
     to_dot,

@@ -8,12 +8,11 @@ so finite windows compute the infinite-graph quantity exactly. Separation
 has no such constructive bound; one window-deepening loop serves both
 ``stable_marginal_separation`` and the instrument condition, and reports
 carry the window actually used. The loop builds no window graph: it runs the
-separation core of ``graphs`` on the spec's compiled incidence templates.
+integer-coded separation core of ``graphs`` on the spec's compiled templates.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,8 +24,8 @@ from .graphs import (
     DirectedMixedGraph,
     SeparationQuery,
     TimedNode,
-    _closure,
     _connection,
+    _reach,
     _result,
 )
 from .model import VarmaSpec, _compiled_admg, full_time_window
@@ -92,14 +91,19 @@ def total_causal_effect(spec: VarmaSpec, query: EffectQuery) -> TotalEffect:
     return TotalEffect(query, np.array([sums[x] for x in query.x_set]))
 
 
-def _causal_cut(parents, y: TimedNode, x_set: frozenset) -> set:
-    """(tail, head) pairs of the treatment edges that start a causal path to y.
+def _causal_cut(coded, y: int, x_set: frozenset, floor: int, ceiling: int) -> set:
+    """Code pairs, in both orders, of the treatment edges that start a causal
+    path to y, in ``coded`` inside [floor, ceiling).
 
-    Causal paths may start in x_set but never pass through it. ``parents``
-    may omit nodes earlier than every treatment: none heads a treatment edge.
+    Causal paths may start in x_set but never pass through it, so the walk
+    back from y runs without the edges into x_set. ``floor`` may cut off
+    nodes earlier than every treatment: none heads a treatment edge.
     """
-    reach = _closure((y,), lambda u: () if u in x_set else parents(u))
-    return {(x, head) for head in reach - x_set for x in parents(head) if x in x_set}
+    period, parents = coded.period, coded.parents
+    into_x = {e for x in x_set for off in parents[x % period] for e in ((x, x + off), (x + off, x))}
+    reach = _reach(coded, (y,), parents, floor, ceiling, into_x)
+    return {e for head in reach - x_set for off in parents[head % period] if head + off in x_set
+            for e in ((head + off, head), (head, head + off))}
 
 
 def cut_causal_edges(g: DirectedMixedGraph, query: EffectQuery) -> DirectedMixedGraph:
@@ -108,25 +112,11 @@ def cut_causal_edges(g: DirectedMixedGraph, query: EffectQuery) -> DirectedMixed
         if not g.has_node(v):
             raise GraphError(
                 f"node {v!r} missing from window; build a wider window")
-    cut = _causal_cut(g.parents, query.y, frozenset(query.x_set))
-    directed = [(t, h, c) for (t, h), c in g.directed.items() if (t, h) not in cut]
+    index = g._index
+    cut = _causal_cut(g._coded, index[query.y], frozenset(index[x] for x in query.x_set),
+                      0, len(g.nodes))
+    directed = [(t, h, c) for (t, h), c in g.directed.items() if (index[t], index[h]) not in cut]
     return DirectedMixedGraph(g.nodes, directed, g.bidirected)
-
-
-def _incidence(admg, cut=frozenset()):
-    """Memoized incidence lists for one query, without the edges in ``cut``."""
-    @functools.cache
-    def incident(v):
-        return [(w, here, there) for w, here, there in admg.incident(v)
-                if here == there or ((w, v) if here else (v, w)) not in cut]
-    return incident
-
-
-def _step(incident, flags, bottom, top):
-    """Neighbors in [bottom, top] along edges whose (head here, head there) is
-    ``flags``: (True, False) for parents, (False, True) children, (True, True) spouses."""
-    return lambda v: [w for w, here, there in incident(v)
-                      if (here, there) == flags and bottom <= w.time <= top]
 
 
 def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
@@ -140,8 +130,9 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     MAX_STABILIZATION_ROUNDS windows. With ``cut`` set, the causal edges of
     that effect query are removed first. No window is built: no edge points
     back in time, so An(a ∪ b ∪ c) in a window is the ancestor closure over
-    the compiled templates cut at its bottom, and the search never leaves it.
-    Rounds decide the verdict only; the witness is searched on the last one.
+    the compiled templates cut at its bottom code, and the search never
+    leaves it. Rounds decide the verdict only; the witness is searched on
+    the last one.
 
     Returns (SeparationResult, (bottom, top) of the last window, stabilized).
     """
@@ -149,11 +140,12 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     for v in nodes:
         if v.kind != ENDOGENOUS or not 0 <= v.component < spec.d:
             raise GraphError(f"unknown node {v!r} in separation query")
-    incident = _incidence(admg)
+    codes = tuple(tuple(map(admg.code, s)) for s in (query.a, query.b, query.c))
+    ceiling = (top + 1) * spec.d
+    removed = frozenset()
     if cut is not None:
-        x_set = frozenset(cut.x_set)
-        parents = _step(incident, (True, False), min(v.time for v in x_set), top)
-        incident = _incidence(admg, _causal_cut(parents, cut.y, x_set))
+        removed = _causal_cut(admg, admg.code(cut.y), frozenset(map(admg.code, cut.x_set)),
+                              min(v.time for v in cut.x_set) * spec.d, ceiling)
     earliest = min(v.time for v in nodes)
     if t_min is None:
         t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
@@ -162,15 +154,12 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     previous, stabilized = None, False
     for _ in range(MAX_STABILIZATION_ROUNDS):
         bottom -= lag
-        parents = _step(incident, (True, False), bottom, top)
-        keep = _closure((*query.a, *query.b, *query.c), parents)
-        an_b = _closure(query.b, parents)
-        connection = _connection(incident, query, keep, an_b)
+        connection = _connection(admg, codes, bottom * spec.d, ceiling, removed)
         if previous is not None and previous == (connection is None):
             stabilized = True
             break
         previous = connection is None
-    return _result(incident, query, keep, an_b, connection), (bottom, top), stabilized
+    return _result(admg, codes, removed, connection, admg.node), (bottom, top), stabilized
 
 
 def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
@@ -255,11 +244,12 @@ def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
 
     # condition 2 on the uncut last window: An(b) ∩ Sp(De(x ∪ y)), where Sp
     # adds one bi-directed step and keeps the nodes themselves
-    incident = _incidence(_compiled_admg(spec))
-    an_b = _closure(b_set, _step(incident, (True, False), bottom, top))
-    de = _closure((y, *x_set), _step(incident, (False, True), bottom, top))
-    spouses = _step(incident, (True, True), bottom, top)
-    sp_de = de | {w for v in de for w in spouses(v)}
+    admg = _compiled_admg(spec)
+    floor, ceiling = bottom * spec.d, (top + 1) * spec.d
+    an_b = _reach(admg, map(admg.code, b_set), admg.parents, floor, ceiling)
+    de = _reach(admg, map(admg.code, (y, *x_set)), admg.children, floor, ceiling)
+    sp_de = de | {v + off for v in de for off in admg.spouses[v % spec.d]
+                  if floor <= v + off < ceiling}
     confounding_free = not (an_b & sp_de)
     rank_ok = rank == len(x_set)
 

@@ -5,17 +5,18 @@ coefficient) and bi-directed edges. A graph with an empty bi-directed set
 behaves exactly like a DAG in every operation, so the same machinery covers
 d-separation on DAGs and m-separation on ADMGs.
 
-``m_separated`` decides separation with one reachability pass over
-(node, entered-with-arrowhead) states of the query's ancestral nodes and
-searches for a witness path only when the query is connected; both read
-incidence lists through a function, so they run on compiled templates too. The
-augmented-graph criterion (``augment``, ``moralize``, ``d_separated_moral``)
-serves ``extend_separated_sets`` and, with ``m_separated_oracle``, a direct
-enumeration of simple paths, cross-checks the verdicts in the tests.
+One separation core, on integer node codes (:class:`_CodedGraph`), serves
+finite graphs and the periodic marginalized ADMG of a spec: ``_connection``
+decides with one Bayes-ball pass over (node, entered-with-arrowhead) states
+of the query's ancestral nodes, and ``_result`` searches a witness path only
+when the query is connected. The augmented graph (``augment``) serves
+``extend_separated_sets``; the reference deciders of the tests (path
+enumeration, moralization) live outside the library.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -64,18 +65,6 @@ def node_label(v: TimedNode, names: Optional[list[str]] = None) -> str:
 # they are all a path algorithm needs to classify colliders.
 
 
-def _closure(starts, step) -> set:
-    """``starts`` together with every node reachable from them by ``step``."""
-    seen = set(starts)
-    queue = deque(seen)
-    while queue:
-        for w in step(queue.popleft()):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
-
-
 def _kahn_order(nodes, children, key) -> tuple:
     """Topological order, smallest free node by ``key`` first; short on a cycle."""
     indeg = Counter(w for v in nodes for w in children(v))
@@ -89,6 +78,45 @@ def _kahn_order(nodes, children, key) -> tuple:
             if indeg[w] == 0:
                 heapq.heappush(heap, (key(w), w))
     return tuple(order)
+
+
+class _CodedGraph:
+    """Integer-coded incidence of a graph that repeats every ``period`` codes.
+
+    Node i of time slice t has code t·period + i; floor ``//`` and ``%``
+    decode it, negative times included. ``records[i]`` lists the edges at
+    node i of slice 0 as (offset to the neighbour's code, arrowhead here,
+    arrowhead there) in incidence order, which breaks witness ties. Split off
+    once: ``entering[h][i]``, the (offset, arrowhead there) of the edges with
+    arrowhead flag h at node i, for the reverse Bayes-ball step, and the
+    neighbour offsets of each edge kind for the closures.
+    """
+
+    def __init__(self, period: int, records):
+        self.period, self.records = period, records
+        self.entering = tuple(tuple(tuple((off, there) for off, here, there in r if here == h)
+                                    for r in records) for h in (False, True))
+        self.children, self.parents, self.spouses = (
+            tuple(tuple(off for off, there in r if there == t) for r in self.entering[h])
+            for h, t in ((False, True), (True, False), (True, True)))
+
+
+def _reach(coded: _CodedGraph, starts, offsets, floor: int, ceiling: int,
+           cut=frozenset()) -> set:
+    """``starts`` and every code reachable along ``offsets`` (``parents``,
+    ``children`` or ``spouses`` of ``coded``) inside [floor, ceiling), without
+    the edges in ``cut`` (code pairs, each stored in both orders)."""
+    period = coded.period
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        v = stack.pop()
+        for off in offsets[v % period]:
+            w = v + off
+            if floor <= w < ceiling and w not in seen and not (cut and (v, w) in cut):
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 class DirectedMixedGraph:
@@ -108,8 +136,8 @@ class DirectedMixedGraph:
 
     def __init__(self, nodes, directed=(), bidirected=()):
         self.nodes: tuple[TimedNode, ...] = sorted_nodes(nodes)
-        self._node_set = frozenset(self.nodes)
-        if len(self._node_set) != len(self.nodes):
+        self._index = {v: k for k, v in enumerate(self.nodes)}  # node code
+        if len(self._index) != len(self.nodes):
             raise GraphError("duplicate nodes in graph construction")
 
         self.directed: dict[tuple[TimedNode, TimedNode], Optional[float]] = {}
@@ -140,8 +168,20 @@ class DirectedMixedGraph:
             raise GraphError(f"directed cycle among {[tuple(v) for v in cycle]}")
 
     def _require(self, v: TimedNode) -> None:
-        if v not in self._node_set:
+        if v not in self._index:
             raise GraphError(f"unknown node {v!r}")
+
+    def _codes(self, nodes) -> tuple[int, ...]:
+        for v in nodes:
+            self._require(v)
+        return tuple(self._index[v] for v in nodes)
+
+    @functools.cached_property
+    def _coded(self) -> _CodedGraph:
+        """The one-slice coding: code = index in ``nodes``, period = len(nodes)."""
+        return _CodedGraph(len(self.nodes), tuple(
+            tuple((self._index[w] - k, here, there) for w, here, there in self._incident[v])
+            for k, v in enumerate(self.nodes)))
 
     def _build_incident(self):
         incident = {v: [] for v in self.nodes}
@@ -157,7 +197,7 @@ class DirectedMixedGraph:
     # -- local neighborhoods ------------------------------------------------
 
     def has_node(self, v: TimedNode) -> bool:
-        return v in self._node_set
+        return v in self._index
 
     def _neighbors(self, v, head_here, head_there):
         self._require(v)
@@ -192,10 +232,15 @@ class DirectedMixedGraph:
         Bi-directed edges carry no ancestry. Every node is an ancestor of
         itself.
         """
-        return sorted_nodes(_closure(s, self.parents))
+        return self._closure(s, self._coded.parents)
 
     def descendants(self, s: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
-        return sorted_nodes(_closure(s, self.children))
+        return self._closure(s, self._coded.children)
+
+    def _closure(self, s, offsets) -> tuple[TimedNode, ...]:
+        # codes follow the sorted node order
+        reached = _reach(self._coded, self._codes(tuple(s)), offsets, 0, len(self.nodes))
+        return tuple(self.nodes[k] for k in sorted(reached))
 
     # -- derived graphs -----------------------------------------------------
 
@@ -292,19 +337,6 @@ class SeparationResult:
         return self.separated
 
 
-def moralize(g: DirectedMixedGraph) -> UndirectedGraph:
-    """Moral graph of a DAG: adjacency plus marriages of common parents."""
-    if g.bidirected:
-        raise GraphError("graph has bi-directed edges; use augment() instead")
-    edges = {frozenset(e) for e in g.directed}
-    for v in g.nodes:
-        ps = g.parents(v)
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                edges.add(frozenset((ps[i], ps[j])))
-    return UndirectedGraph(g.nodes, edges)
-
-
 def augment(g: DirectedMixedGraph) -> UndirectedGraph:
     """Augmented graph: v-w iff v and w are collider-connected in ``g``.
 
@@ -345,43 +377,52 @@ def _junction_open(node, entered_head, exit_head, b_set, an_b):
     return node not in b_set
 
 
-def _connecting_states(incident, keep, b_set, an_b, c_nodes) -> set:
-    """States (x, entered-with-arrowhead-at-x) that start an m-connecting walk
-    to ``c_nodes`` through ``keep``: Bayes-ball reachability (Shachter 1998;
-    van der Zander, Liśkiewicz & Textor 2019) run backwards, in O(V + E).
-    ``incident(v)`` lists the incident-edge records of ``v``.
+def _connection(coded: _CodedGraph, query, floor: int, ceiling: int, cut=frozenset()):
+    """Reachability table of a connected query, or None when b separates it.
+
+    ``query`` holds the code tuples (a, b, c); the graph is ``coded`` inside
+    [floor, ceiling) without the edges in ``cut`` (see :func:`_reach`). The
+    table holds the states 2·x + h (x entered with arrowhead flag h) that
+    start an m-connecting walk to c through An(a ∪ b ∪ c): Bayes-ball
+    reachability (Shachter 1998; van der Zander, Liśkiewicz & Textor 2019)
+    run backwards from c, in O(V + E). The query is connected iff a non-a
+    neighbour of an a node starts such a walk. Returns (An(a ∪ b ∪ c), An(b),
+    table, first steps of a) when connected.
     """
-    def step(state):
-        # states (x, flag) that may step onto y via an edge whose arrowhead
-        # flag at y matches head_y
-        y, head_y = state
-        return [(x, flag) for x, head_y_side, head_x_side in incident(y)
-                if head_y_side == head_y and x in keep
-                for flag in (False, True) if _junction_open(x, flag, head_x_side, b_set, an_b)]
-
-    return _closure({(cnode, flag) for cnode in c_nodes for flag in (False, True)}, step)
-
-
-def _connection(incident, query: SeparationQuery, keep, an_b):
-    """Reachability table and first steps of a connected query, or None when
-    ``query.b`` separates it.
-
-    ``keep`` is An(a ∪ b ∪ c) and ``an_b`` is An(b). The table of
-    :func:`_connecting_states` decides: the query is connected iff a
-    non-``a`` neighbour of an ``a`` node starts an m-connecting walk to ``c``.
-    """
-    good = _connecting_states(incident, keep, set(query.b), an_b, query.c)
-    a_set = set(query.a)
-    starts = [(a, other, head_other) for a in query.a
-              for other, _, head_other in incident(a) if other not in a_set]
-    if not any((other, head_other) in good for _, other, head_other in starts):
+    a, b, c = query
+    keep = _reach(coded, (*a, *b, *c), coded.parents, floor, ceiling, cut)
+    an_b = _reach(coded, b, coded.parents, floor, ceiling, cut)
+    b_set, period, entering = set(b), coded.period, coded.entering
+    good = {2 * v + flag for v in c for flag in (0, 1)}
+    stack = list(good)
+    while stack:
+        state = stack.pop()
+        y, head_y = state >> 1, state & 1
+        # x steps onto y by an edge with arrowhead flag head_y at y, if the
+        # walk may pass x entered either way and leaving with head_x
+        for off, head_x in entering[head_y][y % period]:
+            x = y + off
+            if x not in keep or (cut and head_x != head_y and (x, y) in cut):
+                continue
+            free, entered = x not in b_set, 2 * x
+            if free and entered not in good:
+                good.add(entered)
+                stack.append(entered)
+            if (x in an_b if head_x else free) and entered + 1 not in good:
+                good.add(entered + 1)
+                stack.append(entered + 1)
+    a_set = set(a)
+    starts = [(u, u + off, there) for u in a for off, here, there in coded.records[u % period]
+              if u + off not in a_set and not (cut and here != there and (u, u + off) in cut)]
+    if not any(2 * other + there in good for _, other, there in starts):
         return None
-    return good, starts
+    return keep, an_b, good, starts
 
 
-def _result(incident, query: SeparationQuery, keep, an_b, connection) -> SeparationResult:
+def _result(coded: _CodedGraph, query, cut, connection, node) -> SeparationResult:
     """Separated, or connected with its shortest m-connecting path as witness
-    (ties broken by incidence order), given what :func:`_connection` found.
+    (ties broken by incidence order), given what :func:`_connection` found;
+    ``node`` decodes a code.
 
     The witness comes from a depth-first search over simple paths, pruned by
     the reachability table; the table is sound for walks, hence never prunes
@@ -389,20 +430,23 @@ def _result(incident, query: SeparationQuery, keep, an_b, connection) -> Separat
     """
     if connection is None:
         return SeparationResult(True)
-    good, starts = connection
-    b_set, c_set = set(query.b), set(query.c)
+    keep, an_b, good, starts = connection
+    b_set, c_set = set(query[1]), set(query[2])
+    period, records = coded.period, coded.records
 
-    def dfs(node, entered_head, path, on_path, budget):
-        for other, head_here, head_other in incident(node):
-            if other in on_path:
+    # passed itself, not closed over: that cycle would hold ``good`` until gc
+    def dfs(dfs, v, entered_head, path, on_path, budget):
+        for off, head_here, head_other in records[v % period]:
+            other = v + off
+            if other in on_path or (cut and head_here != head_other and (v, other) in cut):
                 continue
-            if not _junction_open(node, entered_head, head_here, b_set, an_b):
+            if not _junction_open(v, entered_head, head_here, b_set, an_b):
                 continue
             if other in c_set:
                 return path + [other]
-            if budget == 0 or (other, head_other) not in good:
+            if budget == 0 or 2 * other + head_other not in good:
                 continue
-            found = dfs(other, head_other, path + [other], on_path | {other}, budget - 1)
+            found = dfs(dfs, other, head_other, path + [other], on_path | {other}, budget - 1)
             if found is not None:
                 return found
         return None
@@ -410,14 +454,14 @@ def _result(incident, query: SeparationQuery, keep, an_b, connection) -> Separat
     # Iterative deepening returns the shortest connecting path; the budget
     # counts interior nodes still allowed.
     for budget in range(len(keep)):
-        for a, other, head_other in starts:
+        for u, other, head_other in starts:
             if other in c_set:
-                return SeparationResult(False, (a, other))
-            if budget == 0 or (other, head_other) not in good:
+                return SeparationResult(False, (node(u), node(other)))
+            if budget == 0 or 2 * other + head_other not in good:
                 continue
-            found = dfs(other, head_other, [a, other], {a, other}, budget - 1)
+            found = dfs(dfs, other, head_other, [u, other], {u, other}, budget - 1)
             if found is not None:
-                return SeparationResult(False, tuple(found))
+                return SeparationResult(False, tuple(map(node, found)))
     raise GraphError("internal inconsistency: reachability table connected "
                      "but no m-connecting path found")
 
@@ -430,10 +474,9 @@ def m_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationResu
     :func:`_connection`). On a DAG this is d-separation.
     """
     query.validate_in(g)
-    keep = set(g.ancestors((*query.a, *query.b, *query.c)))
-    an_b = set(g.ancestors(query.b)) if query.b else set()
-    incident = g._incident.__getitem__
-    return _result(incident, query, keep, an_b, _connection(incident, query, keep, an_b))
+    codes = tuple(map(g._codes, (query.a, query.b, query.c)))
+    connection = _connection(g._coded, codes, 0, len(g.nodes))
+    return _result(g._coded, codes, frozenset(), connection, g.nodes.__getitem__)
 
 
 def is_m_connecting_path(g: DirectedMixedGraph, path, b) -> bool:
@@ -471,63 +514,6 @@ def is_m_connecting_path(g: DirectedMixedGraph, path, b) -> bool:
             return False
         flags = nxt
     return True
-
-
-def m_separated_oracle(
-    g: DirectedMixedGraph, query: SeparationQuery, max_paths: int = 10**6
-) -> bool:
-    """Direct check by enumerating simple paths (test oracle).
-
-    Walks every simple path from ``query.a`` to ``query.c`` and evaluates its
-    blocking status: blocked iff some non-collider on it lies in ``b`` or some
-    collider has no descendant in ``b``. Returns as soon as an open path is
-    found; raises once more than ``max_paths`` paths have been enumerated.
-    """
-    query.validate_in(g)
-    b_set, c_set = set(query.b), set(query.c)
-    an_b = set(g.ancestors(query.b)) if query.b else set()
-    counter = [0]
-
-    def count_one():
-        counter[0] += 1
-        if counter[0] > max_paths:
-            raise GraphError(f"path enumeration exceeded {max_paths} simple paths")
-
-    def dfs(node, entered_head, prefix_open, on_path):
-        # extends the path ending at `node`; returns True iff an open
-        # completion to c exists among the enumerated ones
-        for other, head_here, head_other in g._incident[node]:
-            if other in on_path:
-                continue
-            step_open = prefix_open and _junction_open(
-                node, entered_head, head_here, b_set, an_b
-            )
-            if other in c_set:
-                count_one()
-                if step_open:
-                    return True
-                continue
-            if dfs(other, head_other, step_open, on_path | {other}):
-                return True
-        return False
-
-    for a in query.a:
-        for other, _, head_other in g._incident[a]:
-            if other in c_set:
-                count_one()
-                return False  # single-edge path has no junctions, always open
-            if dfs(other, head_other, True, {a, other}):
-                return False
-    return True
-
-
-def d_separated_moral(g: DirectedMixedGraph, query: SeparationQuery) -> bool:
-    """d-separation via the moralized ancestral subgraph (DAG only)."""
-    query.validate_in(g)
-    if g.bidirected:
-        raise GraphError("moralization-based check requires a DAG")
-    ancestral = g.subgraph(g.ancestors((*query.a, *query.b, *query.c)))
-    return moralize(ancestral).separated(query.a, query.c, query.b)
 
 
 def extend_separated_sets(g: DirectedMixedGraph, query: SeparationQuery):

@@ -7,7 +7,7 @@ rewrites (instantaneous-effect elimination, total-instantaneous-effect matrix,
 doubled-dimension VAR embedding) and finite full-time graph windows, both as
 DAGs over (endogenous, innovation) nodes and as marginalized ADMGs over the
 endogenous nodes only, all read off incidence templates compiled once per
-spec, which the separation loop of ``effects`` uses directly.
+spec, which the separation loop of ``effects`` reads integer-coded.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ModelError
 from .graphs import (
-    DirectedMixedGraph, TimedNode, _kahn_order, endo, innov, node_sort_key, sorted_nodes,
+    DirectedMixedGraph, TimedNode, _CodedGraph, _kahn_order, endo, innov, node_sort_key,
+    sorted_nodes,
 )
 
 STABILITY_MARGIN = 1e-8
@@ -78,7 +79,7 @@ class VarmaSpec:
             raise ModelError(f"names must have length {d}")
         for arr in (*self.a, *self.b, self.gamma):
             arr.setflags(write=False)
-        self._compiled = {}  # "rewrite" and the two _MarginalizedAdmg forms
+        self._compiled = {}  # "rewrite", "blocks" and the two _MarginalizedAdmg forms
 
     def __repr__(self):
         return f"VarmaSpec(d={self.d}, p={self.p}, q={self.q})"
@@ -293,7 +294,7 @@ def _innovation_edges(loadings, t_min, t_max):
     ]
 
 
-class _MarginalizedAdmg:
+class _MarginalizedAdmg(_CodedGraph):
     """The full-time marginalized ADMG of a spec, validated and compiled once.
 
     Lags A0..Ap and innovation loadings I, B1..Bq; in the rewritten form (no
@@ -302,6 +303,8 @@ class _MarginalizedAdmg:
     invariant, so component i keeps one template: the edges at S_i@0 as
     (component, time offset, head here, head there, coefficient), in the
     order of ``DirectedMixedGraph._incident``, which breaks witness ties.
+    The separation core reads the same templates integer-coded, period d:
+    S_i@t is t·d + i and the edge to S_j@(t+k) has offset k·d + j - i.
     """
 
     def __init__(self, spec: VarmaSpec, rewritten: bool):
@@ -311,8 +314,10 @@ class _MarginalizedAdmg:
             self.loadings = (rw.ice, *rw.ma_eps)
         else:
             self.lags, self.loadings = spec.a, (np.eye(spec.d), *spec.b)
-        self.d = spec.d
-        self.templates = tuple(self._template(i) for i in range(spec.d))
+        d = self.d = spec.d
+        self.templates = tuple(self._template(i) for i in range(d))
+        super().__init__(d, tuple(tuple((k * d + j - i, here, there) for j, k, here, there, _ in t)
+                                  for i, t in enumerate(self.templates)))
 
     def _template(self, i):
         v = endo(i, 0)
@@ -332,10 +337,11 @@ class _MarginalizedAdmg:
                             for k, offset in spouses)
         return tuple(entry for _, entry in directed + bidirected)
 
-    def incident(self, v: TimedNode) -> list:
-        """Incident-edge records (neighbor, head here, head there) of ``v``."""
-        return [(endo(j, v.time + k), here, there)
-                for j, k, here, there, _ in self.templates[v.component]]
+    def code(self, v: TimedNode) -> int:
+        return v.time * self.d + v.component
+
+    def node(self, code: int) -> TimedNode:
+        return endo(code % self.d, code // self.d)
 
     def window(self, t_min: int, t_max: int):
         """Nodes, directed (with coefficients) and bi-directed edges of [t_min, t_max]."""

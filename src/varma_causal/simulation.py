@@ -41,16 +41,20 @@ def default_burn_in(spec: VarmaSpec) -> int:
 _BLOCK = 64
 
 
-def _block_operators(ar: Sequence[np.ndarray], d: int):
+def _block_operators(spec: VarmaSpec):
     """Toeplitz impulse-response matrix T and carry matrix G of one block.
 
-    With F the companion matrix of ``ar``, block (j, i) of T is H_(j-i), the
-    top-left d x d block of F^(j-i) (zero above the diagonal), and rows
-    j*d..(j+1)*d of G are the top d rows of F^(j+1). A block of L steps whose
-    driving terms are u (flattened row by row) and whose companion state
-    before the block is z then reads T u + G z.
+    With F the companion matrix of the rewrite's lags C A1..C Ap, block
+    (j, i) of T is H_(j-i), the top-left d x d block of F^(j-i) (zero above
+    the diagonal), and rows j*d..(j+1)*d of G are the top d rows of F^(j+1).
+    A block of L steps whose driving terms are u (flattened row by row) and
+    whose companion state before the block is z then reads T u + G z. Built
+    on first use and cached, read-only, on the spec next to its rewrite.
     """
-    comp = companion_matrix(ar)
+    if "blocks" in spec._compiled:
+        return spec._compiled["blocks"]
+    d = spec.d
+    comp = companion_matrix(remove_instantaneous(spec).ar)
     top = np.eye(d, comp.shape[0])
     carry = np.empty((_BLOCK, d, comp.shape[0]))
     for j in range(_BLOCK):
@@ -60,7 +64,11 @@ def _block_operators(ar: Sequence[np.ndarray], d: int):
     lag = np.arange(_BLOCK)[:, None] - np.arange(_BLOCK)[None, :]
     toeplitz = impulse[np.maximum(lag, 0)] * (lag >= 0)[:, :, None, None]
     toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(_BLOCK * d, _BLOCK * d)
-    return toeplitz, carry.reshape(_BLOCK * d, comp.shape[0])
+    blocks = (toeplitz, carry.reshape(_BLOCK * d, comp.shape[0]))
+    for arr in blocks:
+        arr.setflags(write=False)
+    spec._compiled["blocks"] = blocks
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -116,7 +124,7 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     series = driven  # overwritten block by block with the process values
     if rw.ar:
         p = len(rw.ar)
-        toeplitz, carry = _block_operators(rw.ar, d)
+        toeplitz, carry = _block_operators(spec)
         state = np.zeros(p * d)
         for start in range(0, total, _BLOCK):
             block = series[start:start + _BLOCK].reshape(-1)

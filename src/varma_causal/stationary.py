@@ -108,6 +108,7 @@ class StateSpaceForm:
         self.sigma_z = sigma_z
         self.residual = float(residual)
         self._blocks = [sigma_z]
+        self._lags = np.empty((0, d, d))
 
     def autocov(self, h: int) -> np.ndarray:
         """Cov(S_t, S_(t-h)); negative h returns the transpose block."""
@@ -116,6 +117,13 @@ class StateSpaceForm:
         while len(self._blocks) <= h:
             self._blocks.append(self.f @ self._blocks[-1])
         return self._blocks[h][: self.d, : self.d]
+
+    def _lag_table(self, span: int) -> np.ndarray:
+        """autocov(h) for h = -s..s stacked at s + h, for some s >= span."""
+        table = self._lags
+        if len(table) <= 2 * span:
+            table = self._lags = np.array([self.autocov(h) for h in range(-span, span + 1)])
+        return table
 
 
 def solve_stationary(spec: VarmaSpec) -> StateSpaceForm:
@@ -146,11 +154,15 @@ def cross_covariance(ss: StateSpaceForm, u: Sequence[TimedNode],
     """Cov(U, V) for ordered endogenous node lists, from the stationary law."""
     u = _check_endogenous(ss, u)
     v = _check_endogenous(ss, v)
-    mat = np.empty((len(u), len(v)))
-    for i, a in enumerate(u):
-        for j, b in enumerate(v):
-            mat[i, j] = ss.autocov(a.time - b.time)[a.component, b.component]
-    return NodeSetCovariance(u, v, mat)
+    tu, tv = [w.time for w in u], [w.time for w in v]
+    table = ss._lag_table(max(max(tu, default=0) - min(tv, default=0),
+                             max(tv, default=0) - min(tu, default=0)))
+    # one gather: entry (i, j) is autocov(tu_i - tv_j)[cu_i, cv_j], at flat
+    # index ((mid + tu_i - tv_j)·d + cu_i)·d + cv_j of the stacked table
+    d, mid = ss.d, len(table) // 2
+    rows = np.array([((mid + w.time) * d + w.component) * d for w in u], dtype=np.intp)
+    cols = np.array([w.component - w.time * d * d for w in v], dtype=np.intp)
+    return NodeSetCovariance(u, v, np.take(table, np.add.outer(rows, cols)))
 
 
 def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
@@ -164,12 +176,14 @@ def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
     overlap = (set(a) | set(c)) & set(b)
     if overlap:
         raise ModelError(f"conditioning set overlaps a/c nodes: {sorted(overlap)}")
-    s_ac = cross_covariance(ss, a, c).matrix
+    # one gather for all four blocks, each copied out contiguous
+    ac, nodes = len(a) + len(c), (*a, *c, *b)
+    joint = cross_covariance(ss, nodes, nodes).matrix
+    s_ac = np.ascontiguousarray(joint[:len(a), len(a):ac])
     if not b:
         return s_ac
-    s_ab = cross_covariance(ss, a, b).matrix
-    s_cb = cross_covariance(ss, c, b).matrix
-    s_bb = cross_covariance(ss, b, b).matrix
+    s_ab, s_cb, s_bb = (np.ascontiguousarray(joint[rows, ac:])
+                        for rows in (slice(len(a)), slice(len(a), ac), slice(ac, None)))
     return s_ac - s_ab @ np.linalg.pinv(s_bb, rcond=PINV_RTOL, hermitian=True) @ s_cb.T
 
 

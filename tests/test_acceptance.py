@@ -22,7 +22,6 @@ from varma_causal import (
     SeparationQuery,
     SimulationConfig,
     cross_covariance,
-    d_separated_moral,
     embed_as_var,
     endo,
     estimate_from_data,
@@ -31,7 +30,6 @@ from varma_causal import (
     identify_population,
     latent_project,
     m_separated,
-    m_separated_oracle,
     remove_instantaneous,
     run_faithfulness_experiment,
     run_gmp_experiment,
@@ -39,6 +37,7 @@ from varma_causal import (
     simulate,
     solve_stationary,
 )
+from reference import d_separated_moral, m_separated_oracle
 from conftest import LAGGED_SPEC_BETA, LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI, random_admg, random_dag, random_query
 from test_model import brute_force_ice, random_acyclic_a0
 

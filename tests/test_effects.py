@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from varma_causal import (
     cut_causal_edges,
     endo,
     full_time_window,
+    is_m_connecting_path,
     m_separated,
     marginalized_admg_window,
     sample_stable_spec,
@@ -285,7 +287,11 @@ def draw_iv_sets(rng, d):
 
 
 class TestWindowOracle:
-    """The template rounds against m_separated on materialized windows."""
+    """The template rounds against m_separated on materialized windows.
+
+    Both run the same separation core, so these pin the window arithmetic
+    and the cut; TestNetworkxOracle is the independent check of verdicts.
+    """
 
     def test_each_round_matches_its_window(self, monkeypatch):
         rounds = effects.MAX_STABILIZATION_ROUNDS
@@ -338,3 +344,123 @@ class TestWindowOracle:
                 an_b = set(g.ancestors(b)) if b else set()
                 sp_de = {s for v in g.descendants((y, *xs)) for s in g.spouses(v)}
                 assert report.confounding_free == (not an_b & sp_de)
+
+
+def networkx_full_time_dag(spec, t_min, t_max):
+    """The process's full-time DAG with innovation nodes on [t_min, t_max],
+    read off the spec's matrices: S_j@(t-k) -> S_i@t iff A_k[i, j] != 0,
+    e_i@t -> S_i@t, and e_j@(t-l) -> S_i@t iff B_l[i, j] != 0."""
+    dag = nx.DiGraph()
+    for t in range(t_min, t_max + 1):
+        for i in range(spec.d):
+            dag.add_edge(("e", i, t), ("s", i, t))
+            for k, mat in enumerate(spec.a):
+                dag.add_edges_from((("s", int(j), t - k), ("s", i, t))
+                                   for j in np.flatnonzero(mat[i]) if t - k >= t_min)
+            for l, mat in enumerate(spec.b, start=1):
+                dag.add_edges_from((("e", int(j), t - l), ("s", i, t))
+                                   for j in np.flatnonzero(mat[i]) if t - l >= t_min)
+    return dag
+
+
+class TestNetworkxOracle:
+    """The infinite-graph verdicts against networkx on a deep full-time DAG,
+    which shares no code with the library."""
+
+    def test_verdicts_and_witnesses(self):
+        rng = np.random.default_rng(909)
+        verdicts = set()
+        for d, p, q in [(d, p, q) for d in (1, 2, 3) for p in (1, 2) for q in (0, 1, 2)] * 2:
+            spec = sample_stable_spec(CoefficientSampler(d=d, p=p, q=q, sparsity=0.65), rng)
+            lag = max(spec.max_lag, 1)
+            dag = networkx_full_time_dag(spec, -5 - 4 * lag * (d + 1), 0)
+            for _ in range(8):
+                query = simulation._draw_query(rng, d, 5)
+                result, window, _ = stable_marginal_separation(spec, query)
+                a, b, c = ({("s", v.component, v.time) for v in s}
+                           for s in (query.a, query.b, query.c))
+                assert result.separated == nx.is_d_separator(dag, a, c, b)
+                verdicts.add(result.separated)
+                if not result.separated:
+                    path = result.witness
+                    assert path[0] in query.a and path[-1] in query.c
+                    assert is_m_connecting_path(
+                        marginalized_admg_window(spec, *window), path, query.b)
+        assert verdicts == {True, False}
+
+
+def shifted(nodes, s):
+    return tuple(endo(v.component, v.time + s) for v in nodes)
+
+
+class TestIntegerCoding:
+    """Edge cases of the t·d + i node codes of the separation core."""
+
+    @pytest.mark.parametrize("s", [10**6, -10**6, -37])
+    def test_translated_queries(self, s):
+        # floor // and % decode negative codes: far from 0 the verdicts,
+        # witnesses, windows and IV reports are the translated ones
+        rng = np.random.default_rng(910)
+        for spec in sampled_query_specs(rng, 9):
+            for _ in range(4):
+                query = simulation._draw_query(rng, spec.d, 5)
+                result, (lo, hi), stabilized = stable_marginal_separation(spec, query)
+                moved, window, moved_stabilized = stable_marginal_separation(
+                    spec, SeparationQuery(*(shifted(n, s) for n in (query.a, query.b, query.c))))
+                assert moved.separated == result.separated
+                assert moved.witness == (result.witness and shifted(result.witness, s))
+                assert (window, moved_stabilized) == ((lo + s, hi + s), stabilized)
+                y, xs, instruments, b = draw_iv_sets(rng, spec.d)
+                report = check_iv_conditions(spec, y, xs, instruments, b)
+                moved = check_iv_conditions(spec, *shifted((y,), s), shifted(xs, s),
+                                            shifted(instruments, s), shifted(b, s))
+                assert moved.window_used == tuple(t + s for t in report.window_used)
+                assert moved.witness == (report.witness and shifted(report.witness, s))
+                assert (moved.instrument_separated, moved.confounding_free, moved.stabilized) == (
+                    report.instrument_separated, report.confounding_free, report.stabilized)
+
+    def test_one_component(self):
+        # d = 1: the code is the time itself
+        query = SeparationQuery([endo(0, 0)], [endo(0, -1), endo(0, -2)], [endo(0, -3)])
+        verdicts = []
+        for ma in ([], [[[0.4]]]):
+            spec = VarmaSpec([[[0]], [[0.5]], [[-0.2]]], ma, [1])
+            result, window, stabilized = stable_marginal_separation(spec, query)
+            assert stabilized
+            assert result == m_separated(marginalized_admg_window(spec, *window), query)
+            verdicts.append(result.separated)
+        # two past values screen off an AR(2), not an ARMA(2, 1)
+        assert verdicts == [True, False]
+
+    def test_offsets_wrapping_across_a_time_slice(self):
+        # S2@-1 -> S0@0 has code offset +1 and S0@-1 -> S2@0 offset -1: both
+        # cross a slice boundary between components 0 and d-1
+        a1 = np.zeros((3, 3))
+        a1[0, 2], a1[2, 0] = 0.5, 0.4
+        spec = VarmaSpec([np.zeros((3, 3)), a1], gamma=[1, 1, 1])
+        admg = model._compiled_admg(spec)
+        neighbours = {(admg.node(off), here, there) for off, here, there in admg.records[0]}
+        assert neighbours == {(endo(2, -1), True, False), (endo(2, 1), False, True)}
+        chain = SeparationQuery([endo(0, -2)], [], [endo(0, 0)])
+        result, window, _ = stable_marginal_separation(spec, chain)
+        assert result.witness == (endo(0, -2), endo(2, -1), endo(0, 0))
+        assert result == m_separated(marginalized_admg_window(spec, *window), chain)
+        blocked = SeparationQuery([endo(0, -2)], [endo(2, -1)], [endo(0, 0)])
+        assert stable_marginal_separation(spec, blocked)[0].separated
+
+    def test_cut_at_the_window_bottom(self, varma_lagged_spec, monkeypatch):
+        # the treatment X@-2 is the earliest node, so the window starting
+        # there has the cut edges X@-2 -> X@-1 and X@-2 -> Y@-1 at its bottom
+        monkeypatch.setattr(effects, "MAX_STABILIZATION_ROUNDS", 1)
+        y, xs = endo(Y, 0), (endo(X, -2),)
+        g = marginalized_admg_window(varma_lagged_spec, -2, 1)
+        cut = cut_causal_edges(g, EffectQuery(y, xs))
+        assert set(g.directed) - set(cut.directed) == {
+            (endo(X, -2), endo(X, -1)), (endo(X, -2), endo(Y, -1))}
+        for instruments, b in ((endo(X, -1),), ()), ((endo(Y, -1),), (endo(X, -1),)):
+            query = SeparationQuery(instruments, b, (y,))
+            nodes = (y, *xs, *instruments, *b)
+            result, window, _ = effects._deepening_separation(
+                varma_lagged_spec, query, nodes, 1, -2, cut=EffectQuery(y, xs))
+            assert window == (-2, 1)
+            assert result == m_separated(cut, query)

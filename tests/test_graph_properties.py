@@ -6,15 +6,13 @@ from varma_causal import (
     DirectedMixedGraph,
     SeparationQuery,
     augment,
-    d_separated_moral,
     endo,
     extend_separated_sets,
     is_m_connecting_path,
     latent_project,
     m_separated,
-    m_separated_oracle,
-    moralize,
 )
+from reference import d_separated_moral, m_separated_oracle, moralize
 from conftest import random_admg, random_dag, random_query
 
 

@@ -14,12 +14,11 @@ from varma_causal import (
     is_m_connecting_path,
     latent_project,
     m_separated,
-    m_separated_oracle,
     marginalized_admg_window,
-    moralize,
     rewritten_full_time_window,
     to_dot,
 )
+from reference import m_separated_oracle, moralize
 
 X, Y = 0, 1
 

@@ -351,15 +351,17 @@ class TestWindows:
 
     @pytest.mark.parametrize("rewritten", [False, True])
     def test_template_incidence_order(self, varma_instant_spec, rewritten):
-        # the compiled templates, cut to a window, list each node's edges in
-        # the order of the window graph's incidence table, which breaks ties
-        # between shortest separation witnesses
+        # the compiled templates, integer-coded and cut to a window, list
+        # each node's edges in the order of the window graph's incidence
+        # table, which breaks ties between shortest separation witnesses
         for spec in [varma_instant_spec] + sampled_window_specs():
             admg = model._compiled_admg(spec, rewritten)
             for t_min, t_max in ((-3, 0), (-12, 0), (5, 9)):
                 g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten)
                 for v in g.nodes:
-                    inside = [e for e in admg.incident(v) if t_min <= e[0].time <= t_max]
+                    decoded = [(admg.node(admg.code(v) + off), here, there)
+                               for off, here, there in admg.records[v.component]]
+                    inside = [e for e in decoded if t_min <= e[0].time <= t_max]
                     assert inside == g._incident[v]
 
 

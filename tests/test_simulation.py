@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from varma_causal import model
+from varma_causal import model, simulation
 from varma_causal import (
     CoefficientSampler,
     EstimationError,
@@ -121,6 +121,23 @@ class TestSimulate:
     def test_same_seed_identical_output(self, varma_lagged_spec):
         cfg = SimulationConfig(varma_lagged_spec, n=5_000, seed=2024)
         assert np.array_equal(simulate(cfg), simulate(cfg))
+
+    def test_block_operators_built_once_per_spec(self, monkeypatch):
+        # cached on the spec: later calls reuse them and give the series of
+        # a spec that builds them afresh
+        def make():
+            return sample_stable_spec(CoefficientSampler(d=3, p=2, q=2), 13)
+
+        builds = []
+        companion = simulation.companion_matrix
+        monkeypatch.setattr(simulation, "companion_matrix",
+                            lambda ar: builds.append(ar) or companion(ar))
+        spec = make()
+        series = [simulate(SimulationConfig(spec, n=300, seed=s)) for s in (1, 2, 1)]
+        assert len(builds) == 1
+        assert np.array_equal(series[0], series[2])
+        assert np.array_equal(series[1], simulate(SimulationConfig(make(), n=300, seed=2)))
+        assert len(builds) == 2
 
     def test_white_noise_autocorrelation(self):
         spec = VarmaSpec(a=[np.zeros((2, 2)), np.zeros((2, 2))], gamma=[1, 1])

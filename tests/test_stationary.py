@@ -138,6 +138,24 @@ class TestCrossCovariance:
         backward = cross_covariance(ss, [b], [a]).matrix[0, 0]
         assert forward == pytest.approx(backward, abs=1e-14)
 
+    def test_gather_reads_the_autocovariance_entries(self):
+        # one gather over the stacked lag table reads the very entries of
+        # autocov(tu - tv)[cu, cv], for either sign of the lag, repeated
+        # nodes, shrinking and growing spans, and empty node lists
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            spec = random_stable_spec(rng, d=3)
+            ss = solve_stationary(spec)
+            for span in (6, 2, 9):
+                pool = [endo(i, t) for t in range(-span, 1) for i in range(3)]
+                u = [pool[k] for k in rng.integers(0, len(pool), 5)]
+                v = [pool[k] for k in rng.integers(0, len(pool), 4)]
+                expected = [[ss.autocov(a.time - b.time)[a.component, b.component]
+                             for b in v] for a in u]
+                assert np.array_equal(cross_covariance(ss, u, v).matrix, expected)
+            assert cross_covariance(ss, [], v).matrix.shape == (0, 4)
+            assert cross_covariance(ss, u, []).matrix.shape == (5, 0)
+
     def test_innovation_nodes_rejected(self, varma_lagged_spec):
         ss = solve_stationary(varma_lagged_spec)
         with pytest.raises(ModelError, match="endogenous"):
