@@ -43,7 +43,6 @@ from .model import (
     marginalized_admg_window,
     remove_instantaneous,
     rewritten_full_time_window,
-    save_spec,
     spec_from_json,
     spec_to_json,
     validate,

@@ -146,7 +146,7 @@ def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:
 
     Row t of the result stacks data[t + time(v), component(v)] over the nodes,
     for every anchor t where all references fall inside the series; the first
-    max-lag-span rows are dropped.
+    max-lag-span rows are dropped. Each column is contiguous in memory.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim == 1:
@@ -164,20 +164,13 @@ def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:
     n_eff = n - span
     if n_eff <= 0:
         raise EstimationError(f"series of length {n} too short for lag span {span}")
-    # anchor the latest reference on rows span..n-1
-    out = np.empty((n_eff, len(nodes)))
+    # anchor the latest reference on rows span..n-1, one contiguous row per
+    # node, so the design is the transpose of a (nodes, n_eff) buffer
+    rows = np.empty((len(nodes), n_eff))
     for j, v in enumerate(nodes):
-        offset = v.time - t_hi  # <= 0
-        start = span + offset
-        out[:, j] = data[start:start + n_eff, v.component]
-    return out
-
-
-def _residualize(block: np.ndarray, controls: Optional[np.ndarray]) -> np.ndarray:
-    if controls is None or controls.shape[1] == 0:
-        return block
-    coef, *_ = np.linalg.lstsq(controls, block, rcond=None)
-    return block - controls @ coef
+        start = span + v.time - t_hi
+        rows[j] = data[start:start + n_eff, v.component]
+    return rows.T
 
 
 def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
@@ -199,27 +192,23 @@ def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
     if data.ndim == 1:
         data = data[:, None]
     nodes = (query.y, *query.x_set, *query.i_set, *query.b_set)
-    design = lagged_design(data, nodes)
-    n_eff = design.shape[0]
+    rows = lagged_design(data, nodes).T  # one contiguous row per node
+    n_eff = rows.shape[1]
     n_regressors = len(query.x_set) + len(query.b_set)
     if n_eff <= n_regressors + 1:
         raise EstimationError(
             f"{n_eff} usable rows are too few for {n_regressors} regressors")
-    design = design - design.mean(axis=0)
+    rows -= rows.mean(axis=1, keepdims=True)
 
-    ny, nx, ni = 1, len(query.x_set), len(query.i_set)
-    y_block = design[:, :ny]
-    x_block = design[:, ny:ny + nx]
-    i_block = design[:, ny + nx:ny + nx + ni]
-    b_block = design[:, ny + nx + ni:]
-    controls = b_block if b_block.shape[1] else None
+    nx, ni = len(query.x_set), len(query.i_set)
+    resid, controls = rows[:1 + nx + ni], rows[1 + nx + ni:]
+    if len(controls):
+        coef, *_ = np.linalg.lstsq(controls.T, resid.T, rcond=None)
+        resid = resid - coef.T @ controls
+    r_y, r_x, r_i = resid[:1], resid[1:1 + nx], resid[1 + nx:]
 
-    r_y = _residualize(y_block, controls)
-    r_x = _residualize(x_block, controls)
-    r_i = _residualize(i_block, controls)
-
-    s_yi = r_y.T @ r_i / n_eff
-    s_xi = r_x.T @ r_i / n_eff
+    s_yi = r_y @ r_i.T / n_eff
+    s_xi = r_x @ r_i.T / n_eff
     rank = numerical_rank(s_xi)
     if rank < nx:
         raise EstimationError(

@@ -449,9 +449,3 @@ def spec_from_json(data: dict) -> VarmaSpec:
 def load_spec(path: str) -> VarmaSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return spec_from_json(json.load(fh))
-
-
-def save_spec(spec: VarmaSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_json(spec), fh, indent=2)
-        fh.write("\n")

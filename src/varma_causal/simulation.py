@@ -33,42 +33,85 @@ def default_burn_in(spec: VarmaSpec) -> int:
     return 50 * (spec.p + spec.q) + 100
 
 
-# steps per block of the simulation recursion, chosen by measurement: 200k
-# steps at d = 2-3 on a 2-core x86_64 machine with one OpenBLAS thread took
-# 0.13-0.16 s at 16 steps, 0.06-0.08 s at 64 and 0.09-0.24 s at 256 (the
-# Toeplitz product per step grows with the block, the Python overhead per
-# step shrinks)
-_BLOCK = 64
+# floats per block of driving terms at every level of the simulation
+# recursion, so a level's operators hold about _BLOCK_WIDTH² floats whatever
+# its dimension. Chosen by measurement on a 2-core x86_64 machine with one
+# OpenBLAS thread: 200k steps took 29/22/26 ms at widths 64/128/256 for
+# d = 2, p = 1, 40/35/38 ms for d = 3, p = 2 and 83/79/88 ms for d = 8,
+# p = 2; 20k steps at d = 32, p = 2 took 47/36/34 ms
+_BLOCK_WIDTH = 128
 
 
-def _block_operators(spec: VarmaSpec):
-    """Toeplitz impulse-response matrix T and carry matrix G of one block.
+def _level_operators(comp: np.ndarray, lags: int):
+    """Block operators of a VAR(lags) whose companion matrix is comp.
 
-    With F the companion matrix of the rewrite's lags C A1..C Ap, block
-    (j, i) of T is H_(j-i), the top-left d x d block of F^(j-i) (zero above
-    the diagonal), and rows j*d..(j+1)*d of G are the top d rows of F^(j+1).
-    A block of L steps whose driving terms are u (flattened row by row) and
-    whose companion state before the block is z then reads T u + G z. Built
-    on first use and cached, read-only, on the spec next to its rewrite.
+    With dim = rows of comp / lags, a block has L = max(lags, 2,
+    _BLOCK_WIDTH // dim) steps. Block (j, i) of the Toeplitz matrix T is
+    H_(j-i), the top-left dim x dim block of comp^(j-i) (zero above the
+    diagonal), and rows j*dim..(j+1)*dim of the carry matrix G are the top
+    dim rows of comp^(j+1). A block whose driving terms are u (flattened row
+    by row) and whose companion state before it is z then reads T u + G z.
+    Returns (T, G, L, lags), read-only.
     """
-    if "blocks" in spec._compiled:
-        return spec._compiled["blocks"]
-    d = spec.d
-    comp = companion_matrix(remove_instantaneous(spec).ar)
-    top = np.eye(d, comp.shape[0])
-    carry = np.empty((_BLOCK, d, comp.shape[0]))
-    for j in range(_BLOCK):
+    dim = comp.shape[0] // lags
+    length = max(lags, 2, _BLOCK_WIDTH // dim)
+    top = np.eye(dim, comp.shape[0])
+    carry = np.empty((length, dim, comp.shape[0]))
+    for j in range(length):
         top = top @ comp
         carry[j] = top
-    impulse = np.concatenate([np.eye(d)[None], carry[:-1, :, :d]])
-    lag = np.arange(_BLOCK)[:, None] - np.arange(_BLOCK)[None, :]
+    impulse = np.concatenate([np.eye(dim)[None], carry[:-1, :, :dim]])
+    lag = np.arange(length)[:, None] - np.arange(length)[None, :]
     toeplitz = impulse[np.maximum(lag, 0)] * (lag >= 0)[:, :, None, None]
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(_BLOCK * d, _BLOCK * d)
-    blocks = (toeplitz, carry.reshape(_BLOCK * d, comp.shape[0]))
-    for arr in blocks:
+    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(length * dim, length * dim)
+    carry = carry.reshape(length * dim, comp.shape[0])
+    for arr in (toeplitz, carry):
         arr.setflags(write=False)
-    spec._compiled["blocks"] = blocks
-    return blocks
+    return toeplitz, carry, length, lags
+
+
+def _block_operators(spec: VarmaSpec, level: int):
+    """Operators of recursion level ``level``, built on first use and cached.
+
+    Level 0 is the rewrite's VAR part, with the companion matrix F of its
+    lags C A1..C Ap. Level k+1 is the recurrence of the companion states at
+    the block boundaries of level k, a VAR(1) whose matrix is F_k^(L_k); its
+    rows are the top rows of F_k^(L_k), ..., F_k^(L_k-lags+1), read off the
+    carry matrix of level k. The levels are cached, read-only, on the spec
+    next to its rewrite.
+    """
+    levels = spec._compiled.setdefault("blocks", [])
+    while len(levels) <= level:
+        if levels:
+            _, carry, length, lags = levels[-1]
+            dim = carry.shape[1]
+            comp = carry.reshape(length, -1, dim)[::-1][:lags].reshape(dim, dim)
+            levels.append(_level_operators(comp, 1))
+        else:
+            ar = remove_instantaneous(spec).ar
+            levels.append(_level_operators(companion_matrix(ar), len(ar)))
+    return levels[level]
+
+
+def _var_solve(u: np.ndarray, spec: VarmaSpec, level: int = 0) -> np.ndarray:
+    """The level's VAR recursion driven by the rows of u, from zero state.
+
+    One product gives every block's response from zero state; the companion
+    states at the block boundaries solve the next level's recursion, driven
+    by those responses' end states; one more product adds their carries.
+    """
+    toeplitz, carry, length, lags = _block_operators(spec, level)
+    m, dim = u.shape
+    if m <= length:
+        return (toeplitz[:m * dim, :m * dim] @ u.reshape(-1)).reshape(m, dim)
+    blocks = -(-m // length)
+    resp = np.zeros((blocks, length * dim))
+    resp.reshape(-1, dim)[:m] = u
+    resp = resp @ toeplitz.T
+    # companion state after each block from zero state: its last rows, newest first
+    ends = resp.reshape(blocks, length, dim)[:, ::-1][:, :lags].reshape(blocks, lags * dim)
+    resp[1:] += _var_solve(ends[:-1], spec, level + 1) @ carry.T
+    return resp.reshape(-1, dim)[:m]
 
 
 @dataclass(frozen=True)
@@ -91,12 +134,14 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     """Iterate the process recursion and return n rows after burn-in.
 
     Uses the rewrite without instantaneous effects, with the MA part
-    vectorized up front. The VAR recursion runs in blocks of 64 steps, one
-    matrix product per block (impulse responses applied to the block's
-    driving terms plus the carry of the state before it); it equals the
-    per-step recursion up to rounding. The series starts from zero, and the
-    burn-in (default 50(p+q)+100 steps) only damps that start by rho^burn
-    for spectral radius rho: near the unit root the transient remains.
+    vectorized up front. The VAR recursion is solved blockwise in a few
+    matrix products: one gives every block's response from zero state, the
+    companion states at the block boundaries solve the same kind of
+    recursion one level up (recursively, until one block is left), and one
+    more adds their carries. It equals the per-step recursion up to
+    rounding. The series starts from zero, and the burn-in (default
+    50(p+q)+100 steps) only damps that start by rho^burn for spectral
+    radius rho: near the unit root the transient remains.
     """
     spec = config.spec
     rw = remove_instantaneous(spec)
@@ -120,19 +165,10 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     driven = eps @ rw.ice.T
     for lag, mat in enumerate(rw.ma_eps, start=1):
         driven[lag:] += eps[:-lag] @ mat.T
+    del eps  # freed before the solve, which holds two more full-length arrays
 
-    series = driven  # overwritten block by block with the process values
-    if rw.ar:
-        p = len(rw.ar)
-        toeplitz, carry = _block_operators(spec)
-        state = np.zeros(p * d)
-        for start in range(0, total, _BLOCK):
-            block = series[start:start + _BLOCK].reshape(-1)
-            m = block.size
-            past = series[max(start - p, 0):start][::-1].reshape(-1)
-            state[:past.size] = past
-            block[:] = toeplitz[:m, :m] @ block + carry[:m] @ state
-    if not np.all(np.isfinite(series)) or np.max(np.abs(series)) > 1e12:
+    series = _var_solve(driven, spec) if rw.ar else driven
+    if not np.max(np.abs(series)) <= 1e12:  # also rejects NaN and infinities
         raise EstimationError(
             "simulation diverged; re-check the stability of the specification")
     return series[burn:]
@@ -220,11 +256,11 @@ def _phi(x: float) -> float:
 def fisher_z_pvalue(data: np.ndarray, a: TimedNode, c: TimedNode,
                     b: Sequence[TimedNode] = ()) -> float:
     """Fisher-z partial-correlation test of a ⫫ c | b on lagged observations."""
-    design = lagged_design(data, (a, c, *b))
-    design = design - design.mean(axis=0)
-    n = design.shape[0]
-    controls = design[:, 2:]
-    xa, xc = design[:, 0], design[:, 1]
+    rows = lagged_design(data, (a, c, *b)).T  # one contiguous row per node
+    rows -= rows.mean(axis=1, keepdims=True)
+    n = rows.shape[1]
+    controls = rows[2:].T
+    xa, xc = rows[0], rows[1]
     if controls.shape[1]:
         coef_a, *_ = np.linalg.lstsq(controls, xa, rcond=None)
         coef_c, *_ = np.linalg.lstsq(controls, xc, rcond=None)
@@ -336,9 +372,11 @@ def faithfulness_check(spec: VarmaSpec, query: SeparationQuery,
 
     A faithfulness violation is an m-connected query whose population
     conditional covariance vanishes at tolerance ``tol`` (non-degenerate).
-    The tolerance gate is an engineering stand-in for an exact-zero event that
-    is almost surely null under continuous coefficient sampling; no
-    principled finite-precision threshold exists.
+    The tolerance gate is an engineering stand-in for an exact zero, and no
+    principled finite-precision threshold exists. Exact zeros are not always
+    null events: because coefficients are tied across time, two open paths
+    can cancel for every coefficient value (in X_t = a X_(t-2) + e_t +
+    b e_(t-1), Cov(X@-5, X@-2 | X@-3) = 0 although the query is connected).
     """
     ss = ss or solve_stationary(spec)
     result, _, stabilized = stable_marginal_separation(spec, query)
@@ -431,9 +469,11 @@ def run_faithfulness_experiment(sampler, trials: int, queries_per_trial: int,
                                 seed: int = 0, mode: str = "population") -> ExperimentReport:
     """Count m-connected queries whose conditional covariance vanishes.
 
-    Under absolutely continuous coefficient sampling these events have
-    probability zero in exact arithmetic; the report's violation rate should
-    sit near zero, with near-cancellations possible at finite precision.
+    Under continuous coefficient sampling most such events have probability
+    zero, but not all: a structural zero, where paths cancel for every value
+    of coefficients tied across time (see :func:`faithfulness_check`), is
+    counted whenever its support is drawn. Near-cancellations at finite
+    precision are counted too, so the rate is small, not zero.
     """
     return _run_experiment("faithfulness", sampler, trials, queries_per_trial,
                            window, tol, seed, mode)

@@ -1,12 +1,24 @@
-"""Reference separation deciders, kept apart from the library as test oracles.
+"""Reference implementations, kept apart from the library as test oracles.
 
 ``m_separated_oracle`` enumerates simple paths and ``d_separated_moral``
 applies the moralized-ancestral-graph criterion. Of the library's separation
 core they share only the ancestor sets of ``DirectedMixedGraph``.
+
+``estimate_from_data`` is the row-major IV estimator the library used before
+it built its design one node row at a time: an n x k design, centred into a
+copy, residualized one block at a time. It shares only the weighted solve and
+the rank routine with the library.
 """
 
-from varma_causal.errors import GraphError
-from varma_causal.graphs import DirectedMixedGraph, SeparationQuery, UndirectedGraph
+from typing import Optional, Sequence
+
+import numpy as np
+
+from varma_causal.errors import EstimationError, GraphError, ModelError
+from varma_causal.graphs import (
+    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, UndirectedGraph)
+from varma_causal.iv import IvQuery, IvResult, _weighted_solve
+from varma_causal.stationary import numerical_rank
 
 
 def moralize(g: DirectedMixedGraph) -> UndirectedGraph:
@@ -76,3 +88,90 @@ def d_separated_moral(g: DirectedMixedGraph, query: SeparationQuery) -> bool:
         raise GraphError("moralization-based check requires a DAG")
     ancestral = g.subgraph(g.ancestors((*query.a, *query.b, *query.c)))
     return moralize(ancestral).separated(query.a, query.c, query.b)
+
+
+def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:
+    """Observation matrix for nodes given as (component, lag) references.
+
+    Row t of the result stacks data[t + time(v), component(v)] over the nodes,
+    for every anchor t where all references fall inside the series; the first
+    max-lag-span rows are dropped.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    n, d = data.shape
+    nodes = tuple(nodes)
+    for v in nodes:
+        if v.kind != ENDOGENOUS:
+            raise ModelError(f"data designs are over endogenous nodes; got {v!r}")
+        if not 0 <= v.component < d:
+            raise ModelError(f"component {v.component} outside data with {d} columns")
+    times = [v.time for v in nodes]
+    t_hi = max(times)
+    span = t_hi - min(times)
+    n_eff = n - span
+    if n_eff <= 0:
+        raise EstimationError(f"series of length {n} too short for lag span {span}")
+    # anchor the latest reference on rows span..n-1
+    out = np.empty((n_eff, len(nodes)))
+    for j, v in enumerate(nodes):
+        offset = v.time - t_hi  # <= 0
+        start = span + offset
+        out[:, j] = data[start:start + n_eff, v.component]
+    return out
+
+
+def _residualize(block: np.ndarray, controls: Optional[np.ndarray]) -> np.ndarray:
+    if controls is None or controls.shape[1] == 0:
+        return block
+    coef, *_ = np.linalg.lstsq(controls, block, rcond=None)
+    return block - controls @ coef
+
+
+def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
+    """Closed-form weighted IV estimate from an observed series.
+
+    Builds lagged blocks for Y, X, I, B from overlapping windows, centers
+    them, replaces each block by its OLS residuals on B (centering only when B
+    is empty), and evaluates
+    beta = E^[r_Y r_I'] W E^[r_I r_X'] (E^[r_X r_I'] W E^[r_I r_X'])^(-1).
+    A sample moment matrix E^[r_X r_I'] of numerical rank below dim(X)
+    raises :class:`EstimationError`.
+
+    Linear residualization equals the conditional expectation on B under the
+    Gaussian stationary law; for non-Gaussian innovations it is only the best
+    linear approximation, and the estimator targets the linearly-residualized
+    moment equation.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim == 1:
+        data = data[:, None]
+    nodes = (query.y, *query.x_set, *query.i_set, *query.b_set)
+    design = lagged_design(data, nodes)
+    n_eff = design.shape[0]
+    n_regressors = len(query.x_set) + len(query.b_set)
+    if n_eff <= n_regressors + 1:
+        raise EstimationError(
+            f"{n_eff} usable rows are too few for {n_regressors} regressors")
+    design = design - design.mean(axis=0)
+
+    ny, nx, ni = 1, len(query.x_set), len(query.i_set)
+    y_block = design[:, :ny]
+    x_block = design[:, ny:ny + nx]
+    i_block = design[:, ny + nx:ny + nx + ni]
+    b_block = design[:, ny + nx + ni:]
+    controls = b_block if b_block.shape[1] else None
+
+    r_y = _residualize(y_block, controls)
+    r_x = _residualize(x_block, controls)
+    r_i = _residualize(i_block, controls)
+
+    s_yi = r_y.T @ r_i / n_eff
+    s_xi = r_x.T @ r_i / n_eff
+    rank = numerical_rank(s_xi)
+    if rank < nx:
+        raise EstimationError(
+            f"sample moment matrix E^[r_X r_I'] is singular (rank {rank} < dim(X) = {nx})")
+    beta, residual = _weighted_solve(s_yi, s_xi, query.weight_or_identity())
+    return IvResult(beta, residual, None, int(n_eff))

@@ -20,6 +20,7 @@ from varma_causal import (
     simulate,
     total_causal_effect,
 )
+from reference import estimate_from_data as row_major_estimate
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -186,6 +187,24 @@ class TestEstimateFromData:
         query = IvQuery(endo(0, 0), (endo(0, -1),), (endo(0, -2),))
         with pytest.raises(EstimationError, match="singular"):
             estimate_from_data(np.ones((100, 1)), query)
+
+    @pytest.mark.parametrize("instruments, b, weight", [
+        # B empty, over-identified so the moment residual is not rounding noise
+        ((endo(X, -2), endo(Y, -2), endo(X, -3)), (), None),
+        # B non-empty: the query of test_conditional_iv_configuration_consistent
+        ((endo(X, -2), endo(Y, -2)), (endo(Y, -3),), None),
+        # a non-identity weight
+        ((endo(X, -2), endo(Y, -2), endo(X, -3)), (),
+         np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])),
+    ])
+    def test_matches_row_major_reference(self, varma_lagged_spec, instruments, b, weight):
+        series = simulate(SimulationConfig(varma_lagged_spec, n=20_000, seed=7))
+        query = IvQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1)), instruments, b, weight)
+        new, ref = estimate_from_data(series, query), row_major_estimate(series, query)
+        assert new.sample_size == ref.sample_size
+        assert np.max(np.abs(new.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
+        # exactly identified queries leave a residual at rounding level on both sides
+        assert np.isclose(new.moment_residual, ref.moment_residual, rtol=1e-12, atol=1e-15)
 
     def test_conditional_iv_configuration_consistent(self, varma_lagged_spec):
         # nonempty conditioning set passing all three conditions

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from varma_causal import (
     endo,
     faithfulness_check,
     fisher_z_pvalue,
+    population_ci,
     remove_instantaneous,
     run_faithfulness_experiment,
     run_gmp_experiment,
     sample_stable_spec,
     simulate,
     solve_stationary,
+    stable_marginal_separation,
     validate,
 )
 from varma_causal.simulation import default_burn_in
@@ -139,6 +143,23 @@ class TestSimulate:
         assert np.array_equal(series[1], simulate(SimulationConfig(make(), n=300, seed=2)))
         assert len(builds) == 2
 
+    def test_block_operators_memory_bounded(self):
+        # every level's operators hold about (128 floats)² whatever d, so a
+        # d = 32, p = 2 spec keeps well under 4 MB after 20k steps
+        spec = sample_stable_spec(CoefficientSampler(d=32, p=2, q=1), 0)
+        remove_instantaneous(spec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            simulate(SimulationConfig(spec, n=20_000, seed=1))
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        cached = sum(arr.nbytes for toeplitz, carry, *_ in spec._compiled["blocks"]
+                     for arr in (toeplitz, carry))
+        assert cached < 4e6
+        assert kept < 4e6
+
     def test_white_noise_autocorrelation(self):
         spec = VarmaSpec(a=[np.zeros((2, 2)), np.zeros((2, 2))], gamma=[1, 1])
         series = simulate(SimulationConfig(spec, n=20_000, seed=5))
@@ -184,6 +205,28 @@ class TestSimulate:
         with pytest.raises(EstimationError, match="diverged"):
             simulate(SimulationConfig(varma_lagged_spec, n=100, seed=1,
                                       innovation_law=explosive_law))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_innovations_detected(self, varma_lagged_spec, value):
+        with pytest.raises(EstimationError, match="diverged"):
+            simulate(SimulationConfig(varma_lagged_spec, n=100, seed=1,
+                                      innovation_law=lambda rng, n, d: np.full((n, d), value)))
+
+    @pytest.mark.parametrize("value, diverged", [
+        (1e12, False), (-1e12, False), (np.nextafter(1e12, np.inf), True),
+        (-np.nextafter(1e12, np.inf), True)])
+    def test_divergence_threshold_edge(self, value, diverged):
+        # without lags the series is the innovations exactly, so the check
+        # sees the law's value: |x| up to 1e12 passes, anything above fails
+        spec = VarmaSpec(a=[np.zeros((2, 2))], gamma=[1, 1])
+        config = SimulationConfig(spec, n=50, seed=1, burn_in=0,
+                                  innovation_law=lambda rng, n, d: np.full((n, d), value))
+        if diverged:
+            with pytest.raises(EstimationError, match="diverged"):
+                simulate(config)
+        else:
+            assert np.all(simulate(config) == value)
 
     def test_invalid_spec_rejected(self):
         spec = VarmaSpec(a=[[[0.0]], [[1.2]]], gamma=[1.0])
@@ -316,7 +359,50 @@ class TestExperiments:
         assert len(lines) == 1 + len(report.records)
 
 
+class TestStructuralZero:
+    """X_t = a X_(t-2) + e_t + b e_(t-1): a connected query whose conditional
+    covariance vanishes for every (a, b), because the coefficients are tied
+    across time. Faithfulness fails on it structurally, not by chance."""
+
+    QUERY = SeparationQuery([endo(0, -5)], [endo(0, -3)], [endo(0, -2)])
+
+    @pytest.mark.parametrize("a, b", [("0.7", "0.5"), ("0.2", "-0.9"), ("-0.382", "-0.055")])
+    def test_connected_yet_exactly_independent(self, a, b):
+        a, b = Fraction(a), Fraction(b)
+        spec = VarmaSpec(a=[[[0.0]], [[0.0]], [[float(a)]]], b=[[[float(b)]]], gamma=[1.0])
+        result, _, stabilized = stable_marginal_separation(spec, self.QUERY)
+        assert not result.separated and stabilized
+        # X@-5 -> X@-3 <-> X@-2, open at the conditioned collider X@-3
+        assert result.witness == (endo(0, -5), endo(0, -3), endo(0, -2))
+
+        # Yule-Walker with unit innovation variance: E[X_t e_t] = 1 and
+        # E[X_t e_(t-1)] = b give g0 = a g2 + 1 + b², g1 = a g1 + b,
+        # g2 = a g0 and g3 = a g1
+        g1 = b / (1 - a)
+        g0 = (1 + b * b) / (1 - a * a)
+        g2, g3 = a * g0, a * g1
+        ss = solve_stationary(spec)
+        for h, exact in enumerate((g0, g1, g2, g3)):
+            assert abs(ss.autocov(h)[0, 0] - float(exact)) <= 1e-12 * float(g0)
+        # Cov(X@-5, X@-2 | X@-3) = g3 - g2 g1 / g0 = a g1 - a g0 g1 / g0
+        assert g3 - g2 * g1 / g0 == 0
+        assert g3 != 0  # unconditionally the two are dependent
+
+        assert population_ci(ss, self.QUERY).independent
+        assert faithfulness_check(spec, self.QUERY)[2]  # flagged as a violation
+
+
 class TestFisherZ:
+    @pytest.mark.parametrize("a, c, b, expected", [
+        (endo(X, 0), endo(Y, 0), (endo(X, -1), endo(Y, -1)), 0.0478729128104014),
+        (endo(Y, 0), endo(X, -3), (endo(Y, -1),), 0.03005141544855716)])
+    def test_fixed_series_values(self, varma_lagged_spec, a, c, b, expected):
+        # p-values as computed from an n x k row-major design, on a series
+        # from the per-step reference loop: neither the design's memory
+        # layout nor the simulation recursion may move them
+        series = per_step_simulation(SimulationConfig(varma_lagged_spec, n=3_000, seed=31))
+        assert abs(fisher_z_pvalue(series, a, c, b) - expected) <= 1e-12 * expected
+
     def test_detects_dependence_and_independence(self, varma_lagged_spec):
         series = simulate(SimulationConfig(varma_lagged_spec, n=20_000, seed=31))
         dependent = fisher_z_pvalue(series, endo(X, 0), endo(X, -1))
