@@ -13,7 +13,7 @@ integer-coded separation core of ``graphs`` on the spec's compiled templates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -182,6 +182,11 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
     return _deepening_separation(spec, query, nodes, max(v.time for v in nodes), t_min)
 
 
+def _field_dict(result, **converted) -> dict:
+    """A result's fields by name in declaration order; ``converted`` values replace stored ones."""
+    return {**{f.name: getattr(result, f.name) for f in fields(result)}, **converted}
+
+
 @dataclass(frozen=True)
 class IvConditionReport:
     """Graph- and moment-side conditions for IV identification of a total effect.
@@ -206,17 +211,8 @@ class IvConditionReport:
     witness: Optional[tuple[TimedNode, ...]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "instrument_separated": self.instrument_separated,
-            "confounding_free": self.confounding_free,
-            "rank": self.rank,
-            "rank_ok": self.rank_ok,
-            "under_identified": self.under_identified,
-            "all_hold": self.all_hold,
-            "window_used": list(self.window_used),
-            "stabilized": self.stabilized,
-            "witness": [list(v) for v in self.witness] if self.witness else None,
-        }
+        return _field_dict(self, window_used=list(self.window_used),
+                           witness=[list(v) for v in self.witness] if self.witness else None)
 
 
 def _query_sets(y, x_set, i_set, b_set):

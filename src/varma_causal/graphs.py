@@ -184,6 +184,10 @@ class DirectedMixedGraph:
             for k, v in enumerate(self.nodes)))
 
     def _build_incident(self):
+        """Edges at each node in the order that breaks witness ties: directed
+        edges by (tail, head) under ``node_sort_key``, time first; then the
+        time-sorted bi-directed pairs compared as ``TimedNode`` tuples,
+        component first. ``model._MarginalizedAdmg`` templates share this rule."""
         incident = {v: [] for v in self.nodes}
         for tail, head in sorted(self.directed, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))):
             incident[tail].append((head, False, True))

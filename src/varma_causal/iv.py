@@ -17,7 +17,7 @@ import numpy as np
 from .errors import EstimationError, ModelError, UnderIdentifiedError
 from .graphs import ENDOGENOUS, TimedNode, endo
 from .model import VarmaSpec
-from .effects import IvConditionReport, _iv_report, _query_sets
+from .effects import IvConditionReport, _field_dict, _iv_report, _query_sets
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
 
@@ -91,12 +91,8 @@ class IvResult:
     sample_size: Union[int, str]
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta.tolist(),
-            "moment_residual": self.moment_residual,
-            "conditions": self.conditions.to_dict() if self.conditions else None,
-            "sample_size": self.sample_size,
-        }
+        return _field_dict(self, beta=self.beta.tolist(),
+                           conditions=self.conditions.to_dict() if self.conditions else None)
 
 
 def _weighted_solve(s_yi: np.ndarray, s_xi: np.ndarray, w: np.ndarray):

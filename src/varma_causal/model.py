@@ -122,16 +122,6 @@ class ValidationReport:
     passed: bool
     messages: tuple[str, ...]
 
-    def to_dict(self):
-        return {
-            "instantaneous_acyclic": self.instantaneous_acyclic,
-            "topological_order": list(self.topological_order) if self.topological_order else None,
-            "spectral_radius": self.spectral_radius,
-            "gamma_positive": self.gamma_positive,
-            "passed": self.passed,
-            "messages": list(self.messages),
-        }
-
 
 def validate(spec: VarmaSpec, allow_zero_variance: bool = False) -> ValidationReport:
     """Check instantaneous acyclicity, stability and innovation variances.
@@ -302,7 +292,9 @@ class _MarginalizedAdmg(_CodedGraph):
     loadings C, C B1..C Bq with C = (I - A0)^(-1). The graph is translation
     invariant, so component i keeps one template: the edges at S_i@0 as
     (component, time offset, head here, head there, coefficient), in the
-    order of ``DirectedMixedGraph._incident``, which breaks witness ties.
+    witness tie-break order of ``DirectedMixedGraph._build_incident``:
+    directed edges by (tail, head) under ``node_sort_key``, time first; then
+    time-sorted bi-directed pairs as ``TimedNode`` tuples, component first.
     The separation core reads the same templates integer-coded, period d:
     S_i@t is t·d + i and the edge to S_j@(t+k) has offset k·d + j - i.
     """

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import EstimationError, ModelError
 from .graphs import SeparationQuery, TimedNode, endo
 from .model import VarmaSpec, companion_matrix, remove_instantaneous
 from .stationary import CI_DEFAULT_TOL, StateSpaceForm, population_ci, solve_stationary
-from .effects import stable_marginal_separation
+from .effects import _field_dict, stable_marginal_separation
 from .iv import lagged_design
 
 
@@ -160,6 +160,8 @@ def simulate(config: SimulationConfig) -> np.ndarray:
         eps = np.asarray(config.innovation_law(rng, total, d), dtype=float)
         if eps.shape != (total, d):
             raise ModelError(f"innovation law must return shape {(total, d)}")
+        if not np.isfinite(eps).all():
+            raise EstimationError("simulation diverged: non-finite innovation draws")
     eps = eps * np.sqrt(spec.gamma)
 
     driven = eps @ rw.ice.T
@@ -291,18 +293,8 @@ class QueryRecord:
     p_value: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "a": [list(v)[:2] for v in self.a],
-            "b": [list(v)[:2] for v in self.b],
-            "c": [list(v)[:2] for v in self.c],
-            "separated": self.separated,
-            "stabilized": self.stabilized,
-            "magnitude": self.magnitude,
-            "degenerate": self.degenerate,
-            "violation": self.violation,
-            "p_value": self.p_value,
-        }
+        nodes = lambda vs: [[v.component, v.time] for v in vs]
+        return _field_dict(self, a=nodes(self.a), b=nodes(self.b), c=nodes(self.c))
 
 
 @dataclass(frozen=True)
@@ -316,21 +308,11 @@ class ExperimentReport:
     window: int
     tol: float
     mode: str
-    records: tuple[QueryRecord, ...]
     summary: dict
+    records: tuple[QueryRecord, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "trials": self.trials,
-            "queries_per_trial": self.queries_per_trial,
-            "window": self.window,
-            "tol": self.tol,
-            "mode": self.mode,
-            "summary": self.summary,
-            "records": [r.to_dict() for r in self.records],
-        }
+        return _field_dict(self, records=[r.to_dict() for r in self.records])
 
     def save_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -338,10 +320,8 @@ class ExperimentReport:
             fh.write("\n")
 
     def save_csv(self, path: str) -> None:
-        fields = ["trial", "a", "b", "c", "separated", "stabilized",
-                  "magnitude", "degenerate", "violation", "p_value"]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
+            writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(QueryRecord)])
             writer.writeheader()
             for rec in self.records:
                 row = rec.to_dict()
@@ -390,20 +370,15 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
     if mode not in ("population", "empirical"):
         raise ModelError(f"unknown experiment mode {mode!r}")
 
-    def make_spec(rng):
-        if callable(sampler):
-            return sampler(rng)
-        return sample_stable_spec(sampler, rng)
-
-    def worker(trial: int) -> list[QueryRecord]:
+    records = []
+    for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
-        spec = make_spec(rng)
+        spec = sampler(rng) if callable(sampler) else sample_stable_spec(sampler, rng)
         ss = solve_stationary(spec)
         series = None
         if mode == "empirical":
             series = simulate(SimulationConfig(
                 spec, n=4000, seed=int(rng.integers(0, 2**63 - 1))))
-        records = []
         for _ in range(queries_per_trial):
             query = _draw_query(rng, spec.d, window)
             separated, ci, violation, stabilized = faithfulness_check(spec, query, tol, ss)
@@ -425,9 +400,6 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
                 violation=violation,
                 p_value=p_value,
             ))
-        return records
-
-    records = tuple(rec for trial in range(trials) for rec in worker(trial))
 
     separated = [r for r in records if r.separated]
     connected = [r for r in records if not r.separated]
@@ -451,7 +423,7 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
     }
     return ExperimentReport(
         kind=kind, seed=seed, trials=trials, queries_per_trial=queries_per_trial,
-        window=window, tol=tol, mode=mode, records=records, summary=summary)
+        window=window, tol=tol, mode=mode, summary=summary, records=tuple(records))
 
 
 def run_gmp_experiment(sampler, trials: int, queries_per_trial: int,

@@ -123,6 +123,22 @@ class TestIvCommand:
         assert payload["sample_size"] == "population"
         assert payload["conditions"]["all_hold"] is True
 
+    def test_output_layout(self, capsys, model_path):
+        # X@-2 -> Y@-1 -> Y@0 leaves the instrument connected: a witness is printed
+        code, out, _ = run_cli(capsys, "iv", "-m", model_path, "--y", "Y@0",
+                               "--x", "X@-1", "--i", "X@-2")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["beta", "moment_residual", "conditions", "sample_size"]
+        assert list(payload["conditions"]) == [
+            "instrument_separated", "confounding_free", "rank", "rank_ok",
+            "under_identified", "all_hold", "window_used", "stabilized", "witness"]
+        assert payload["conditions"]["witness"] == [
+            [0, -2, "endogenous"], [1, -1, "endogenous"], [1, 0, "endogenous"]]
+        code, out, _ = run_cli(capsys, "iv", "-m", model_path, "--y", "Y@0",
+                               "--x", "X@-1", "--i", "X@-2", "--no-conditions")
+        assert code == 0 and json.loads(out)["conditions"] is None
+
     def test_data_mode(self, capsys, tmp_path, model_path):
         sim_path = tmp_path / "series.csv"
         code, _, _ = run_cli(capsys, "simulate", "-m", model_path,
@@ -178,6 +194,26 @@ class TestExperimentCommand:
         assert payload["summary"]["violations"] == 0
         data = json.loads(report_path.read_text())
         assert data["kind"] == "gmp" and len(data["records"]) == 9
+
+
+    def test_report_and_csv_layout(self, capsys, tmp_path):
+        report_path, csv_path = tmp_path / "report.json", tmp_path / "records.csv"
+        code, _, _ = run_cli(
+            capsys, "experiment", "faithfulness", "--mode", "empirical", "--trials", "1",
+            "--queries-per-trial", "2", "--seed", "4",
+            "-o", str(report_path), "--csv", str(csv_path))
+        assert code == 0
+        data = json.loads(report_path.read_text())
+        assert list(data) == ["kind", "seed", "trials", "queries_per_trial", "window",
+                              "tol", "mode", "summary", "records"]
+        record = data["records"][0]
+        assert list(record) == ["trial", "a", "b", "c", "separated", "stabilized",
+                                "magnitude", "degenerate", "violation", "p_value"]
+        assert all(len(node) == 2 for node in record["a"] + record["b"] + record["c"])
+        assert isinstance(record["p_value"], float)
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "trial,a,b,c,separated,stabilized,magnitude,degenerate,violation,p_value"
+        assert len(lines) == 3
 
 
 class TestUsageErrors:

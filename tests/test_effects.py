@@ -271,6 +271,20 @@ class TestStableSeparation:
         r2, _, _ = stable_marginal_separation(varma_lagged_spec, q2)
         assert r1.separated == r2.separated
 
+    @pytest.mark.parametrize("spec, first", [
+        # S0@t <-> S1@t and S0@t <-> S1@(t-1) through the MA loadings of e1
+        (VarmaSpec(a=[np.zeros((2, 2))], b=[[[0, 0.5], [0, 0.5]]], gamma=[1, 1]), endo(1, -3)),
+        # S1@t -> S0@t and S1@(t-1) -> S0@t
+        (VarmaSpec(a=[[[0, 0.5], [0, 0]], [[0, 0.5], [0, 0]]], gamma=[1, 1]), endo(1, -4)),
+    ])
+    def test_templates_break_witness_ties_like_windows(self, spec, first):
+        # compiled templates follow DirectedMixedGraph._build_incident: see
+        # test_graphs.TestWitnessTieBreak for the same pairs in a finite graph
+        q = SeparationQuery([endo(0, -3)], [], [endo(1, -3), endo(1, -4)])
+        result, window, _ = stable_marginal_separation(spec, q)
+        assert result.witness == (endo(0, -3), first)
+        assert m_separated(marginalized_admg_window(spec, *window), q) == result
+
 
 def sampled_query_specs(rng, count):
     return [sample_stable_spec(

@@ -197,6 +197,35 @@ class TestSeparation:
             m_separated_oracle(g, q, max_paths=20)
 
 
+class TestWitnessTieBreak:
+    """Incidence order breaks ties between equally short witnesses: directed
+    edges by (tail, head) under node_sort_key, time first; bi-directed pairs,
+    each time-sorted, compared as TimedNode tuples, component first."""
+
+    S0, S1_now, S1_earlier = endo(0, -3), endo(1, -3), endo(1, -4)
+    QUERY = SeparationQuery([S0], [], [S1_now, S1_earlier])
+
+    def test_bidirected_pairs_compare_component_first(self):
+        g = DirectedMixedGraph([self.S0, self.S1_now, self.S1_earlier], bidirected=[
+            (self.S0, self.S1_now), (self.S0, self.S1_earlier)])
+        # (S0@-3, S1@-3) sorts before (S1@-4, S0@-3): component 0 < 1
+        assert [w for w, _, _ in g._incident[self.S0]] == [self.S1_now, self.S1_earlier]
+        assert m_separated(g, self.QUERY).witness == (self.S0, self.S1_now)
+
+    def test_directed_edges_compare_time_first(self):
+        g = DirectedMixedGraph([self.S0, self.S1_now, self.S1_earlier], [
+            (self.S1_now, self.S0), (self.S1_earlier, self.S0)])
+        assert [w for w, _, _ in g._incident[self.S0]] == [self.S1_earlier, self.S1_now]
+        assert m_separated(g, self.QUERY).witness == (self.S0, self.S1_earlier)
+
+    def test_json_lists_bidirected_pairs_time_first(self):
+        g = DirectedMixedGraph([self.S0, self.S1_now, self.S1_earlier], bidirected=[
+            (self.S0, self.S1_now), (self.S0, self.S1_earlier)])
+        pairs = [[(d["component"], d["time"]) for d in pair]
+                 for pair in graph_to_json(g)["bidirected"]]
+        assert pairs == [[(1, -4), (0, -3)], [(0, -3), (1, -3)]]
+
+
 class TestExtension:
     def test_two_components_unique(self):
         (a, b, c), g = chain("a", "b", "c")

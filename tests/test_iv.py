@@ -53,6 +53,16 @@ class TestQueryValidation:
 
 
 class TestIdentifyPopulation:
+    def test_result_to_dict_holds_plain_lists(self, varma_lagged_spec):
+        query = IvQuery(endo(Y, 0), (endo(X, -1),), (endo(X, -2),))
+        data = identify_population(varma_lagged_spec, query).to_dict()
+        conditions = data["conditions"]
+        assert type(data["beta"]) is list and data["sample_size"] == "population"
+        assert type(conditions["window_used"]) is list
+        assert conditions["witness"] == [[X, -2, "endogenous"], [Y, -1, "endogenous"],
+                                         [Y, 0, "endogenous"]]
+        assert all(type(v) is list for v in conditions["witness"])
+
     def test_varma_lagged_beta(self, varma_lagged_spec):
         query = IvQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1)),
                         (endo(X, -2), endo(Y, -2)))

@@ -206,7 +206,6 @@ class TestSimulate:
             simulate(SimulationConfig(varma_lagged_spec, n=100, seed=1,
                                       innovation_law=explosive_law))
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_innovations_detected(self, varma_lagged_spec, value):
         with pytest.raises(EstimationError, match="diverged"):
@@ -358,6 +357,15 @@ class TestExperiments:
         lines = cpath.read_text().strip().splitlines()
         assert len(lines) == 1 + len(report.records)
 
+
+    def test_to_dict_holds_plain_lists(self):
+        sampler = CoefficientSampler(d=2, p=1, q=0, sparsity=0.5)
+        report = run_gmp_experiment(sampler, trials=1, queries_per_trial=2, seed=1)
+        data = report.to_dict()
+        assert type(data["records"]) is list and data["summary"] is report.summary
+        for rec, row in zip(report.records, data["records"]):
+            assert row["a"] == [[v.component, v.time] for v in rec.a]
+            assert all(type(node) is list for node in row["a"] + row["b"] + row["c"])
 
 class TestStructuralZero:
     """X_t = a X_(t-2) + e_t + b e_(t-1): a connected query whose conditional
