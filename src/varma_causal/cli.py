@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import VarmaCausalError, ModelError
-from .graphs import TimedNode, endo, graph_to_json, to_dot
+from .graphs import SeparationQuery, TimedNode, endo, graph_to_json, to_dot
 from .model import (
     VarmaSpec,
     full_time_window,
@@ -127,8 +127,6 @@ def _cmd_graph(args) -> int:
 
 def _cmd_separate(args) -> int:
     spec = load_spec(args.model)
-    from .graphs import SeparationQuery
-
     query = SeparationQuery(
         [parse_node_ref(r, spec) for r in args.a],
         [parse_node_ref(r, spec) for r in args.b or []],

@@ -8,7 +8,7 @@ so finite windows compute the infinite-graph quantity exactly. Separation
 has no such constructive bound; one window-deepening loop serves both
 ``stable_marginal_separation`` and the instrument condition, and reports
 carry the window actually used. The loop builds no window graph: it runs the
-integer-coded separation core of ``graphs`` on the spec's compiled templates.
+integer-coded separation core of ``graphs`` on the spec's compiled incidence.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     MAX_STABILIZATION_ROUNDS windows. With ``cut`` set, the causal edges of
     that effect query are removed first. No window is built: no edge points
     back in time, so An(a ∪ b ∪ c) in a window is the ancestor closure over
-    the compiled templates cut at its bottom code, and the search never
+    the compiled incidence cut at its bottom code, and the search never
     leaves it. Rounds decide the verdict only; the witness is searched on
     the last one.
 

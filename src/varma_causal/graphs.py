@@ -119,6 +119,21 @@ def _reach(coded: _CodedGraph, starts, offsets, floor: int, ceiling: int,
     return seen
 
 
+def _incidence(nodes, directed, bidirected) -> dict:
+    """Edges at each node as (neighbour, arrowhead here, arrowhead there), in
+    the order that breaks witness ties: directed (tail, head) pairs under
+    ``node_sort_key``, time first; then the time-sorted bi-directed pairs
+    compared as ``TimedNode`` tuples, component first."""
+    incident = {v: [] for v in nodes}
+    for tail, head in sorted(directed, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))):
+        incident[tail].append((head, False, True))
+        incident[head].append((tail, True, False))
+    for v, w in sorted(map(sorted_nodes, bidirected)):
+        incident[v].append((w, True, True))
+        incident[w].append((v, True, True))
+    return incident
+
+
 class DirectedMixedGraph:
     """Finite graph over :class:`TimedNode` with directed and bi-directed edges.
 
@@ -161,7 +176,7 @@ class DirectedMixedGraph:
             for v in pair:
                 self._require(v)
 
-        self._incident = self._build_incident()
+        self._incident = _incidence(self.nodes, self.directed, self.bidirected)
         self._order = _kahn_order(self.nodes, self.children, node_sort_key)
         if len(self._order) != len(self.nodes):
             cycle = sorted_nodes(set(self.nodes) - set(self._order))
@@ -182,21 +197,6 @@ class DirectedMixedGraph:
         return _CodedGraph(len(self.nodes), tuple(
             tuple((self._index[w] - k, here, there) for w, here, there in self._incident[v])
             for k, v in enumerate(self.nodes)))
-
-    def _build_incident(self):
-        """Edges at each node in the order that breaks witness ties: directed
-        edges by (tail, head) under ``node_sort_key``, time first; then the
-        time-sorted bi-directed pairs compared as ``TimedNode`` tuples,
-        component first. ``model._MarginalizedAdmg`` templates share this rule."""
-        incident = {v: [] for v in self.nodes}
-        for tail, head in sorted(self.directed, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))):
-            incident[tail].append((head, False, True))
-            incident[head].append((tail, True, False))
-        for pair in sorted(self.bidirected, key=lambda p: sorted_nodes(p)):
-            v, w = sorted_nodes(pair)
-            incident[v].append((w, True, True))
-            incident[w].append((v, True, True))
-        return incident
 
     # -- local neighborhoods ------------------------------------------------
 

@@ -184,9 +184,6 @@ def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
     linear approximation, and the estimator targets the linearly-residualized
     moment equation.
     """
-    data = np.asarray(data, dtype=float)
-    if data.ndim == 1:
-        data = data[:, None]
     nodes = (query.y, *query.x_set, *query.i_set, *query.b_set)
     rows = lagged_design(data, nodes).T  # one contiguous row per node
     n_eff = rows.shape[1]

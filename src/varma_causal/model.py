@@ -6,23 +6,22 @@ variances gamma. The module provides validity checking, the canonical
 rewrites (instantaneous-effect elimination, total-instantaneous-effect matrix,
 doubled-dimension VAR embedding) and finite full-time graph windows, both as
 DAGs over (endogenous, innovation) nodes and as marginalized ADMGs over the
-endogenous nodes only, all read off incidence templates compiled once per
-spec, which the separation loop of ``effects`` reads integer-coded.
+endogenous nodes only, all with edges read off the coefficient supports. The
+marginalized ADMG is compiled once per spec into the integer-coded incidence
+of one time slice, on which the separation loop of ``effects`` runs.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ModelError
-from .graphs import (
-    DirectedMixedGraph, TimedNode, _CodedGraph, _kahn_order, endo, innov, node_sort_key,
-    sorted_nodes,
-)
+from .graphs import DirectedMixedGraph, TimedNode, _CodedGraph, _incidence, _kahn_order, endo, innov
 
 STABILITY_MARGIN = 1e-8
 
@@ -268,18 +267,19 @@ def embed_as_var(spec: VarmaSpec) -> VarmaSpec:
     return VarmaSpec([c0, *lags], (), gamma, names=names)
 
 
-def _innovation_edges(loadings, t_min, t_max):
-    """Edges innov(j, t-k) -> endo(i, t) with coefficient loadings[k][i, j].
+def _lag_edges(mats, tail, t_min, t_max, first=None):
+    """Edges tail(j, t-k) -> endo(i, t) with coefficient mats[k][i, j].
 
-    One edge per exactly non-zero entry whose endpoints both lie in
-    [t_min, t_max].
+    One edge per exactly non-zero entry, for heads in [t_min, t_max] and
+    tails from ``first`` (default ``t_min``) on.
     """
-    support = [(k, np.argwhere(mat).tolist()) for k, mat in enumerate(loadings)]
+    first = t_min if first is None else first
+    support = [(k, np.argwhere(mat).tolist()) for k, mat in enumerate(mats)]
     return [
-        (innov(j, t - k), endo(i, t), float(loadings[k][i, j]))
+        (tail(j, t - k), endo(i, t), float(mats[k][i, j]))
         for t in range(t_min, t_max + 1)
         for k, entries in support
-        if t - k >= t_min
+        if t - k >= first
         for i, j in entries
     ]
 
@@ -289,14 +289,13 @@ class _MarginalizedAdmg(_CodedGraph):
 
     Lags A0..Ap and innovation loadings I, B1..Bq; in the rewritten form (no
     instantaneous effects, original innovations) lags 0, C A1..C Ap and
-    loadings C, C B1..C Bq with C = (I - A0)^(-1). The graph is translation
-    invariant, so component i keeps one template: the edges at S_i@0 as
-    (component, time offset, head here, head there, coefficient), in the
-    witness tie-break order of ``DirectedMixedGraph._build_incident``:
-    directed edges by (tail, head) under ``node_sort_key``, time first; then
-    time-sorted bi-directed pairs as ``TimedNode`` tuples, component first.
-    The separation core reads the same templates integer-coded, period d:
-    S_i@t is t·d + i and the edge to S_j@(t+k) has offset k·d + j - i.
+    loadings C, C B1..C Bq with C = (I - A0)^(-1). A window holds the
+    directed edges of the lag supports and S_i@t <-> S_k@u iff one innovation
+    loads both. The graph is translation invariant, so the separation core
+    reads it integer-coded, period d: S_i@t is t·d + i, and ``records[i]``
+    lists the edges at S_i@0 as offsets k·d + j - i to S_j@k, in the
+    ``graphs._incidence`` order of the window [-max(p,q), max(p,q)], which
+    holds every neighbour of slice 0.
     """
 
     def __init__(self, spec: VarmaSpec, rewritten: bool):
@@ -307,27 +306,12 @@ class _MarginalizedAdmg(_CodedGraph):
         else:
             self.lags, self.loadings = spec.a, (np.eye(spec.d), *spec.b)
         d = self.d = spec.d
-        self.templates = tuple(self._template(i) for i in range(d))
-        super().__init__(d, tuple(tuple((k * d + j - i, here, there) for j, k, here, there, _ in t)
-                                  for i, t in enumerate(self.templates)))
-
-    def _template(self, i):
-        v = endo(i, 0)
-        directed = []  # S_j@-k -> S_i@0 iff lag k has entry (i, j)
-        for k, mat in enumerate(self.lags):
-            for j in np.flatnonzero(mat[i]).tolist():
-                directed.append(((endo(j, -k), v), (j, -k, True, False, float(mat[i, j]))))
-            for j in np.flatnonzero(mat[:, i]).tolist():
-                directed.append(((v, endo(j, k)), (j, k, False, True, float(mat[j, i]))))
-        directed.sort(key=lambda edge: tuple(map(node_sort_key, edge[0])))
-        # S_i@0 <-> S_k@(l2-l1) iff one innovation has loading l1 on S_i and l2 on S_k
-        supports = [mat != 0 for mat in self.loadings]
-        spouses = {(k, l2 - l1) for l1, s1 in enumerate(supports) for l2, s2 in enumerate(supports)
-                   for k in np.flatnonzero((s2 & s1[i]).any(axis=1)).tolist()} - {(i, 0)}
-        # time-sorted pairs compared as TimedNode tuples, all distinct
-        bidirected = sorted((sorted_nodes((v, endo(k, offset))), (k, offset, True, True, None))
-                            for k, offset in spouses)
-        return tuple(entry for _, entry in directed + bidirected)
+        nodes, directed, bidirected = self.window(-spec.max_lag, spec.max_lag)
+        incident = _incidence(nodes, [(t, h) for t, h, _ in directed if 0 in (t.time, h.time)],
+                              [(v, w) for v, w in bidirected if 0 in (v.time, w.time)])
+        super().__init__(d, tuple(tuple((self.code(w) - i, here, there)
+                                        for w, here, there in incident[endo(i, 0)])
+                                  for i in range(d)))
 
     def code(self, v: TimedNode) -> int:
         return v.time * self.d + v.component
@@ -340,16 +324,12 @@ class _MarginalizedAdmg(_CodedGraph):
         if t_min > t_max:
             raise ModelError(f"invalid window [{t_min}, {t_max}]")
         nodes = [endo(i, t) for t in range(t_min, t_max + 1) for i in range(self.d)]
-        directed, bidirected = [], []
-        for v in nodes:
-            for j, k, here, there, coeff in self.templates[v.component]:
-                if t_min <= v.time + k <= t_max:
-                    w = endo(j, v.time + k)
-                    if here and there:
-                        bidirected.append((v, w))
-                    elif there:
-                        directed.append((v, w, coeff))
-        return nodes, directed, bidirected
+        children = {}  # of each innovation that loads the window
+        for shock, v, _ in _lag_edges(self.loadings, innov, t_min, t_max,
+                                      t_min - len(self.loadings) + 1):
+            children.setdefault(shock, []).append(v)
+        bidirected = {pair for heads in children.values() for pair in combinations(heads, 2)}
+        return nodes, _lag_edges(self.lags, endo, t_min, t_max), bidirected
 
 
 def _compiled_admg(spec: VarmaSpec, rewritten: bool = False) -> _MarginalizedAdmg:
@@ -365,7 +345,7 @@ def _structural_window(spec, t_min, t_max, rewritten, include_innovations):
     nodes, directed, _ = admg.window(t_min, t_max)
     if include_innovations:
         nodes += [innov(i, t) for t in range(t_min, t_max + 1) for i in range(spec.d)]
-        directed += _innovation_edges(admg.loadings, t_min, t_max)
+        directed += _lag_edges(admg.loadings, innov, t_min, t_max)
     return DirectedMixedGraph(nodes, directed)
 
 
@@ -402,8 +382,8 @@ def marginalized_admg_window(
     full-time DAG between endogenous nodes of [t_min, t_max], with their
     coefficients, and S_i@t <-> S_k@u iff one innovation eps_j@s loads both
     (the loadings of :func:`full_time_window`, or of
-    :func:`rewritten_full_time_window` when ``rewritten``), read off the
-    spec's compiled templates on which the separation loop also runs.
+    :func:`rewritten_full_time_window` when ``rewritten``), the rule from
+    which the separation loop's compiled incidence is also read.
     """
     return DirectedMixedGraph(*_compiled_admg(spec, rewritten).window(t_min, t_max))
 

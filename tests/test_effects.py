@@ -204,7 +204,7 @@ class TestIvConditions:
                 varma_lagged_spec, endo(Y, 0), (endo(X, -1),), (endo(X, -1),))
 
     def test_no_window_graph_and_one_compile_per_spec(self, monkeypatch):
-        # separation and the IV conditions run on the compiled templates:
+        # separation and the IV conditions run on the compiled records:
         # no graph is built, nothing is projected, the spec compiles and
         # validates once, not once per deepening round
         spec = VarmaSpec(
@@ -278,7 +278,7 @@ class TestStableSeparation:
         (VarmaSpec(a=[[[0, 0.5], [0, 0]], [[0, 0.5], [0, 0]]], gamma=[1, 1]), endo(1, -4)),
     ])
     def test_templates_break_witness_ties_like_windows(self, spec, first):
-        # compiled templates follow DirectedMixedGraph._build_incident: see
+        # compiled records follow graphs._incidence, as finite graphs do: see
         # test_graphs.TestWitnessTieBreak for the same pairs in a finite graph
         q = SeparationQuery([endo(0, -3)], [], [endo(1, -3), endo(1, -4)])
         result, window, _ = stable_marginal_separation(spec, q)
@@ -301,7 +301,7 @@ def draw_iv_sets(rng, d):
 
 
 class TestWindowOracle:
-    """The template rounds against m_separated on materialized windows.
+    """The compiled rounds against m_separated on materialized windows.
 
     Both run the same separation core, so these pin the window arithmetic
     and the cut; TestNetworkxOracle is the independent check of verdicts.

@@ -195,8 +195,9 @@ class TestEstimateFromData:
 
     def test_constant_series_singular(self):
         query = IvQuery(endo(0, 0), (endo(0, -1),), (endo(0, -2),))
-        with pytest.raises(EstimationError, match="singular"):
-            estimate_from_data(np.ones((100, 1)), query)
+        for series in (np.ones((100, 1)), np.ones(100)):  # a 1-D series is one column
+            with pytest.raises(EstimationError, match="singular"):
+                estimate_from_data(series, query)
 
     @pytest.mark.parametrize("instruments, b, weight", [
         # B empty, over-identified so the moment residual is not rounding noise

@@ -338,7 +338,7 @@ class TestWindows:
         specs = [varma_instant_spec] + sampled_window_specs()
         builder = rewritten_full_time_window if rewritten else full_time_window
         for spec in specs:
-            for t_min, t_max in ((-3, 0), (-12, 0), (5, 9)):
+            for t_min, t_max in ((-3, 0), (-12, 0), (5, 9), (0, 0), (-1, 0)):
                 wide = builder(spec, t_min - spec.max_lag - 1, t_max,
                                include_innovations=True)
                 projected = latent_project(
@@ -351,12 +351,12 @@ class TestWindows:
 
     @pytest.mark.parametrize("rewritten", [False, True])
     def test_template_incidence_order(self, varma_instant_spec, rewritten):
-        # the compiled templates, integer-coded and cut to a window, list
-        # each node's edges in the order of the window graph's incidence
-        # table, which breaks ties between shortest separation witnesses
+        # the compiled records, decoded and cut to a window, list each
+        # node's edges in the order of the window graph's incidence table,
+        # which breaks ties between shortest separation witnesses
         for spec in [varma_instant_spec] + sampled_window_specs():
             admg = model._compiled_admg(spec, rewritten)
-            for t_min, t_max in ((-3, 0), (-12, 0), (5, 9)):
+            for t_min, t_max in ((-3, 0), (-12, 0), (5, 9), (0, 0), (-1, 0)):
                 g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten)
                 for v in g.nodes:
                     decoded = [(admg.node(admg.code(v) + off), here, there)
