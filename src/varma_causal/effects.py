@@ -130,9 +130,12 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     MAX_STABILIZATION_ROUNDS windows. With ``cut`` set, the causal edges of
     that effect query are removed first. No window is built: no edge points
     back in time, so An(a ∪ b ∪ c) in a window is the ancestor closure over
-    the compiled incidence cut at its bottom code, and the search never
-    leaves it. Rounds decide the verdict only; the witness is searched on
-    the last one.
+    the compiled incidence cut at its bottom code, and one Bayes-ball pass,
+    extended as the bottom drops (see ``graphs._connection``), decides every
+    round. The witness is searched on the last window only. Each window is
+    an induced subgraph of the next and An(b) only grows, so a path open in
+    one window is open in all deeper ones: verdicts never turn back from
+    connected, and at most three rounds run (separated, connected, connected).
 
     Returns (SeparationResult, (bottom, top) of the last window, stabilized).
     """
@@ -149,12 +152,11 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     earliest = min(v.time for v in nodes)
     if t_min is None:
         t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
-    lag = max(spec.max_lag, 1)
-    bottom = min(t_min, earliest) + lag
+    lag, start = max(spec.max_lag, 1), min(t_min, earliest)
+    bottoms = range(start, start - MAX_STABILIZATION_ROUNDS * lag, -lag)
+    rounds = _connection(admg, codes, (t * spec.d for t in bottoms), ceiling, removed)
     previous, stabilized = None, False
-    for _ in range(MAX_STABILIZATION_ROUNDS):
-        bottom -= lag
-        connection = _connection(admg, codes, bottom * spec.d, ceiling, removed)
+    for bottom, connection in zip(bottoms, rounds):
         if previous is not None and previous == (connection is None):
             stabilized = True
             break
@@ -170,9 +172,11 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
     above the latest query time, so the window top is exact; the bottom
     starts at ``t_min`` (default: earliest query time minus
     (max(p,q)+1)·(d+1)) and moves down by max(p,q,1) lags until the verdict
-    agrees twice in a row. For stationary processes some finite depth always
-    suffices, but no constructive bound is available, so the returned
-    ``stabilized`` flag records that this is a heuristic stopping rule. The
+    agrees twice in a row: a connecting path stays open in deeper windows,
+    so that takes at most three windows. For stationary processes some finite
+    depth always suffices, but no constructive bound is available, so the
+    returned ``stabilized`` flag records that this is a heuristic stopping
+    rule: a separated verdict may still turn connected deeper down. The
     verdict and witness equal :func:`~varma_causal.graphs.m_separated` on
     ``marginalized_admg_window(spec, *window)``.
 

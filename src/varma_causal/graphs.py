@@ -102,13 +102,15 @@ class _CodedGraph:
 
 
 def _reach(coded: _CodedGraph, starts, offsets, floor: int, ceiling: int,
-           cut=frozenset()) -> set:
+           cut=frozenset(), seen=None, below=None) -> set:
     """``starts`` and every code reachable along ``offsets`` (``parents``,
     ``children`` or ``spouses`` of ``coded``) inside [floor, ceiling), without
-    the edges in ``cut`` (code pairs, each stored in both orders)."""
-    period = coded.period
-    seen = set(starts)
-    stack = list(seen)
+    the edges in ``cut`` (code pairs, each stored in both orders). A given
+    ``seen`` must hold ``starts`` and is extended in place; codes with a step
+    under the floor are appended to ``below``, if given, for a lower floor."""
+    if seen is None:
+        seen = starts = set(starts)
+    period, stack = coded.period, list(starts)
     while stack:
         v = stack.pop()
         for off in offsets[v % period]:
@@ -116,6 +118,8 @@ def _reach(coded: _CodedGraph, starts, offsets, floor: int, ceiling: int,
             if floor <= w < ceiling and w not in seen and not (cut and (v, w) in cut):
                 seen.add(w)
                 stack.append(w)
+            elif w < floor and below is not None:
+                below.append(v)
     return seen
 
 
@@ -381,8 +385,9 @@ def _junction_open(node, entered_head, exit_head, b_set, an_b):
     return node not in b_set
 
 
-def _connection(coded: _CodedGraph, query, floor: int, ceiling: int, cut=frozenset()):
-    """Reachability table of a connected query, or None when b separates it.
+def _connection(coded: _CodedGraph, query, floors, ceiling: int, cut=frozenset()):
+    """For each of the descending ``floors`` in turn: the reachability table
+    of a connected query, or None when b separates it.
 
     ``query`` holds the code tuples (a, b, c); the graph is ``coded`` inside
     [floor, ceiling) without the edges in ``cut`` (see :func:`_reach`). The
@@ -390,37 +395,44 @@ def _connection(coded: _CodedGraph, query, floor: int, ceiling: int, cut=frozens
     start an m-connecting walk to c through An(a ∪ b ∪ c): Bayes-ball
     reachability (Shachter 1998; van der Zander, Liśkiewicz & Textor 2019)
     run backwards from c, in O(V + E). The query is connected iff a non-a
-    neighbour of an a node starts such a walk. Returns (An(a ∪ b ∪ c), An(b),
+    neighbour of an a node starts such a walk. Yields (An(a ∪ b ∪ c), An(b),
     table, first steps of a) when connected.
+
+    One pass serves every floor: floors fall on time-slice boundaries and no
+    edge points back in time, so a node or state with a step under the floor
+    is parked and expanded again when the floor drops. Each yield equals a
+    fresh pass on its window; the next floor extends its tables in place.
     """
     a, b, c = query
-    keep = _reach(coded, (*a, *b, *c), coded.parents, floor, ceiling, cut)
-    an_b = _reach(coded, b, coded.parents, floor, ceiling, cut)
     b_set, period, entering = set(b), coded.period, coded.entering
-    good = {2 * v + flag for v in c for flag in (0, 1)}
-    stack = list(good)
-    while stack:
-        state = stack.pop()
-        y, head_y = state >> 1, state & 1
-        # x steps onto y by an edge with arrowhead flag head_y at y, if the
-        # walk may pass x entered either way and leaving with head_x
-        for off, head_x in entering[head_y][y % period]:
-            x = y + off
-            if x not in keep or (cut and head_x != head_y and (x, y) in cut):
-                continue
-            free, entered = x not in b_set, 2 * x
-            if free and entered not in good:
-                good.add(entered)
-                stack.append(entered)
-            if (x in an_b if head_x else free) and entered + 1 not in good:
-                good.add(entered + 1)
-                stack.append(entered + 1)
-    a_set = set(a)
+    parked = [*a, *b, *c], list(b), [2 * v + flag for v in c for flag in (0, 1)]
+    keep, an_b, good = map(set, parked)
     starts = [(u, u + off, there) for u in a for off, here, there in coded.records[u % period]
-              if u + off not in a_set and not (cut and here != there and (u, u + off) in cut)]
-    if not any(2 * other + there in good for _, other, there in starts):
-        return None
-    return keep, an_b, good, starts
+              if u + off not in a and not (cut and here != there and (u, u + off) in cut)]
+    for floor in floors:
+        (keep_from, b_from, stack), parked = parked, ([], [], [])
+        _reach(coded, keep_from, coded.parents, floor, ceiling, cut, keep, parked[0])
+        _reach(coded, b_from, coded.parents, floor, ceiling, cut, an_b, parked[1])
+        while stack:
+            state = stack.pop()
+            y, head_y = state >> 1, state & 1
+            # x steps onto y by an edge with arrowhead flag head_y at y, if the
+            # walk may pass x entered either way and leaving with head_x
+            for off, head_x in entering[head_y][y % period]:
+                x = y + off
+                if x not in keep or (cut and head_x != head_y and (x, y) in cut):
+                    if x < floor:
+                        parked[2].append(state)
+                    continue
+                free, entered = x not in b_set, 2 * x
+                if free and entered not in good:
+                    good.add(entered)
+                    stack.append(entered)
+                if (x in an_b if head_x else free) and entered + 1 not in good:
+                    good.add(entered + 1)
+                    stack.append(entered + 1)
+        connected = any(2 * other + there in good for _, other, there in starts)
+        yield (keep, an_b, good, starts) if connected else None
 
 
 def _result(coded: _CodedGraph, query, cut, connection, node) -> SeparationResult:
@@ -479,7 +491,7 @@ def m_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationResu
     """
     query.validate_in(g)
     codes = tuple(map(g._codes, (query.a, query.b, query.c)))
-    connection = _connection(g._coded, codes, 0, len(g.nodes))
+    connection = next(_connection(g._coded, codes, (0,), len(g.nodes)))
     return _result(g._coded, codes, frozenset(), connection, g.nodes.__getitem__)
 
 

@@ -319,17 +319,22 @@ class _MarginalizedAdmg(_CodedGraph):
     def node(self, code: int) -> TimedNode:
         return endo(code % self.d, code // self.d)
 
-    def window(self, t_min: int, t_max: int):
-        """Nodes, directed (with coefficients) and bi-directed edges of [t_min, t_max]."""
+    def directed_window(self, t_min: int, t_max: int):
+        """Nodes and directed edges (with coefficients) of [t_min, t_max]."""
         if t_min > t_max:
             raise ModelError(f"invalid window [{t_min}, {t_max}]")
         nodes = [endo(i, t) for t in range(t_min, t_max + 1) for i in range(self.d)]
+        return nodes, _lag_edges(self.lags, endo, t_min, t_max)
+
+    def window(self, t_min: int, t_max: int):
+        """Nodes, directed (with coefficients) and bi-directed edges of [t_min, t_max]."""
+        nodes, directed = self.directed_window(t_min, t_max)
         children = {}  # of each innovation that loads the window
         for shock, v, _ in _lag_edges(self.loadings, innov, t_min, t_max,
                                       t_min - len(self.loadings) + 1):
             children.setdefault(shock, []).append(v)
         bidirected = {pair for heads in children.values() for pair in combinations(heads, 2)}
-        return nodes, _lag_edges(self.lags, endo, t_min, t_max), bidirected
+        return nodes, directed, bidirected
 
 
 def _compiled_admg(spec: VarmaSpec, rewritten: bool = False) -> _MarginalizedAdmg:
@@ -342,7 +347,7 @@ def _compiled_admg(spec: VarmaSpec, rewritten: bool = False) -> _MarginalizedAdm
 def _structural_window(spec, t_min, t_max, rewritten, include_innovations):
     """Window of the full-time DAG of S_t = sum_k AR_k S_(t-k) + sum_l L_l eps_(t-l)."""
     admg = _compiled_admg(spec, rewritten)
-    nodes, directed, _ = admg.window(t_min, t_max)
+    nodes, directed = admg.directed_window(t_min, t_max)
     if include_innovations:
         nodes += [innov(i, t) for t in range(t_min, t_max + 1) for i in range(spec.d)]
         directed += _lag_edges(admg.loadings, innov, t_min, t_max)

@@ -157,12 +157,12 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     if config.innovation_law is None:
         eps = rng.standard_normal((total, d))
     else:
-        eps = np.asarray(config.innovation_law(rng, total, d), dtype=float)
+        eps = np.array(config.innovation_law(rng, total, d), dtype=float)  # a copy, scaled in place below
         if eps.shape != (total, d):
             raise ModelError(f"innovation law must return shape {(total, d)}")
         if not np.isfinite(eps).all():
             raise EstimationError("simulation diverged: non-finite innovation draws")
-    eps = eps * np.sqrt(spec.gamma)
+    eps *= np.sqrt(spec.gamma)
 
     driven = eps @ rw.ice.T
     for lag, mat in enumerate(rw.ma_eps, start=1):

@@ -10,6 +10,7 @@ Schur complements and zero conditional covariance is conditional independence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -184,7 +185,12 @@ def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
         return s_ac
     s_ab, s_cb, s_bb = (np.ascontiguousarray(joint[rows, ac:])
                         for rows in (slice(len(a)), slice(len(a), ac), slice(ac, None)))
-    return s_ac - s_ab @ np.linalg.pinv(s_bb, rcond=PINV_RTOL, hermitian=True) @ s_cb.T
+    # numpy.linalg.pinv(s_bb, PINV_RTOL, hermitian=True), step for step
+    w, u = np.linalg.eigh(s_bb)
+    order = np.argsort(abs(w))[::-1]
+    w, u = w[order], u[:, order]
+    inv = np.divide(1, abs(w), out=np.zeros_like(w), where=abs(w) > PINV_RTOL * abs(w[0]))
+    return s_ac - s_ab @ ((u * np.copysign(1.0, w)) @ (inv[:, None] * u.T)) @ s_cb.T
 
 
 @dataclass(frozen=True)
@@ -213,27 +219,20 @@ def population_ci(ss: StateSpaceForm, query: SeparationQuery,
     verdict is only an independence statement under Gaussianity.
     """
     stacked = (*query.a, *query.c)
-    cond = conditional_covariance(ss, stacked, stacked, query.b)
-    na = len(query.a)
-    cross = cond[:na, na:]
-    variances = np.diag(cond).copy()
-
-    floors = np.empty(len(stacked))
-    for idx, v in enumerate(stacked):
-        uncond = ss.autocov(0)[v.component, v.component]
-        floors[idx] = 1e-10 * max(uncond, np.finfo(float).tiny)
-    degenerate_node = variances <= floors
-
-    degenerate = False
-    max_corr = 0.0
-    independent = True
+    # Python floats round abs, /, * and sqrt as numpy's float64 scalars do
+    cond = conditional_covariance(ss, stacked, stacked, query.b).tolist()
+    uncond = ss.autocov(0).diagonal().tolist()
+    na, tiny = len(query.a), float(np.finfo(float).tiny)
+    degenerate_node = [cond[k][k] <= 1e-10 * max(uncond[v.component], tiny)
+                       for k, v in enumerate(stacked)]
+    degenerate, max_corr, independent = False, 0.0, True
     for i in range(na):
-        for j in range(len(query.c)):
-            if degenerate_node[i] or degenerate_node[na + j]:
+        for j in range(na, len(stacked)):
+            if degenerate_node[i] or degenerate_node[j]:
                 degenerate = True
                 continue
-            corr = abs(cross[i, j]) / np.sqrt(variances[i] * variances[na + j])
+            corr = abs(cond[i][j]) / math.sqrt(cond[i][i] * cond[j][j])
             max_corr = max(max_corr, corr)
             if corr >= tol:
                 independent = False
-    return CiVerdict(independent, float(max_corr), degenerate, tol)
+    return CiVerdict(independent, max_corr, degenerate, tol)

@@ -4,6 +4,10 @@
 applies the moralized-ancestral-graph criterion. Of the library's separation
 core they share only the ancestor sets of ``DirectedMixedGraph``.
 
+``deepening_separation`` is the window-deepening loop as it ran before one
+Bayes-ball pass served all of a query's windows: a fresh pass of the
+library's ``_connection`` on each window, from scratch.
+
 ``estimate_from_data`` is the row-major IV estimator the library used before
 it built its design one node row at a time: an n x k design, centred into a
 copy, residualized one block at a time. It shares only the weighted solve and
@@ -14,10 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from varma_causal import effects
 from varma_causal.errors import EstimationError, GraphError, ModelError
 from varma_causal.graphs import (
-    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, UndirectedGraph)
+    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, UndirectedGraph, _connection,
+    _result)
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
+from varma_causal.model import _compiled_admg
 from varma_causal.stationary import numerical_rank
 
 
@@ -88,6 +95,38 @@ def d_separated_moral(g: DirectedMixedGraph, query: SeparationQuery) -> bool:
         raise GraphError("moralization-based check requires a DAG")
     ancestral = g.subgraph(g.ancestors((*query.a, *query.b, *query.c)))
     return moralize(ancestral).separated(query.a, query.c, query.b)
+
+
+def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
+                         t_min: Optional[int], cut=None):
+    """``effects._deepening_separation`` with a fresh pass per window.
+
+    Returns (SeparationResult, (bottom, top) of the last window, stabilized,
+    the separated verdict of each window in turn).
+    """
+    admg = _compiled_admg(spec)
+    codes = tuple(tuple(map(admg.code, s)) for s in (query.a, query.b, query.c))
+    ceiling = (top + 1) * spec.d
+    removed = frozenset()
+    if cut is not None:
+        removed = effects._causal_cut(
+            admg, admg.code(cut.y), frozenset(map(admg.code, cut.x_set)),
+            min(v.time for v in cut.x_set) * spec.d, ceiling)
+    earliest = min(v.time for v in nodes)
+    if t_min is None:
+        t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
+    lag = max(spec.max_lag, 1)
+    bottom = min(t_min, earliest) + lag
+    verdicts, stabilized = [], False
+    for _ in range(effects.MAX_STABILIZATION_ROUNDS):
+        bottom -= lag
+        connection = next(_connection(admg, codes, (bottom * spec.d,), ceiling, removed))
+        verdicts.append(connection is None)
+        if verdicts[-2:] == [verdicts[-1]] * 2:
+            stabilized = True
+            break
+    result = _result(admg, codes, removed, connection, admg.node)
+    return result, (bottom, top), stabilized, verdicts
 
 
 def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:

@@ -1,3 +1,5 @@
+import itertools
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from varma_causal import (
     total_causal_effect,
 )
 from varma_causal import effects, graphs, model, simulation
+from reference import deepening_separation
+from test_acceptance import mixed_sampler
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -343,6 +347,34 @@ class TestWindowOracle:
                     cut = cut_causal_edges(
                         marginalized_admg_window(spec, bottom, top), EffectQuery(y, xs))
                     assert result == m_separated(cut, query)
+
+    def test_one_pass_matches_fresh_rounds(self):
+        # the criterion-07 queries (seed 707) and, on each of their specs,
+        # the cut separation of _iv_report: one pass extended across the
+        # windows against a fresh pass per window, from the default first
+        # window and from the narrowest one, which the verdicts outgrow
+        rounds = []
+        for trial in range(200):
+            rng = np.random.default_rng((707, trial))
+            spec = mixed_sampler(rng)
+            calls = [simulation._draw_query(rng, spec.d, 5) for _ in range(20)]
+            calls = [(query, (*query.a, *query.b, *query.c), 0, None) for query in calls]
+            for _ in range(4):
+                y, xs, instruments, b = draw_iv_sets(rng, spec.d)
+                nodes = (y, *xs, *instruments, *b)
+                calls.append((SeparationQuery(instruments, b, (y,)), nodes, spec.q,
+                              EffectQuery(y, xs)))
+            for (query, nodes, above, cut), narrowest in itertools.product(calls, (False, True)):
+                top = max(v.time for v in nodes) + above
+                t_min = min(v.time for v in nodes) if narrowest else None
+                *fresh, verdicts = deepening_separation(spec, query, nodes, top, t_min, cut)
+                assert list(effects._deepening_separation(
+                    spec, query, nodes, top, t_min, cut)) == fresh
+                # a connecting path stays open in every deeper window, so
+                # the verdicts settle by the third window
+                assert verdicts == sorted(verdicts, reverse=True)
+                rounds.append(len(verdicts))
+        assert len(rounds) == 9600 and set(rounds) == {2, 3}
 
     def test_iv_report_matches_its_last_window(self):
         rng = np.random.default_rng(608)

@@ -350,6 +350,29 @@ class TestWindows:
                 assert g.bidirected == reference.bidirected
 
     @pytest.mark.parametrize("rewritten", [False, True])
+    def test_dense_structural_windows_read_off_the_matrices(self, monkeypatch, rewritten):
+        # d = 16, p = q = 2 with every coefficient drawn: each innovation
+        # loads dozens of nodes; past the one compile of the spec, the
+        # structural windows build none of the bi-directed pairs
+        spec = sample_stable_spec(CoefficientSampler(d=16, p=2, q=2), 16)
+        model._compiled_admg(spec, rewritten)
+        rw = remove_instantaneous(spec)
+        lags, loadings = (((np.zeros((16, 16)), *rw.ar), (rw.ice, *rw.ma_eps)) if rewritten
+                          else (spec.a, (np.eye(16), *spec.b)))
+        builder = rewritten_full_time_window if rewritten else full_time_window
+        monkeypatch.setattr(model, "combinations", forbidden_pairs)
+        for innovations in (False, True):
+            g = builder(spec, -2, 2, include_innovations=innovations)
+            mats = ((endo, lags), (innov, loadings)) if innovations else ((endo, lags),)
+            expected = {(tail(j, t - k), endo(i, t)): mat[i, j]
+                        for tail, family in mats for k, mat in enumerate(family)
+                        for t in range(-2, 3) if t - k >= -2 for i, j in np.argwhere(mat).tolist()}
+            kinds = (endo, innov) if innovations else (endo,)
+            assert set(g.nodes) == {kind(i, t) for kind in kinds
+                                    for t in range(-2, 3) for i in range(16)}
+            assert g.directed == expected and not g.bidirected
+
+    @pytest.mark.parametrize("rewritten", [False, True])
     def test_template_incidence_order(self, varma_instant_spec, rewritten):
         # the compiled records, decoded and cut to a window, list each
         # node's edges in the order of the window graph's incidence table,
@@ -363,6 +386,10 @@ class TestWindows:
                                for off, here, there in admg.records[v.component]]
                     inside = [e for e in decoded if t_min <= e[0].time <= t_max]
                     assert inside == g._incident[v]
+
+
+def forbidden_pairs(*args):
+    raise AssertionError("bi-directed pairs built for a structural window")
 
 
 def sampled_window_specs():

@@ -198,6 +198,18 @@ class TestSimulate:
         emp = series.T @ series / len(series)
         assert np.max(np.abs(emp - ss.autocov(0))) < 0.05
 
+    def test_custom_law_array_left_unchanged(self):
+        # the draws are scaled by sqrt(gamma) in place, so the law's own
+        # array must be copied first
+        spec = VarmaSpec(a=[np.zeros((2, 2)), [[0.5, 0], [0.2, 0.3]]], gamma=[4.0, 0.25])
+        draws = np.random.default_rng(3).standard_normal((60, 2))
+        kept = draws.copy()
+        config = SimulationConfig(spec, n=50, seed=1, burn_in=10,
+                                  innovation_law=lambda rng, n, d: draws)
+        first = simulate(config)
+        assert np.array_equal(draws, kept)
+        assert np.array_equal(simulate(config), first)
+
     def test_divergent_innovations_detected(self, varma_lagged_spec):
         def explosive_law(rng, n, d):
             return np.full((n, d), 1e13)

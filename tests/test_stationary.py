@@ -17,8 +17,11 @@ from varma_causal import (
     solve_stationary,
     validate,
 )
+from varma_causal import stationary
 from varma_causal.stationary import (
     LYAPUNOV_RESIDUAL_RTOL,
+    PINV_RTOL,
+    NodeSetCovariance,
     _solve_lyapunov_doubling,
 )
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
@@ -218,6 +221,46 @@ class TestConditionalCovariance:
         ss = solve_stationary(varma_lagged_spec)
         with pytest.raises(ModelError, match="overlaps"):
             conditional_covariance(ss, [endo(X, 0)], [endo(Y, 0)], [endo(X, 0)])
+
+
+def schur_of_blocks(monkeypatch, s_ac, s_ab, s_cb, s_bb):
+    """conditional_covariance on a joint covariance of (a, c, b) given by its blocks."""
+    na, nc, nb = len(s_ac), len(s_cb), len(s_bb)
+    joint = np.zeros((na + nc + nb,) * 2)
+    joint[:na, na:na + nc], joint[:na, na + nc:] = s_ac, s_ab
+    joint[na:na + nc, na + nc:], joint[na + nc:, na + nc:] = s_cb, s_bb
+    monkeypatch.setattr(stationary, "cross_covariance",
+                        lambda ss, u, v: NodeSetCovariance(u, v, joint))
+    nodes = [endo(0, -t) for t in range(na + nc + nb)]
+    return conditional_covariance(None, nodes[:na], nodes[na:na + nc], nodes[na + nc:])
+
+
+class TestPseudoInverse:
+    """The pseudo-inverse of Cov(B, B) inside conditional_covariance."""
+
+    @pytest.mark.parametrize("ratio, kept", [(2e-10, True), (5e-11, False)])
+    def test_eigenvalue_cut_at_pinv_rtol(self, monkeypatch, ratio, kept):
+        # Cov(B, B) = Q diag(1, ratio) Q^T; a and c load the small direction
+        # q2 by sqrt(ratio), which adds -1 to Cov(a, c | B) while it is kept
+        assert PINV_RTOL == 1e-10
+        q1, q2 = np.array([0.6, 0.8]), np.array([-0.8, 0.6])
+        s_bb = np.outer(q1, q1) + ratio * np.outer(q2, q2)
+        load = (q1 + np.sqrt(ratio) * q2)[None]
+        cond = schur_of_blocks(monkeypatch, np.array([[3.0]]), load, load, s_bb)
+        assert cond[0, 0] == pytest.approx(1.0 if kept else 2.0, abs=1e-5)
+
+    def test_matches_numpy_pinv(self, monkeypatch):
+        # with a and c loading B by the identity, Cov(a, c | B) = -pinv(Cov(B, B))
+        rng = np.random.default_rng(1410)
+        for m in range(1, 5):
+            for rank in range(m + 1):
+                for scale in (1e-6, 1.0, 1e6):
+                    root = rng.standard_normal((m, rank))
+                    s_bb = scale * root @ root.T
+                    eye = np.eye(m)
+                    inverse = -schur_of_blocks(monkeypatch, np.zeros((m, m)), eye, eye, s_bb)
+                    expected = np.linalg.pinv(s_bb, rcond=PINV_RTOL, hermitian=True)
+                    assert np.linalg.norm(inverse - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 class TestPopulationCi:
