@@ -35,26 +35,30 @@ def default_burn_in(spec: VarmaSpec) -> int:
 
 # floats per block of driving terms at every level of the simulation
 # recursion, so a level's operators hold about _BLOCK_WIDTH² floats whatever
-# its dimension. Chosen by measurement on a 2-core x86_64 machine with one
-# OpenBLAS thread: 200k steps took 29/22/26 ms at widths 64/128/256 for
-# d = 2, p = 1, 40/35/38 ms for d = 3, p = 2 and 83/79/88 ms for d = 8,
-# p = 2; 20k steps at d = 32, p = 2 took 47/36/34 ms
+# its dimension. Chosen by measurement (fused level 0, q = 1, median of 3) on
+# a 2-core x86_64 machine with one OpenBLAS thread: 200k steps took
+# 18.5/13.9/15.9 ms at widths 64/128/256 for d = 2, p = 1, 26/22/26 ms for
+# d = 3, p = 2 and 76/69/75 ms for d = 8, p = 2; 20k at d = 32, p = 2 51/39/35 ms
 _BLOCK_WIDTH = 128
 
 
-def _level_operators(comp: np.ndarray, lags: int):
+def _level_operators(comp: np.ndarray, lags: int, loadings=None):
     """Block operators of a VAR(lags) whose companion matrix is comp.
 
-    With dim = rows of comp / lags, a block has L = max(lags, 2,
+    With dim = rows of comp / lags, a block has L = max(lags, q, 2,
     _BLOCK_WIDTH // dim) steps. Block (j, i) of the Toeplitz matrix T is
     H_(j-i), the top-left dim x dim block of comp^(j-i) (zero above the
     diagonal), and rows j*dim..(j+1)*dim of the carry matrix G are the top
     dim rows of comp^(j+1). A block whose driving terms are u (flattened row
     by row) and whose companion state before it is z then reads T u + G z.
-    Returns (T, G, L, lags), read-only.
+    With ``loadings`` Θ_0..Θ_q, u_t = Σ_l Θ_l e_(t-l), and own = T M and
+    prev = T M' take the block's draws e and the q draws before it, where
+    block (j, i) of M is Θ_(j-i) and of M' Θ_(j+q-i) (zero off lags 0..q);
+    else own = T and prev is empty. Returns (own, prev, G, L, lags), read-only.
     """
     dim = comp.shape[0] // lags
-    length = max(lags, 2, _BLOCK_WIDTH // dim)
+    q = len(loadings) - 1 if loadings else 0
+    length = max(lags, q, 2, _BLOCK_WIDTH // dim)
     top = np.eye(dim, comp.shape[0])
     carry = np.empty((length, dim, comp.shape[0]))
     for j in range(length):
@@ -63,54 +67,71 @@ def _level_operators(comp: np.ndarray, lags: int):
     impulse = np.concatenate([np.eye(dim)[None], carry[:-1, :, :dim]])
     lag = np.arange(length)[:, None] - np.arange(length)[None, :]
     toeplitz = impulse[np.maximum(lag, 0)] * (lag >= 0)[:, :, None, None]
-    toeplitz = toeplitz.transpose(0, 2, 1, 3).reshape(length * dim, length * dim)
+    own = toeplitz.transpose(0, 2, 1, 3).reshape(length * dim, length * dim)
+    if loadings:  # columns of [M' M]: the q draws before the block, then its own
+        lag = lag[:, :1] + q - np.arange(q + length)
+        theta = np.concatenate([loadings, np.zeros((1, dim, dim))])
+        mix = theta[np.where((lag >= 0) & (lag <= q), lag, -1)].transpose(0, 2, 1, 3)
+        own = own @ mix.reshape(length * dim, -1)
+    prev, own = own[:, :q * dim], own[:, q * dim:]
     carry = carry.reshape(length * dim, comp.shape[0])
-    for arr in (toeplitz, carry):
+    for arr in (own, prev, carry):
         arr.setflags(write=False)
-    return toeplitz, carry, length, lags
+    return own, prev, carry, length, lags
 
 
 def _block_operators(spec: VarmaSpec, level: int):
     """Operators of recursion level ``level``, built on first use and cached.
 
-    Level 0 is the rewrite's VAR part, with the companion matrix F of its
-    lags C A1..C Ap. Level k+1 is the recurrence of the companion states at
-    the block boundaries of level k, a VAR(1) whose matrix is F_k^(L_k); its
-    rows are the top rows of F_k^(L_k), ..., F_k^(L_k-lags+1), read off the
-    carry matrix of level k. The levels are cached, read-only, on the spec
-    next to its rewrite.
+    Level 0 is the rewrite, with the companion matrix F of its lags C A1..C
+    Ap and the loadings C·diag(√γ), C B_l·diag(√γ) of the raw draws. Level
+    k+1 is the recurrence of the companion states at the block boundaries of
+    level k, a VAR(1) whose matrix is F_k^(L_k); its rows are the top rows
+    of F_k^(L_k), ..., F_k^(L_k-lags+1), read off the carry matrix of level
+    k. The levels are cached, read-only, on the spec next to its rewrite.
     """
     levels = spec._compiled.setdefault("blocks", [])
     while len(levels) <= level:
         if levels:
-            _, carry, length, lags = levels[-1]
+            *_, carry, length, lags = levels[-1]
             dim = carry.shape[1]
             comp = carry.reshape(length, -1, dim)[::-1][:lags].reshape(dim, dim)
             levels.append(_level_operators(comp, 1))
         else:
-            ar = remove_instantaneous(spec).ar
-            levels.append(_level_operators(companion_matrix(ar), len(ar)))
+            rw = remove_instantaneous(spec)
+            loadings = [m * np.sqrt(spec.gamma) for m in (rw.ice, *rw.ma_eps)]
+            levels.append(_level_operators(companion_matrix(rw.ar), len(rw.ar), loadings))
     return levels[level]
 
 
-def _var_solve(u: np.ndarray, spec: VarmaSpec, level: int = 0) -> np.ndarray:
-    """The level's VAR recursion driven by the rows of u, from zero state.
+def _block_buffer(spec: VarmaSpec, level: int, m: int):
+    """The level's zeroed (blocks, L*dim) buffer for m rows, and those rows."""
+    own, _, _, length, _ = _block_operators(spec, level)
+    buf = np.zeros((-(-m // length), own.shape[1]))
+    return buf, buf.reshape(-1, own.shape[1] // length)[:m]
 
-    One product gives every block's response from zero state; the companion
-    states at the block boundaries solve the next level's recursion, driven
-    by those responses' end states; one more product adds their carries.
+
+def _var_solve(buf: np.ndarray, m: int, spec: VarmaSpec, level: int = 0) -> np.ndarray:
+    """The level's recursion from zero state, driven by the m rows of a
+    :func:`_block_buffer` (raw draws at level 0).
+
+    One product gives every block's response from zero state, one more adds
+    the MA lags reaching into the block before; the companion states at the
+    block boundaries solve the next level's recursion, driven by those
+    responses' end states; one more product adds their carries.
     """
-    toeplitz, carry, length, lags = _block_operators(spec, level)
-    m, dim = u.shape
-    if m <= length:
-        return (toeplitz[:m * dim, :m * dim] @ u.reshape(-1)).reshape(m, dim)
-    blocks = -(-m // length)
-    resp = np.zeros((blocks, length * dim))
-    resp.reshape(-1, dim)[:m] = u
-    resp = resp @ toeplitz.T
-    # companion state after each block from zero state: its last rows, newest first
-    ends = resp.reshape(blocks, length, dim)[:, ::-1][:, :lags].reshape(blocks, lags * dim)
-    resp[1:] += _var_solve(ends[:-1], spec, level + 1) @ carry.T
+    own, prev, carry, length, lags = _block_operators(spec, level)
+    blocks, width = buf.shape
+    dim = width // length
+    if blocks == 1:
+        return (own[:m * dim, :m * dim] @ buf[0, :m * dim]).reshape(m, dim)
+    resp = buf @ own.T
+    if prev.size:
+        resp[1:] += buf[:-1, width - prev.shape[1]:] @ prev.T
+    nxt, ends = _block_buffer(spec, level + 1, blocks - 1)
+    # companion state after each block but the last: its last rows, newest first
+    ends.reshape(blocks - 1, lags, dim)[:] = resp.reshape(blocks, length, dim)[:-1, ::-1][:, :lags]
+    resp[1:] += _var_solve(nxt, blocks - 1, spec, level + 1) @ carry.T
     return resp.reshape(-1, dim)[:m]
 
 
@@ -133,15 +154,14 @@ class SimulationConfig:
 def simulate(config: SimulationConfig) -> np.ndarray:
     """Iterate the process recursion and return n rows after burn-in.
 
-    Uses the rewrite without instantaneous effects, with the MA part
-    vectorized up front. The VAR recursion is solved blockwise in a few
-    matrix products: one gives every block's response from zero state, the
-    companion states at the block boundaries solve the same kind of
-    recursion one level up (recursively, until one block is left), and one
-    more adds their carries. It equals the per-step recursion up to
-    rounding. The series starts from zero, and the burn-in (default
-    50(p+q)+100 steps) only damps that start by rho^burn for spectral
-    radius rho: near the unit root the transient remains.
+    Uses the rewrite without instantaneous effects. The draws go straight
+    into the block buffer of :func:`_var_solve`, whose first operator folds
+    sqrt(gamma), C and the MA lags into the VAR solve, so a trajectory takes
+    a few matrix products. It equals the per-step recursion up to rounding.
+    Specs without AR lags apply the MA part directly. The series starts from
+    zero, and the burn-in (default 50(p+q)+100 steps) only damps that start
+    by rho^burn for spectral radius rho: near the unit root the transient
+    remains.
     """
     spec = config.spec
     rw = remove_instantaneous(spec)
@@ -154,23 +174,25 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     total = config.n + burn
     d = spec.d
 
+    buf, eps = _block_buffer(spec, 0, total) if rw.ar else (None, np.empty((total, d)))
     if config.innovation_law is None:
-        eps = rng.standard_normal((total, d))
+        rng.standard_normal(out=eps)  # the draws of standard_normal((total, d))
     else:
-        eps = np.array(config.innovation_law(rng, total, d), dtype=float)  # a copy, scaled in place below
-        if eps.shape != (total, d):
+        draws = config.innovation_law(rng, total, d)
+        if np.shape(draws) != (total, d):
             raise ModelError(f"innovation law must return shape {(total, d)}")
+        eps[:] = draws  # a copy: the law's own array stays unchanged
         if not np.isfinite(eps).all():
             raise EstimationError("simulation diverged: non-finite innovation draws")
-    eps *= np.sqrt(spec.gamma)
 
-    driven = eps @ rw.ice.T
-    for lag, mat in enumerate(rw.ma_eps, start=1):
-        driven[lag:] += eps[:-lag] @ mat.T
-    del eps  # freed before the solve, which holds two more full-length arrays
-
-    series = _var_solve(driven, spec) if rw.ar else driven
-    if not np.max(np.abs(series)) <= 1e12:  # also rejects NaN and infinities
+    if rw.ar:
+        series = _var_solve(buf, total, spec)
+    else:
+        eps *= np.sqrt(spec.gamma)
+        series = eps @ rw.ice.T
+        for lag, mat in enumerate(rw.ma_eps, start=1):
+            series[lag:] += eps[:-lag] @ mat.T
+    if not (series.max() <= 1e12 and series.min() >= -1e12):  # also rejects NaN
         raise EstimationError(
             "simulation diverged; re-check the stability of the specification")
     return series[burn:]

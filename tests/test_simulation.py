@@ -105,6 +105,16 @@ class TestBlockedRecursion:
     def test_short_series_and_partial_blocks(self, varma_lagged_spec, n, burn_in):
         assert_matches_per_step(SimulationConfig(varma_lagged_spec, n=n, seed=1, burn_in=burn_in))
 
+    @pytest.mark.parametrize("n, burn_in", [(2_000, 0), (2_003, None)])
+    def test_moving_average_order_above_block_width(self, n, burn_in):
+        # 128 floats hold 4 steps at d = 32, fewer than q = 5, so the
+        # level-0 block is stretched to 5 steps and the MA lags reach back
+        # over the whole block before; 2,003 + 400 burn-in steps end in a
+        # partial block
+        spec = sample_stable_spec(CoefficientSampler(d=32, p=1, q=5), 7)
+        assert simulation._block_operators(spec, 0)[3] == 5
+        assert_matches_per_step(SimulationConfig(spec, n=n, seed=3, burn_in=burn_in))
+
     def test_zero_burn_in_with_custom_law(self):
         spec = sample_stable_spec(CoefficientSampler(d=3, p=2, q=2), 11)
         assert_matches_per_step(SimulationConfig(spec, n=1_000, seed=12, burn_in=0,
@@ -144,8 +154,9 @@ class TestSimulate:
         assert len(builds) == 2
 
     def test_block_operators_memory_bounded(self):
-        # every level's operators hold about (128 floats)² whatever d, so a
-        # d = 32, p = 2 spec keeps well under 4 MB after 20k steps
+        # every level's operators, the fused level-0 ones included, hold
+        # about (128 floats)² whatever d, so a d = 32, p = 2 spec keeps
+        # well under 4 MB after 20k steps
         spec = sample_stable_spec(CoefficientSampler(d=32, p=2, q=1), 0)
         remove_instantaneous(spec)
         tracemalloc.start()
@@ -155,8 +166,8 @@ class TestSimulate:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        cached = sum(arr.nbytes for toeplitz, carry, *_ in spec._compiled["blocks"]
-                     for arr in (toeplitz, carry))
+        cached = sum(arr.nbytes for level in spec._compiled["blocks"]
+                     for arr in level if isinstance(arr, np.ndarray))
         assert cached < 4e6
         assert kept < 4e6
 
@@ -199,8 +210,8 @@ class TestSimulate:
         assert np.max(np.abs(emp - ss.autocov(0))) < 0.05
 
     def test_custom_law_array_left_unchanged(self):
-        # the draws are scaled by sqrt(gamma) in place, so the law's own
-        # array must be copied first
+        # the draws are copied into the simulation's own buffer, so the
+        # law's own array stays as it was
         spec = VarmaSpec(a=[np.zeros((2, 2)), [[0.5, 0], [0.2, 0.3]]], gamma=[4.0, 0.25])
         draws = np.random.default_rng(3).standard_normal((60, 2))
         kept = draws.copy()
