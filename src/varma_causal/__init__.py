@@ -28,7 +28,10 @@ from .graphs import (
     is_m_connecting_path,
     latent_project,
     m_separated,
+    node_from_json,
     node_label,
+    node_to_json,
+    parse_node_ref,
     sorted_nodes,
     to_dot,
 )

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on domain errors (invalid model, estimation
-failure, ...), 2 on usage errors. Node references use the grammar
-``name@lag`` where ``name`` is a component name from the model file's
-"names" array or a 0-based index, and ``lag`` is the time offset relative to
-the anchor (non-positive for the past): ``X@-1``, ``0@0``.
+failure, ...), 2 on usage errors. Nodes are read and written in the text
+form of ``graphs.node_label``: ``name@lag``, where ``name`` is a component
+name from the model file's "names" array or a 0-based index, and ``lag`` is
+the time offset relative to the anchor (non-positive for the past):
+``X@-1``, ``0@0``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import sys
 import numpy as np
 
 from .errors import VarmaCausalError, ModelError
-from .graphs import SeparationQuery, TimedNode, endo, graph_to_json, to_dot
+from .graphs import SeparationQuery, graph_to_json, node_label, parse_node_ref, to_dot
 from .model import (
-    VarmaSpec,
     full_time_window,
     load_spec,
     marginalized_admg_window,
@@ -36,34 +36,6 @@ from .simulation import (
 )
 
 
-def parse_node_ref(ref: str, spec: VarmaSpec = None, names=None) -> TimedNode:
-    """Parse ``name@lag`` into an endogenous node reference."""
-    if names is None and spec is not None:
-        names = spec.names
-    try:
-        name, lag_text = ref.rsplit("@", 1)
-        lag = int(lag_text)
-    except ValueError:
-        raise ModelError(f"bad node reference {ref!r}; expected name@lag") from None
-    if names and name in names:
-        component = list(names).index(name)
-    else:
-        try:
-            component = int(name)
-        except ValueError:
-            raise ModelError(
-                f"unknown component {name!r} (model names: {list(names) if names else 'none'})"
-            ) from None
-    if spec is not None and not 0 <= component < spec.d:
-        raise ModelError(f"component index {component} outside 0..{spec.d - 1}")
-    return endo(component, lag)
-
-
-def format_node_ref(node: TimedNode, names=None) -> str:
-    name = names[node.component] if names else str(node.component)
-    return f"{name}@{node.time}"
-
-
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -79,7 +51,10 @@ def _load_csv(path: str):
         except ValueError:
             names = [tok.strip() for tok in first.strip().split(",")]
             skip = 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError as exc:
+        raise ModelError(f"malformed CSV {path}: {exc}") from None
     return data, names
 
 
@@ -112,11 +87,10 @@ def _cmd_graph(args) -> int:
         graph = marginalized_admg_window(spec, lo, hi)
     else:
         graph = full_time_window(spec, lo, hi, include_innovations=args.innovations)
-    names = list(spec.names) if spec.names else None
     if args.output and args.output.endswith(".json"):
         payload = json.dumps(graph_to_json(graph), indent=2)
     else:
-        payload = to_dot(graph, names)
+        payload = to_dot(graph, spec.names)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -138,7 +112,7 @@ def _cmd_separate(args) -> int:
     result, used, stabilized = stable_marginal_separation(spec, query, t_min=t_min)
     print("separated" if result.separated else "connected")
     if result.witness:
-        path = " - ".join(format_node_ref(v, spec.names) for v in result.witness)
+        path = " - ".join(node_label(v, spec.names) for v in result.witness)
         print(f"witness: {path}")
     print(f"window used: [{used[0]}, {used[1]}]  stabilized: {stabilized}")
     return 0
@@ -152,8 +126,8 @@ def _cmd_effect(args) -> int:
     )
     effect = total_causal_effect(spec, query)
     _print_json({
-        "y": format_node_ref(query.y, spec.names),
-        "x": [format_node_ref(v, spec.names) for v in query.x_set],
+        "y": node_label(query.y, spec.names),
+        "x": [node_label(v, spec.names) for v in query.x_set],
         "beta": effect.beta.tolist(),
     })
     return 0

@@ -13,7 +13,7 @@ integer-coded separation core of ``graphs`` on the spec's compiled incidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .graphs import (
     _connection,
     _reach,
     _result,
+    node_to_json,
 )
 from .model import VarmaSpec, _compiled_admg, full_time_window
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
@@ -186,9 +187,21 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
     return _deepening_separation(spec, query, nodes, max(v.time for v in nodes), t_min)
 
 
-def _field_dict(result, **converted) -> dict:
-    """A result's fields by name in declaration order; ``converted`` values replace stored ones."""
-    return {**{f.name: getattr(result, f.name) for f in fields(result)}, **converted}
+def _json_value(value):
+    """A result field in its JSON form: nodes by ``node_to_json``, tuples and
+    arrays as lists, nested results as their field dicts."""
+    if isinstance(value, TimedNode):
+        return node_to_json(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return _field_dict(value) if is_dataclass(value) else value
+
+
+def _field_dict(result) -> dict:
+    """A result's fields by name in declaration order, in their JSON form."""
+    return {f.name: _json_value(getattr(result, f.name)) for f in fields(result)}
 
 
 @dataclass(frozen=True)
@@ -214,9 +227,7 @@ class IvConditionReport:
     stabilized: bool
     witness: Optional[tuple[TimedNode, ...]] = None
 
-    def to_dict(self) -> dict:
-        return _field_dict(self, window_used=list(self.window_used),
-                           witness=[list(v) for v in self.witness] if self.witness else None)
+    to_dict = _field_dict
 
 
 def _query_sets(y, x_set, i_set, b_set):

@@ -12,6 +12,11 @@ of the query's ancestral nodes, and ``_result`` searches a witness path only
 when the query is connected. The augmented graph (``augment``) serves
 ``extend_separated_sets``; the reference deciders of the tests (path
 enumeration, moralization) live outside the library.
+
+Every input and output writes a timed node in one of two forms, each with
+its writer and reader here: JSON ``{"component", "time", "kind"}``
+(``node_to_json``, ``node_from_json``) and text ``name@time`` or
+``e(name)@time`` (``node_label``, ``parse_node_ref``).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .errors import GraphError
+from .errors import GraphError, ModelError
 
 ENDOGENOUS = "endogenous"
 INNOVATION = "innovation"
@@ -51,13 +56,6 @@ def node_sort_key(v: TimedNode):
 
 def sorted_nodes(nodes: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
     return tuple(sorted(nodes, key=node_sort_key))
-
-
-def node_label(v: TimedNode, names: Optional[list[str]] = None) -> str:
-    name = names[v.component] if names else f"S{v.component}"
-    if v.kind == INNOVATION:
-        return f"e({name})@{v.time}"
-    return f"{name}@{v.time}"
 
 
 # Internal incident-edge record: (neighbor, head_here, head_there). The
@@ -612,63 +610,97 @@ def latent_project(g: DirectedMixedGraph, keep: Iterable[TimedNode]) -> Directed
     )
 
 
-# -- serialization ----------------------------------------------------------
+# -- node codec: the one JSON form and the one text form of a timed node ----
 
-def _node_dict(v: TimedNode) -> dict:
+def node_to_json(v: TimedNode) -> dict:
     return {"component": v.component, "time": v.time, "kind": v.kind}
 
 
-def _node_from_dict(d: dict) -> TimedNode:
-    kind = d.get("kind", ENDOGENOUS)
+def node_from_json(data) -> TimedNode:
+    """Read :func:`node_to_json`'s form. ``kind`` defaults to endogenous, and
+    the time may be keyed ``lag``, as query files of earlier versions wrote it."""
+    try:
+        component, time = data["component"], data["time"] if "time" in data else data["lag"]
+        kind = data.get("kind", ENDOGENOUS)
+    except (KeyError, TypeError):
+        raise GraphError(f"bad node {data!r}; expected component, time and kind") from None
     if kind not in (ENDOGENOUS, INNOVATION):
         raise GraphError(f"unknown node kind {kind!r}")
-    return TimedNode(int(d["component"]), int(d["time"]), kind)
+    if not (type(component) is int and type(time) is int and component >= 0):
+        raise GraphError(f"bad node {data!r}; expected integer time and component >= 0")
+    return TimedNode(component, time, kind)
+
+
+def node_label(v: TimedNode, names=None) -> str:
+    """Text form: ``name@time``, or ``e(name)@time`` for an innovation, where
+    ``name`` is the component's name in ``names`` or its 0-based index."""
+    name = names[v.component] if names else v.component
+    return f"e({name})@{v.time}" if v.kind == INNOVATION else f"{name}@{v.time}"
+
+
+def parse_node_ref(ref: str, spec=None, names=None) -> TimedNode:
+    """Read :func:`node_label`'s form. ``names`` defaults to those of the
+    VarmaSpec ``spec``, which also bounds the component; a 0-based index
+    always works. A name of ``names`` wins over the ``e(name)`` reading."""
+    if names is None and spec is not None:
+        names = spec.names
+    try:
+        name, time_text = ref.rsplit("@", 1)
+        time = int(time_text)
+    except ValueError:
+        raise ModelError(f"bad node reference {ref!r}; expected name@lag") from None
+    names, kind = list(names or ()), ENDOGENOUS
+    if name not in names and name.startswith("e(") and name.endswith(")"):
+        name, kind = name[2:-1], INNOVATION
+    if name in names:
+        component = names.index(name)
+    elif name.isdecimal():
+        component = int(name)
+    else:
+        raise ModelError(f"unknown component {name!r} (model names: {names or 'none'})")
+    if spec is not None and component >= spec.d:
+        raise ModelError(f"component index {component} outside 0..{spec.d - 1}")
+    return TimedNode(component, time, kind)
+
+
+def _ordered_edges(g: DirectedMixedGraph):
+    """(tail, head, coefficient) and time-sorted bi-directed (v, w) edges in
+    the order of the graph outputs: by ``node_sort_key`` of each endpoint."""
+    return (sorted(((t, h, c) for (t, h), c in g.directed.items()),
+                   key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))),
+            sorted(map(sorted_nodes, g.bidirected), key=lambda p: tuple(map(node_sort_key, p))))
 
 
 def graph_to_json(g: DirectedMixedGraph) -> dict:
+    directed, bidirected = _ordered_edges(g)
     return {
-        "nodes": [_node_dict(v) for v in g.nodes],
-        "directed": [
-            {"tail": _node_dict(t), "head": _node_dict(h), "coefficient": c}
-            for (t, h), c in sorted(
-                g.directed.items(),
-                key=lambda e: (node_sort_key(e[0][0]), node_sort_key(e[0][1])),
-            )
-        ],
-        "bidirected": [
-            [_node_dict(v) for v in sorted_nodes(pair)]
-            for pair in sorted(g.bidirected, key=lambda p: tuple(map(node_sort_key, sorted_nodes(p))))
-        ],
+        "nodes": [node_to_json(v) for v in g.nodes],
+        "directed": [{"tail": node_to_json(t), "head": node_to_json(h), "coefficient": c}
+                     for t, h, c in directed],
+        "bidirected": [[node_to_json(v), node_to_json(w)] for v, w in bidirected],
     }
 
 
 def graph_from_json(data: dict) -> DirectedMixedGraph:
-    nodes = [_node_from_dict(d) for d in data["nodes"]]
+    nodes = [node_from_json(d) for d in data["nodes"]]
     directed = [
-        (_node_from_dict(e["tail"]), _node_from_dict(e["head"]), e.get("coefficient"))
+        (node_from_json(e["tail"]), node_from_json(e["head"]), e.get("coefficient"))
         for e in data.get("directed", [])
     ]
     bidirected = [
-        tuple(_node_from_dict(d) for d in pair) for pair in data.get("bidirected", [])
+        tuple(node_from_json(d) for d in pair) for pair in data.get("bidirected", [])
     ]
     return DirectedMixedGraph(nodes, directed, bidirected)
 
 
 def to_dot(g: DirectedMixedGraph, names: Optional[list[str]] = None) -> str:
     """Graphviz rendering; bi-directed edges use dir=both."""
-    lines = ["digraph G {"]
-    for v in g.nodes:
-        lines.append(f'  "{node_label(v, names)}";')
-    for (t, h), c in sorted(
-        g.directed.items(),
-        key=lambda e: (node_sort_key(e[0][0]), node_sort_key(e[0][1])),
-    ):
+    directed, bidirected = _ordered_edges(g)
+    lines = ["digraph G {", *(f'  "{node_label(v, names)}";' for v in g.nodes)]
+    for t, h, c in directed:
         attr = f' [label="{c:g}"]' if c is not None else ""
         lines.append(f'  "{node_label(t, names)}" -> "{node_label(h, names)}"{attr};')
-    for pair in sorted(g.bidirected, key=lambda p: tuple(map(node_sort_key, sorted_nodes(p)))):
-        v, w = sorted_nodes(pair)
-        lines.append(
-            f'  "{node_label(v, names)}" -> "{node_label(w, names)}" [dir=both];'
-        )
+    for v, w in bidirected:
+        lines.append(f'  "{node_label(v, names)}" -> "{node_label(w, names)}" [dir=both];')
     lines.append("}")
     return "\n".join(lines)

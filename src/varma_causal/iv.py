@@ -15,18 +15,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import EstimationError, ModelError, UnderIdentifiedError
-from .graphs import ENDOGENOUS, TimedNode, endo
+from .graphs import ENDOGENOUS, TimedNode, node_from_json
 from .model import VarmaSpec
-from .effects import IvConditionReport, _field_dict, _iv_report, _query_sets
+from .effects import IvConditionReport, _field_dict, _iv_report, _json_value, _query_sets
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
-
-
-def _node_ref(v: TimedNode) -> dict:
-    return {"component": v.component, "lag": v.time}
-
-
-def _node_from_ref(d: dict) -> TimedNode:
-    return endo(int(d["component"]), int(d["lag"]))
 
 
 @dataclass(frozen=True)
@@ -62,12 +54,8 @@ class IvQuery:
         return np.eye(len(self.i_set)) if self.weight is None else self.weight
 
     def to_dict(self) -> dict:
-        out = {
-            "y": _node_ref(self.y),
-            "x": [_node_ref(v) for v in self.x_set],
-            "i": [_node_ref(v) for v in self.i_set],
-            "b": [_node_ref(v) for v in self.b_set],
-        }
+        out = {"y": _json_value(self.y), "x": _json_value(self.x_set),
+               "i": _json_value(self.i_set), "b": _json_value(self.b_set)}
         if self.weight is not None:
             out["weight"] = self.weight.tolist()
         return out
@@ -75,10 +63,10 @@ class IvQuery:
     @classmethod
     def from_dict(cls, data: dict) -> "IvQuery":
         return cls(
-            _node_from_ref(data["y"]),
-            [_node_from_ref(d) for d in data["x"]],
-            [_node_from_ref(d) for d in data["i"]],
-            [_node_from_ref(d) for d in data.get("b", [])],
+            node_from_json(data["y"]),
+            [node_from_json(d) for d in data["x"]],
+            [node_from_json(d) for d in data["i"]],
+            [node_from_json(d) for d in data.get("b", [])],
             weight=data.get("weight"),
         )
 
@@ -90,9 +78,7 @@ class IvResult:
     conditions: Optional[IvConditionReport]
     sample_size: Union[int, str]
 
-    def to_dict(self) -> dict:
-        return _field_dict(self, beta=self.beta.tolist(),
-                           conditions=self.conditions.to_dict() if self.conditions else None)
+    to_dict = _field_dict
 
 
 def _weighted_solve(s_yi: np.ndarray, s_xi: np.ndarray, w: np.ndarray):

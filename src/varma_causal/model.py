@@ -410,16 +410,15 @@ def spec_to_json(spec: VarmaSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> VarmaSpec:
+    """A spec from its JSON form; any malformed entry raises ModelError."""
     try:
-        a = data["A"]
-        gamma = data.get("gamma")
-        b = data.get("B", [])
-    except (KeyError, TypeError) as exc:
+        spec = VarmaSpec(data["A"], data.get("B", []), data.get("gamma"), names=data.get("names"))
+        for key in ("d", "p", "q"):
+            if key in data and int(data[key]) != getattr(spec, key):
+                raise ModelError(f"model JSON claims {key}={data[key]} "
+                                 f"but matrices give {getattr(spec, key)}")
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ModelError(f"malformed model JSON: {exc}") from exc
-    spec = VarmaSpec(a, b, gamma, names=data.get("names"))
-    for key, actual in (("d", spec.d), ("p", spec.p), ("q", spec.q)):
-        if key in data and int(data[key]) != actual:
-            raise ModelError(f"model JSON claims {key}={data[key]} but matrices give {actual}")
     return spec
 
 

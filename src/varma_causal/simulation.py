@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import EstimationError, ModelError
-from .graphs import SeparationQuery, TimedNode, endo
+from .graphs import SeparationQuery, TimedNode, endo, node_label
 from .model import VarmaSpec, companion_matrix, remove_instantaneous
 from .stationary import CI_DEFAULT_TOL, StateSpaceForm, population_ci, solve_stationary
 from .effects import _field_dict, stable_marginal_separation
@@ -314,9 +314,7 @@ class QueryRecord:
     violation: bool
     p_value: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        nodes = lambda vs: [[v.component, v.time] for v in vs]
-        return _field_dict(self, a=nodes(self.a), b=nodes(self.b), c=nodes(self.c))
+    to_dict = _field_dict
 
 
 @dataclass(frozen=True)
@@ -333,8 +331,7 @@ class ExperimentReport:
     summary: dict
     records: tuple[QueryRecord, ...]
 
-    def to_dict(self) -> dict:
-        return _field_dict(self, records=[r.to_dict() for r in self.records])
+    to_dict = _field_dict
 
     def save_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -346,10 +343,8 @@ class ExperimentReport:
             writer = csv.DictWriter(fh, fieldnames=[f.name for f in fields(QueryRecord)])
             writer.writeheader()
             for rec in self.records:
-                row = rec.to_dict()
-                for key in ("a", "b", "c"):
-                    row[key] = ";".join(f"{i}@{t}" for i, t in row[key])
-                writer.writerow(row)
+                writer.writerow({**rec.to_dict(), **{
+                    key: ";".join(map(node_label, getattr(rec, key))) for key in "abc"}})
 
 
 def _draw_query(rng: np.random.Generator, d: int, window: int) -> SeparationQuery:

@@ -210,9 +210,9 @@ def population_ci(ss: StateSpaceForm, query: SeparationQuery,
 
     Each entry of Cov(A, C | B) is compared against tol times the product of
     the two conditional standard deviations (the squared geometric mean), i.e.
-    the conditional correlation must fall below tol. Nodes whose conditional
-    variance vanishes are degenerate: their entries count as independent and
-    the verdict is flagged.
+    the conditional correlation must fall below tol. A node whose conditional
+    variance is at most 1e-10 of its unconditional variance is degenerate: its
+    entries count as independent and the verdict is flagged.
 
     For non-Gaussian innovations m-separation still forces these covariances
     to zero, but zero covariance then no longer certifies independence; the

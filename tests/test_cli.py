@@ -3,8 +3,17 @@ import json
 import numpy as np
 import pytest
 
-from varma_causal import spec_to_json, endo
-from varma_causal.cli import format_node_ref, main, parse_node_ref
+from varma_causal import (
+    IvQuery,
+    TimedNode,
+    endo,
+    graph_from_json,
+    node_from_json,
+    node_label,
+    parse_node_ref,
+    spec_to_json,
+)
+from varma_causal.cli import main
 
 
 @pytest.fixture()
@@ -24,12 +33,12 @@ class TestNodeGrammar:
     def test_round_trip_with_names(self, varma_lagged_spec):
         node = parse_node_ref("Y@-2", varma_lagged_spec)
         assert node == endo(1, -2)
-        assert format_node_ref(node, varma_lagged_spec.names) == "Y@-2"
+        assert node_label(node, varma_lagged_spec.names) == "Y@-2"
 
     def test_round_trip_with_indices(self):
         node = parse_node_ref("1@-3")
         assert node == endo(1, -3)
-        assert format_node_ref(node) == "1@-3"
+        assert node_label(node) == "1@-3"
 
     def test_bad_references(self, varma_lagged_spec):
         from varma_causal import ModelError
@@ -68,6 +77,18 @@ class TestValidateCommand:
         code, out, err = run_cli(capsys, "validate", "-m", str(path))
         assert code == 1 and out == ""
         assert err == f"error: {matrix} has non-finite entries\n"
+
+    @pytest.mark.parametrize("text", [
+        '{"A": [[[0, "x"], [0, 0]]]}',
+        '{"A": [[[0, 0], [0]]]}',
+        '{"A": [[[0, 0], [0, 0]]], "d": "two"}',
+    ], ids=["non-numeric-entry", "ragged-matrix", "non-integer-d"])
+    def test_malformed_model_is_domain_error(self, capsys, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "-m", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed model JSON: ") and "Traceback" not in err
 
 
 class TestGraphCommand:
@@ -134,7 +155,9 @@ class TestIvCommand:
             "instrument_separated", "confounding_free", "rank", "rank_ok",
             "under_identified", "all_hold", "window_used", "stabilized", "witness"]
         assert payload["conditions"]["witness"] == [
-            [0, -2, "endogenous"], [1, -1, "endogenous"], [1, 0, "endogenous"]]
+            {"component": 0, "time": -2, "kind": "endogenous"},
+            {"component": 1, "time": -1, "kind": "endogenous"},
+            {"component": 1, "time": 0, "kind": "endogenous"}]
         code, out, _ = run_cli(capsys, "iv", "-m", model_path, "--y", "Y@0",
                                "--x", "X@-1", "--i", "X@-2", "--no-conditions")
         assert code == 0 and json.loads(out)["conditions"] is None
@@ -151,6 +174,14 @@ class TestIvCommand:
         payload = json.loads(out)
         assert payload["sample_size"] == 20000 - 2
         assert np.max(np.abs(np.array(payload["beta"]) - [1 / 3, 1 / 2])) < 0.1
+
+    def test_ragged_csv_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("X,Y\n0.1,0.2\n0.3\n0.5,0.6\n")
+        code, out, err = run_cli(capsys, "iv", "--data", str(path), "--y", "Y@0",
+                                 "--x", "X@-1", "--i", "X@-2")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: malformed CSV {path}: ") and "Traceback" not in err
 
     def test_requires_model_or_data(self, capsys):
         code, _, err = run_cli(capsys, "iv", "--y", "Y@0", "--x", "X@-1",
@@ -209,11 +240,124 @@ class TestExperimentCommand:
         record = data["records"][0]
         assert list(record) == ["trial", "a", "b", "c", "separated", "stabilized",
                                 "magnitude", "degenerate", "violation", "p_value"]
-        assert all(len(node) == 2 for node in record["a"] + record["b"] + record["c"])
+        assert all(list(node) == ["component", "time", "kind"]
+                   for node in record["a"] + record["b"] + record["c"])
         assert isinstance(record["p_value"], float)
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "trial,a,b,c,separated,stabilized,magnitude,degenerate,violation,p_value"
         assert len(lines) == 3
+
+
+class TestEarlierOutputs:
+    """Outputs written before every node went through the ``graphs`` codec,
+    kept literally: each decodes to the nodes that the current output of the
+    same command holds. The README model is ``model_path``."""
+
+    # iv -m model.json --y Y@0 --x X@-1 --i X@-2: conditions.witness
+    WITNESS = [[0, -2, "endogenous"], [1, -1, "endogenous"], [1, 0, "endogenous"]]
+    # experiment gmp --trials 2 --queries-per-trial 3 --seed 3: the a, b, c of
+    # each record with -o, and the a,b,c columns with --csv
+    EXPERIMENT = ["gmp", "--trials", "2", "--queries-per-trial", "3", "--seed", "3"]
+    RECORDS = [([[1, -5], [0, -1]], [], [[0, -5], [0, 0]]),
+               ([[0, -2]], [[0, -3]], [[0, -1], [0, 0]]),
+               ([[1, -4]], [[0, -2], [0, 0]], [[0, -4]]),
+               ([[1, -2]], [[0, -3], [1, -1]], [[0, -1]]),
+               ([[1, -5], [0, 0]], [], [[0, -5]]),
+               ([[1, -5]], [], [[0, -1]])]
+    CSV_ROWS = ["1@-5;0@-1,,0@-5;0@0", "0@-2,0@-3,0@-1;0@0", "1@-4,0@-2;0@0,0@-4",
+                "1@-2,0@-3;1@-1,0@-1", "1@-5;0@0,,0@-5", "1@-5,,0@-1"]
+    # IvQuery(Y@0, (X@-1, Y@-1), (X@-2, Y@-2), (Y@-3,), weight=2 I).to_dict()
+    IV_QUERY = {"y": {"component": 1, "lag": 0},
+                "x": [{"component": 0, "lag": -1}, {"component": 1, "lag": -1}],
+                "i": [{"component": 0, "lag": -2}, {"component": 1, "lag": -2}],
+                "b": [{"component": 1, "lag": -3}], "weight": [[2.0, 0.0], [0.0, 2.0]]}
+    # graph --window=-1:0 --innovations on the README model without names
+    DOT = """digraph G {
+  "S0@-1";
+  "e(S0)@-1";
+  "S1@-1";
+  "e(S1)@-1";
+  "S0@0";
+  "e(S0)@0";
+  "S1@0";
+  "e(S1)@0";
+  "S0@-1" -> "S0@0" [label="0.5"];
+  "S0@-1" -> "S1@0" [label="0.333333"];
+  "e(S0)@-1" -> "S0@-1" [label="1"];
+  "S1@-1" -> "S1@0" [label="0.5"];
+  "e(S1)@-1" -> "S1@-1" [label="1"];
+  "e(S1)@-1" -> "S0@0" [label="0.25"];
+  "e(S0)@0" -> "S0@0" [label="1"];
+  "e(S1)@0" -> "S1@0" [label="1"];
+}"""
+    # graph --window=-1:0 --marginalize -o graph.json
+    GRAPH = {
+        "nodes": [{"component": 0, "time": -1, "kind": "endogenous"},
+                  {"component": 1, "time": -1, "kind": "endogenous"},
+                  {"component": 0, "time": 0, "kind": "endogenous"},
+                  {"component": 1, "time": 0, "kind": "endogenous"}],
+        "directed": [
+            {"tail": {"component": 0, "time": -1, "kind": "endogenous"},
+             "head": {"component": 0, "time": 0, "kind": "endogenous"}, "coefficient": 0.5},
+            {"tail": {"component": 0, "time": -1, "kind": "endogenous"},
+             "head": {"component": 1, "time": 0, "kind": "endogenous"},
+             "coefficient": 0.3333333333333333},
+            {"tail": {"component": 1, "time": -1, "kind": "endogenous"},
+             "head": {"component": 1, "time": 0, "kind": "endogenous"}, "coefficient": 0.5}],
+        "bidirected": [[{"component": 1, "time": -1, "kind": "endogenous"},
+                        {"component": 0, "time": 0, "kind": "endogenous"}]],
+    }
+
+    def test_iv_witness(self, capsys, model_path):
+        code, out, _ = run_cli(capsys, "iv", "-m", model_path, "--y", "Y@0",
+                               "--x", "X@-1", "--i", "X@-2")
+        assert code == 0
+        witness = json.loads(out)["conditions"]["witness"]
+        assert [node_from_json(v) for v in witness] == [TimedNode(*v) for v in self.WITNESS]
+
+    def test_experiment_records_and_csv_rows(self, capsys, tmp_path):
+        report, rows = tmp_path / "report.json", tmp_path / "records.csv"
+        code, _, _ = run_cli(capsys, "experiment", *self.EXPERIMENT,
+                             "-o", str(report), "--csv", str(rows))
+        assert code == 0
+        records = [[[node_from_json(v) for v in rec[key]] for key in "abc"]
+                   for rec in json.loads(report.read_text())["records"]]
+        assert records == [[[endo(*v) for v in nodes] for nodes in rec] for rec in self.RECORDS]
+        cells = lambda row: [[parse_node_ref(ref) for ref in cell.split(";") if ref]
+                             for cell in row.split(",")[1:4]]
+        new_rows = rows.read_text().splitlines()[1:]
+        assert [cells(row) for row in new_rows] == [cells("0," + row) for row in self.CSV_ROWS]
+        assert [cells(row) for row in new_rows] == records
+
+    def test_iv_query_dict(self):
+        old = IvQuery.from_dict(self.IV_QUERY)
+        new = IvQuery.from_dict(old.to_dict())
+        assert (new.y, new.x_set, new.i_set, new.b_set) == (old.y, old.x_set, old.i_set, old.b_set)
+        assert old.y == endo(1, 0) and old.b_set == (endo(1, -3),)
+        assert np.array_equal(new.weight, old.weight)
+
+    def test_dot_labels(self, capsys, tmp_path, varma_lagged_spec):
+        unnamed = {k: v for k, v in spec_to_json(varma_lagged_spec).items() if k != "names"}
+        path = tmp_path / "unnamed.json"
+        path.write_text(json.dumps(unnamed))
+        code, out, _ = run_cli(capsys, "graph", "-m", str(path), "--window=-1:0", "--innovations")
+        assert code == 0
+
+        def decoded(dot, names):
+            # every quoted node label decoded, all other text kept
+            return [[parse_node_ref(part, names=names) if i % 2 and "@" in part else part
+                     for i, part in enumerate(line.split('"'))] for line in dot.splitlines()]
+        old = decoded(self.DOT, ["S0", "S1"])
+        assert decoded(out.strip(), None) == old
+        assert sum(isinstance(part, TimedNode) for line in old for part in line) == 24
+
+    def test_graph_json(self, capsys, tmp_path, model_path):
+        target = tmp_path / "graph.json"
+        code, _, _ = run_cli(capsys, "graph", "-m", model_path, "--window=-1:0",
+                             "--marginalize", "-o", str(target))
+        assert code == 0
+        old, new = graph_from_json(self.GRAPH), graph_from_json(json.loads(target.read_text()))
+        assert (old.nodes, old.directed, old.bidirected) == (new.nodes, new.directed, new.bidirected)
 
 
 class TestUsageErrors:

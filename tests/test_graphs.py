@@ -1,9 +1,16 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from varma_causal import (
+    ENDOGENOUS,
+    INNOVATION,
     DirectedMixedGraph,
     GraphError,
+    ModelError,
     SeparationQuery,
+    TimedNode,
     augment,
     endo,
     extend_separated_sets,
@@ -15,6 +22,10 @@ from varma_causal import (
     latent_project,
     m_separated,
     marginalized_admg_window,
+    node_from_json,
+    node_label,
+    node_to_json,
+    parse_node_ref,
     rewritten_full_time_window,
     to_dot,
 )
@@ -308,3 +319,48 @@ class TestSerialization:
         dot = to_dot(g, ["X", "Y"])
         assert '"X@-1" -> "X@0"' in dot
         assert '"Y@-1" -> "X@0" [dir=both];' in dot
+
+
+@st.composite
+def nodes_and_names(draw):
+    """A timed node of either kind, with model names (unique, some of them
+    digits or holding '@') or without."""
+    names = draw(st.none() | st.lists(st.text("XYZab_09@", min_size=1, max_size=3),
+                                      min_size=1, max_size=6, unique=True))
+    component = draw(st.integers(0, len(names) - 1 if names else 40))
+    time = draw(st.integers(-10**6, 10**6))
+    return TimedNode(component, time, draw(st.sampled_from([ENDOGENOUS, INNOVATION]))), names
+
+
+class TestNodeCodec:
+    @given(nodes_and_names())
+    @settings(max_examples=300, deadline=None)
+    def test_both_forms_round_trip(self, case):
+        node, names = case
+        assert node_from_json(json.loads(json.dumps(node_to_json(node)))) == node
+        assert parse_node_ref(node_label(node, names), names=names) == node
+
+    def test_text_forms(self):
+        assert node_label(innov(X, -2), ["X", "Y"]) == "e(X)@-2"
+        assert node_label(innov(Y, 3)) == "e(1)@3" and node_label(endo(Y, 0)) == "1@0"
+        assert node_from_json({"component": 1, "lag": -3}) == endo(Y, -3)
+
+    @pytest.mark.parametrize("data", [
+        {"component": 0, "time": 0, "kind": "latent"},
+        {"component": 0, "kind": ENDOGENOUS},
+        {"time": 0, "kind": ENDOGENOUS},
+        {"component": 0, "time": 1.5},
+        {"component": 0, "time": "0"},
+        {"component": -1, "time": 0},
+        [0, -2, ENDOGENOUS],
+        None,
+    ], ids=["unknown-kind", "missing-time", "missing-component", "float-time",
+            "string-time", "negative-component", "list", "null"])
+    def test_json_reader_rejects(self, data):
+        with pytest.raises(GraphError):
+            node_from_json(data)
+
+    @pytest.mark.parametrize("ref", ["Z@0", "e(Z)@0", "X@1.5", "X@", "X", "-1@0"])
+    def test_text_reader_rejects(self, ref):
+        with pytest.raises(ModelError):
+            parse_node_ref(ref, names=["X", "Y"])

@@ -16,6 +16,7 @@ from varma_causal import (
     estimate_from_data,
     identify_population,
     lagged_design,
+    node_to_json,
     sample_stable_spec,
     simulate,
     total_causal_effect,
@@ -44,8 +45,8 @@ class TestQueryValidation:
                         (endo(X, -2), endo(Y, -2)), (endo(Y, -3),),
                         weight=2.0 * np.eye(2))
         data = query.to_dict()
-        assert data["y"] == {"component": 1, "lag": 0}
-        assert data["x"][0] == {"component": 0, "lag": -1}
+        assert data["y"] == {"component": 1, "time": 0, "kind": "endogenous"}
+        assert data["x"][0] == {"component": 0, "time": -1, "kind": "endogenous"}
         clone = IvQuery.from_dict(data)
         assert clone.y == query.y and clone.x_set == query.x_set
         assert clone.i_set == query.i_set and clone.b_set == query.b_set
@@ -59,9 +60,9 @@ class TestIdentifyPopulation:
         conditions = data["conditions"]
         assert type(data["beta"]) is list and data["sample_size"] == "population"
         assert type(conditions["window_used"]) is list
-        assert conditions["witness"] == [[X, -2, "endogenous"], [Y, -1, "endogenous"],
-                                         [Y, 0, "endogenous"]]
-        assert all(type(v) is list for v in conditions["witness"])
+        assert conditions["witness"] == [node_to_json(v) for v in
+                                         (endo(X, -2), endo(Y, -1), endo(Y, 0))]
+        assert all(type(v) is dict for v in conditions["witness"])
 
     def test_varma_lagged_beta(self, varma_lagged_spec):
         query = IvQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1)),

@@ -16,6 +16,7 @@ from varma_causal import (
     endo,
     faithfulness_check,
     fisher_z_pvalue,
+    node_to_json,
     population_ci,
     remove_instantaneous,
     run_faithfulness_experiment,
@@ -387,8 +388,8 @@ class TestExperiments:
         data = report.to_dict()
         assert type(data["records"]) is list and data["summary"] is report.summary
         for rec, row in zip(report.records, data["records"]):
-            assert row["a"] == [[v.component, v.time] for v in rec.a]
-            assert all(type(node) is list for node in row["a"] + row["b"] + row["c"])
+            assert row["a"] == [node_to_json(v) for v in rec.a]
+            assert all(type(node) is dict for node in row["a"] + row["b"] + row["c"])
 
 class TestStructuralZero:
     """X_t = a X_(t-2) + e_t + b e_(t-1): a connected query whose conditional

@@ -21,7 +21,9 @@ from varma_causal import stationary
 from varma_causal.stationary import (
     LYAPUNOV_RESIDUAL_RTOL,
     PINV_RTOL,
+    RANK_RTOL,
     NodeSetCovariance,
+    numerical_rank,
     _solve_lyapunov_doubling,
 )
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
@@ -294,6 +296,23 @@ class TestPopulationCi:
         q = SeparationQuery([endo(0, 0)], [endo(2, 0)], [endo(1, 0)])
         verdict = population_ci(ss, q)
         assert verdict.degenerate and verdict.independent
+
+    @pytest.mark.parametrize("g, degenerate", [(1.2e-10, True), (1.5e-10, False)])
+    def test_degenerate_cutoff_is_1e_10_of_the_variance(self, g, degenerate):
+        # X_t = Y_t + eX_t, Y_t = Y_(t-1)/2 + eY_t, Var(eX) = g: Var(X@0 | Y@0)
+        # = g against Var(X@0) = g + 4/3, so the cutoff lies at g = 1.33e-10
+        spec = VarmaSpec(a=[[[0, 1], [0, 0]], [[0, 0], [0, 0.5]]], gamma=[g, 1])
+        q = SeparationQuery([endo(X, 0)], [endo(Y, 0)], [endo(Y, -1)])
+        assert population_ci(solve_stationary(spec), q).degenerate is degenerate
+
+
+class TestNumericalRank:
+    def test_cutoff_at_rank_rtol(self):
+        # singular values count when above RANK_RTOL times the largest
+        assert RANK_RTOL == 1e-8
+        assert numerical_rank(np.diag([1, 0.99e-8])) == 1
+        assert numerical_rank(np.diag([1, 1.01e-8])) == 2
+        assert numerical_rank(np.diag([1e3, 0.99e-5])) == 1  # relative to the largest
 
 
 class TestConcurrentTableGrowth:
