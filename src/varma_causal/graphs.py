@@ -6,7 +6,8 @@ behaves exactly like a DAG in every operation, so the same machinery covers
 d-separation on DAGs and m-separation on ADMGs.
 
 One separation core, on integer node codes (:class:`_CodedGraph`), serves
-finite graphs and the periodic marginalized ADMG of a spec: ``_connection``
+finite graphs and the periodic marginalized ADMG of a spec; its offset
+records are the one incidence either keeps. ``_connection``
 decides with one Bayes-ball pass over (node, entered-with-arrowhead) states
 of the query's ancestral nodes, and ``_result`` searches a witness path only
 when the query is connected. The augmented graph (``augment``) serves
@@ -21,7 +22,6 @@ its writer and reader here: JSON ``{"component", "time", "kind"}``
 
 from __future__ import annotations
 
-import functools
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -58,11 +58,6 @@ def sorted_nodes(nodes: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
     return tuple(sorted(nodes, key=node_sort_key))
 
 
-# Internal incident-edge record: (neighbor, head_here, head_there). The
-# head_* flags say whether the edge carries an arrowhead at that endpoint;
-# they are all a path algorithm needs to classify colliders.
-
-
 def _kahn_order(nodes, children, key) -> tuple:
     """Topological order, smallest free node by ``key`` first; short on a cycle."""
     indeg = Counter(w for v in nodes for w in children(v))
@@ -84,10 +79,11 @@ class _CodedGraph:
     Node i of time slice t has code t·period + i; floor ``//`` and ``%``
     decode it, negative times included. ``records[i]`` lists the edges at
     node i of slice 0 as (offset to the neighbour's code, arrowhead here,
-    arrowhead there) in incidence order, which breaks witness ties. Split off
-    once: ``entering[h][i]``, the (offset, arrowhead there) of the edges with
-    arrowhead flag h at node i, for the reverse Bayes-ball step, and the
-    neighbour offsets of each edge kind for the closures.
+    arrowhead there) in :func:`_incidence` order, which breaks witness ties;
+    they are a graph's only incidence, a finite graph being the one-slice
+    case. Split off once: ``entering[h][i]``, the (offset, arrowhead there)
+    of the edges with arrowhead flag h at node i, for the reverse Bayes-ball
+    step, and the neighbour offsets of each edge kind for the closures.
     """
 
     def __init__(self, period: int, records):
@@ -121,19 +117,21 @@ def _reach(coded: _CodedGraph, starts, offsets, floor: int, ceiling: int,
     return seen
 
 
-def _incidence(nodes, directed, bidirected) -> dict:
-    """Edges at each node as (neighbour, arrowhead here, arrowhead there), in
-    the order that breaks witness ties: directed (tail, head) pairs under
-    ``node_sort_key``, time first; then the time-sorted bi-directed pairs
-    compared as ``TimedNode`` tuples, component first."""
-    incident = {v: [] for v in nodes}
-    for tail, head in sorted(directed, key=lambda e: (node_sort_key(e[0]), node_sort_key(e[1]))):
-        incident[tail].append((head, False, True))
-        incident[head].append((tail, True, False))
-    for v, w in sorted(map(sorted_nodes, bidirected)):
-        incident[v].append((w, True, True))
-        incident[w].append((v, True, True))
-    return incident
+def _incidence(nodes, directed, bidirected, code) -> tuple:
+    """:class:`_CodedGraph` records of ``nodes``, coded 0, 1, ... by ``code``,
+    with edges in the order that breaks witness ties: directed (tail, head)
+    pairs by code, which follows ``node_sort_key``, time first; then the
+    time-sorted bi-directed pairs compared as ``TimedNode`` tuples, component
+    first. Endpoints coded outside ``nodes`` get no record."""
+    records = [[] for _ in nodes]
+    directed = sorted((code(t), code(h), False, True) for t, h in directed)
+    bidirected = [(code(v), code(w), True, True) for v, w in sorted(map(sorted_nodes, bidirected))]
+    for v, w, at_v, at_w in directed + bidirected:
+        if 0 <= v < len(records):
+            records[v].append((w - v, at_v, at_w))
+        if 0 <= w < len(records):
+            records[w].append((v - w, at_w, at_v))
+    return tuple(map(tuple, records))
 
 
 class DirectedMixedGraph:
@@ -178,8 +176,12 @@ class DirectedMixedGraph:
             for v in pair:
                 self._require(v)
 
-        self._incident = _incidence(self.nodes, self.directed, self.bidirected)
-        self._order = _kahn_order(self.nodes, self.children, node_sort_key)
+        # the one-slice coding: code = index in ``nodes``, period = len(nodes)
+        self._coded = _CodedGraph(len(self.nodes), _incidence(
+            self.nodes, self.directed, self.bidirected, self._index.__getitem__))
+        children = self._coded.children  # codes follow node_sort_key
+        self._order = tuple(self.nodes[k] for k in _kahn_order(
+            range(len(self.nodes)), lambda k: [k + off for off in children[k]], int))
         if len(self._order) != len(self.nodes):
             cycle = sorted_nodes(set(self.nodes) - set(self._order))
             raise GraphError(f"directed cycle among {[tuple(v) for v in cycle]}")
@@ -193,32 +195,24 @@ class DirectedMixedGraph:
             self._require(v)
         return tuple(self._index[v] for v in nodes)
 
-    @functools.cached_property
-    def _coded(self) -> _CodedGraph:
-        """The one-slice coding: code = index in ``nodes``, period = len(nodes)."""
-        return _CodedGraph(len(self.nodes), tuple(
-            tuple((self._index[w] - k, here, there) for w, here, there in self._incident[v])
-            for k, v in enumerate(self.nodes)))
-
     # -- local neighborhoods ------------------------------------------------
 
     def has_node(self, v: TimedNode) -> bool:
         return v in self._index
 
-    def _neighbors(self, v, head_here, head_there):
-        self._require(v)
-        return tuple(w for w, here, there in self._incident[v]
-                     if here == head_here and there == head_there)
+    def _neighbors(self, v, offsets) -> tuple[TimedNode, ...]:
+        (k,) = self._codes((v,))
+        return tuple(self.nodes[k + off] for off in offsets[k])
 
     def parents(self, v: TimedNode) -> tuple[TimedNode, ...]:
-        return self._neighbors(v, True, False)
+        return self._neighbors(v, self._coded.parents)
 
     def children(self, v: TimedNode) -> tuple[TimedNode, ...]:
-        return self._neighbors(v, False, True)
+        return self._neighbors(v, self._coded.children)
 
     def spouses(self, v: TimedNode) -> tuple[TimedNode, ...]:
         """Bi-directed neighbors of ``v``; a node is a spouse of itself."""
-        return sorted_nodes({*self._neighbors(v, True, True), v})
+        return sorted_nodes({*self._neighbors(v, self._coded.spouses), v})
 
     def adjacent(self, v: TimedNode, w: TimedNode) -> bool:
         return (
@@ -349,29 +343,21 @@ def augment(g: DirectedMixedGraph) -> UndirectedGraph:
     Adjacent nodes are collider connected by convention. On a graph without
     bi-directed edges this coincides edge-for-edge with :func:`moralize`.
     """
-    edges = set()
-    for source in g.nodes:
-        # State search over (node, entered-with-arrowhead-here). A walk may
-        # continue through a node only when both flanking edges put an
+    edges, records = set(), g._coded.records
+    for source in range(len(g.nodes)):
+        # State search over codes (node, entered-with-arrowhead-here). A walk
+        # may continue through a node only when both flanking edges put an
         # arrowhead at it, i.e. the node is a collider on the walk.
-        seen = set()
-        queue = deque()
-        for other, _, head_other in g._incident[source]:
-            state = (other, head_other)
-            if other != source and state not in seen:
-                seen.add(state)
-                queue.append(state)
+        seen = {(source + off, head_other) for off, _, head_other in records[source]}
+        queue = deque(seen)
         while queue:
             node, entered_head = queue.popleft()
-            if node != source:
-                edges.add(frozenset((source, node)))
+            edges.add(frozenset((g.nodes[source], g.nodes[node])))
             if not entered_head:
                 continue
-            for other, head_here, head_other in g._incident[node]:
-                if not head_here or other == source:
-                    continue
-                state = (other, head_other)
-                if state not in seen:
+            for off, head_here, head_other in records[node]:
+                state = (node + off, head_other)
+                if head_here and state[0] != source and state not in seen:
                     seen.add(state)
                     queue.append(state)
     return UndirectedGraph(g.nodes, edges)
@@ -682,14 +668,14 @@ def graph_to_json(g: DirectedMixedGraph) -> dict:
 
 
 def graph_from_json(data: dict) -> DirectedMixedGraph:
-    nodes = [node_from_json(d) for d in data["nodes"]]
-    directed = [
-        (node_from_json(e["tail"]), node_from_json(e["head"]), e.get("coefficient"))
-        for e in data.get("directed", [])
-    ]
-    bidirected = [
-        tuple(node_from_json(d) for d in pair) for pair in data.get("bidirected", [])
-    ]
+    """Read :func:`graph_to_json`'s form; a missing key raises GraphError."""
+    try:
+        nodes = [node_from_json(d) for d in data["nodes"]]
+        directed = [(node_from_json(e["tail"]), node_from_json(e["head"]), e.get("coefficient"))
+                    for e in data.get("directed", [])]
+        bidirected = [tuple(map(node_from_json, pair)) for pair in data.get("bidirected", [])]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise GraphError(f"malformed graph JSON: {exc!r}") from None
     return DirectedMixedGraph(nodes, directed, bidirected)
 
 

@@ -62,13 +62,15 @@ class IvQuery:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IvQuery":
-        return cls(
-            node_from_json(data["y"]),
-            [node_from_json(d) for d in data["x"]],
-            [node_from_json(d) for d in data["i"]],
-            [node_from_json(d) for d in data.get("b", [])],
-            weight=data.get("weight"),
-        )
+        """Read :meth:`to_dict`'s form; a missing key or a non-list node set
+        raises ModelError."""
+        try:
+            y = node_from_json(data["y"])
+            x, i = ([node_from_json(d) for d in data[key]] for key in ("x", "i"))
+            b, weight = [node_from_json(d) for d in data.get("b", [])], data.get("weight")
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ModelError(f"malformed IV query: {exc!r}") from None
+        return cls(y, x, i, b, weight=weight)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,9 @@ class VarmaSpec:
         MA matrices B1..Bq (may be empty).
     gamma : length-d array
         Innovation variances (diagonal of the innovation covariance).
-    names : optional component names, used for display only.
+    names : optional component names, used for display only. They must be
+        distinct strings, and none may read as ``e(name)`` of another, the
+        text form of that component's innovation (see ``graphs.node_label``).
 
     Shape errors and non-finite or negative entries raise immediately;
     stability and acyclicity are checked by :func:`validate`. Instances are
@@ -74,8 +76,16 @@ class VarmaSpec:
         if np.any(self.gamma < 0):
             raise ModelError("gamma entries must be non-negative")
         self.names = tuple(names) if names is not None else None
-        if self.names is not None and len(self.names) != d:
-            raise ModelError(f"names must have length {d}")
+        if self.names is not None:
+            if len(self.names) != d:
+                raise ModelError(f"names must have length {d}")
+            if not all(isinstance(n, str) for n in self.names):
+                raise ModelError(f"names must be strings, got {list(self.names)}")
+            if len(set(self.names)) != d:
+                raise ModelError(f"names must be distinct, got {list(self.names)}")
+            shadowed = [f"e({n})" for n in self.names if f"e({n})" in self.names]
+            if shadowed:
+                raise ModelError(f"names {shadowed} read as innovations of other components")
         for arr in (*self.a, *self.b, self.gamma):
             arr.setflags(write=False)
         self._compiled = {}  # "rewrite", "blocks" and the two _MarginalizedAdmg forms
@@ -306,12 +316,11 @@ class _MarginalizedAdmg(_CodedGraph):
         else:
             self.lags, self.loadings = spec.a, (np.eye(spec.d), *spec.b)
         d = self.d = spec.d
-        nodes, directed, bidirected = self.window(-spec.max_lag, spec.max_lag)
-        incident = _incidence(nodes, [(t, h) for t, h, _ in directed if 0 in (t.time, h.time)],
-                              [(v, w) for v, w in bidirected if 0 in (v.time, w.time)])
-        super().__init__(d, tuple(tuple((self.code(w) - i, here, there)
-                                        for w, here, there in incident[endo(i, 0)])
-                                  for i in range(d)))
+        _, directed, bidirected = self.window(-spec.max_lag, spec.max_lag)
+        super().__init__(d, _incidence([endo(i, 0) for i in range(d)],
+                                       [(t, h) for t, h, _ in directed if 0 in (t.time, h.time)],
+                                       [(v, w) for v, w in bidirected if 0 in (v.time, w.time)],
+                                       self.code))
 
     def code(self, v: TimedNode) -> int:
         return v.time * self.d + v.component

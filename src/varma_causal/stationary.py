@@ -24,10 +24,13 @@ LYAPUNOV_RESIDUAL_RTOL = 1e-10
 PINV_RTOL = 1e-10
 RANK_RTOL = 1e-8
 CI_DEFAULT_TOL = 1e-7
+# Smith doubling stops once a doubling changes the sum by at most
+# LYAPUNOV_STEP_RTOL of its Frobenius norm, or after LYAPUNOV_MAX_DOUBLINGS
+LYAPUNOV_STEP_RTOL = 1e-12
+LYAPUNOV_MAX_DOUBLINGS = 200
 
 
-def _solve_lyapunov_doubling(f: np.ndarray, q: np.ndarray, tol: float = 1e-12,
-                             max_iter: int = 200) -> tuple[np.ndarray, int]:
+def _solve_lyapunov_doubling(f: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
     """Smith doubling; returns the solution and the number of doublings.
 
     After k doublings the partial sum covers F^j Q F^j' for j < 2^k, so it
@@ -36,11 +39,12 @@ def _solve_lyapunov_doubling(f: np.ndarray, q: np.ndarray, tol: float = 1e-12,
     """
     sigma = q.copy()
     a = f.copy()
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, LYAPUNOV_MAX_DOUBLINGS + 1):
         nxt = sigma + a @ sigma @ a.T
         a = a @ a
         # relative, so the stop does not depend on the scale of Q
-        done = np.linalg.norm(nxt - sigma, "fro") <= tol * np.linalg.norm(nxt, "fro")
+        done = (np.linalg.norm(nxt - sigma, "fro")
+                <= LYAPUNOV_STEP_RTOL * np.linalg.norm(nxt, "fro"))
         sigma = nxt
         if done:
             break
@@ -65,7 +69,10 @@ class StateSpaceForm:
     ill-conditioned eigenvectors an error of 4.2e-8 was measured at a
     residual of 2.0e-13.
     The spec is validated through its cached rewrite, but each form solves
-    the Lyapunov equation anew. Autocovariance blocks are cached on first use.
+    the Lyapunov equation anew. The autocovariances are kept in one lag table,
+    grown on demand by the n x d column blocks X_h = F X_(h-1) from
+    X_0 = Sigma_z[:, :d]: the top d rows of X_h are autocov(h), and only the
+    last block is kept to grow from.
     """
 
     def __init__(self, spec: VarmaSpec):
@@ -108,22 +115,27 @@ class StateSpaceForm:
         self.g_load = g
         self.sigma_z = sigma_z
         self.residual = float(residual)
-        self._blocks = [sigma_z]
-        self._lags = np.empty((0, d, d))
+        sigma_z.setflags(write=False)
+        # (lag table for s = 0, X_0), swapped as one pair for concurrent readers
+        self._lags = sigma_z[None, :d, :d], sigma_z[:, :d]
 
     def autocov(self, h: int) -> np.ndarray:
-        """Cov(S_t, S_(t-h)); negative h returns the transpose block."""
-        if h < 0:
-            return self.autocov(-h).T
-        while len(self._blocks) <= h:
-            self._blocks.append(self.f @ self._blocks[-1])
-        return self._blocks[h][: self.d, : self.d]
+        """Cov(S_t, S_(t-h)), read-only; autocov(-h) is autocov(h).T."""
+        table = self._lag_table(abs(h))
+        return table[len(table) // 2 + h]
 
     def _lag_table(self, span: int) -> np.ndarray:
         """autocov(h) for h = -s..s stacked at s + h, for some s >= span."""
-        table = self._lags
-        if len(table) <= 2 * span:
-            table = self._lags = np.array([self.autocov(h) for h in range(-span, span + 1)])
+        table, block = self._lags
+        later = []
+        for _ in range(len(table) // 2, span):
+            block = self.f @ block
+            later.append(block[:self.d])
+        if later:
+            later = np.array(later)
+            table = np.concatenate((later[::-1].transpose(0, 2, 1), table, later))
+            table.setflags(write=False)
+            self._lags = table, block
         return table
 
 

@@ -63,6 +63,13 @@ def cancellation_spec():
     return VarmaSpec(a=[a0, np.zeros((3, 3))], gamma=[1, 1, 1])
 
 
+def decoded_records(g, v):
+    """The coded incidence record of node ``v`` of a finite graph ``g``, each
+    neighbour decoded: (neighbour, arrowhead at v, arrowhead there)."""
+    k = g.nodes.index(v)
+    return [(g.nodes[k + off], here, there) for off, here, there in g._coded.records[k]]
+
+
 def random_dag(rng, n, p_edge=0.35, coeff=False, time_spread=0):
     """Random DAG over n TimedNodes with a shuffled topological order."""
     nodes = [endo(i, -int(rng.integers(0, time_spread + 1))) for i in range(n)]

@@ -2,11 +2,16 @@
 
 ``m_separated_oracle`` enumerates simple paths and ``d_separated_moral``
 applies the moralized-ancestral-graph criterion. Of the library's separation
-core they share only the ancestor sets of ``DirectedMixedGraph``.
+core they share only the ancestor sets of ``DirectedMixedGraph``; the edges
+at a node come from ``edges_at``, which reads the public edge sets, not the
+library's coded incidence.
 
 ``deepening_separation`` is the window-deepening loop as it ran before one
 Bayes-ball pass served all of a query's windows: a fresh pass of the
 library's ``_connection`` on each window, from scratch.
+
+``autocovariances_by_recursion`` is the n x n recursion from which the
+stationary law read its autocovariances before it kept one lag table.
 
 ``estimate_from_data`` is the row-major IV estimator the library used before
 it built its design one node row at a time: an n x k design, centred into a
@@ -22,7 +27,7 @@ from varma_causal import effects
 from varma_causal.errors import EstimationError, GraphError, ModelError
 from varma_causal.graphs import (
     ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, UndirectedGraph, _connection,
-    _result)
+    _result, sorted_nodes)
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
 from varma_causal.model import _compiled_admg
 from varma_causal.stationary import numerical_rank
@@ -41,6 +46,16 @@ def moralize(g: DirectedMixedGraph) -> UndirectedGraph:
     return UndirectedGraph(g.nodes, edges)
 
 
+def edges_at(g: DirectedMixedGraph, v: TimedNode) -> list:
+    """Edges at ``v`` as (neighbour, arrowhead at v, arrowhead at the
+    neighbour), read from ``g.directed`` and ``g.bidirected``: children,
+    parents, then spouses, each in node order."""
+    return ([(h, False, True) for h in sorted_nodes(h for t, h in g.directed if t == v)]
+            + [(t, True, False) for t in sorted_nodes(t for t, h in g.directed if h == v)]
+            + [(w, True, True) for w in sorted_nodes(w for pair in g.bidirected if v in pair
+                                                     for w in pair if w != v)])
+
+
 def m_separated_oracle(
     g: DirectedMixedGraph, query: SeparationQuery, max_paths: int = 10**6
 ) -> bool:
@@ -54,6 +69,7 @@ def m_separated_oracle(
     query.validate_in(g)
     b_set, c_set = set(query.b), set(query.c)
     an_b = set(g.ancestors(query.b)) if query.b else set()
+    incident = {v: edges_at(g, v) for v in g.nodes}
     counter = [0]
 
     def count_one():
@@ -64,7 +80,7 @@ def m_separated_oracle(
     def dfs(node, entered_head, prefix_open, on_path):
         # extends the path ending at `node`; returns True iff an open
         # completion to c exists among the enumerated ones
-        for other, head_here, head_other in g._incident[node]:
+        for other, head_here, head_other in incident[node]:
             if other in on_path:
                 continue
             step_open = prefix_open and (
@@ -79,7 +95,7 @@ def m_separated_oracle(
         return False
 
     for a in query.a:
-        for other, _, head_other in g._incident[a]:
+        for other, _, head_other in incident[a]:
             if other in c_set:
                 count_one()
                 return False  # single-edge path has no junctions, always open
@@ -127,6 +143,18 @@ def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
             break
     result = _result(admg, codes, removed, connection, admg.node)
     return result, (bottom, top), stabilized, verdicts
+
+
+def autocovariances_by_recursion(ss, span: int) -> dict:
+    """Cov(S_t, S_(t-h)) for h = -span..span from the companion form of the
+    law ``ss``: the top-left d x d block of Sigma_h = F Sigma_(h-1), with
+    Sigma_0 = Sigma_z, transposed for negative h."""
+    out, block = {}, ss.sigma_z
+    for h in range(span + 1):
+        out[h] = block[:ss.d, :ss.d]
+        out[-h] = out[h].T
+        block = ss.f @ block
+    return out
 
 
 def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:

@@ -91,6 +91,19 @@ class TestValidateCommand:
         assert err.startswith("error: malformed model JSON: ") and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("names, message", [
+        (["X", "X"], "names must be distinct"),
+        (["X", "e(X)"], "read as innovations"),
+        ([1, 0], "names must be strings"),
+    ])
+    def test_ambiguous_names_are_domain_errors(self, capsys, tmp_path, names, message):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"A": [[[0, 0], [0, 0]]], "names": names}))
+        code, out, err = run_cli(capsys, "validate", "-m", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 class TestGraphCommand:
     def test_dot_output(self, capsys, model_path):
         code, out, _ = run_cli(capsys, "graph", "-m", model_path,

@@ -12,7 +12,7 @@ from varma_causal import (
     latent_project,
     m_separated,
 )
-from reference import d_separated_moral, m_separated_oracle, moralize
+from reference import d_separated_moral, edges_at, m_separated_oracle, moralize
 from conftest import random_admg, random_dag, random_query
 
 
@@ -57,7 +57,7 @@ def brute_collider_connected(g, v, w):
         return True
 
     def dfs(node, entered_head, on_path):
-        for other, head_here, head_other in g._incident[node]:
+        for other, head_here, head_other in edges_at(g, node):
             if other in on_path:
                 continue
             if not (entered_head and head_here):
@@ -68,7 +68,7 @@ def brute_collider_connected(g, v, w):
                 return True
         return False
 
-    for other, _, head_other in g._incident[v]:
+    for other, _, head_other in edges_at(g, v):
         if other == w:
             return True
         if dfs(other, head_other, {v, other}):

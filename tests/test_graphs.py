@@ -30,6 +30,7 @@ from varma_causal import (
     to_dot,
 )
 from reference import m_separated_oracle, moralize
+from conftest import decoded_records
 
 X, Y = 0, 1
 
@@ -220,13 +221,13 @@ class TestWitnessTieBreak:
         g = DirectedMixedGraph([self.S0, self.S1_now, self.S1_earlier], bidirected=[
             (self.S0, self.S1_now), (self.S0, self.S1_earlier)])
         # (S0@-3, S1@-3) sorts before (S1@-4, S0@-3): component 0 < 1
-        assert [w for w, _, _ in g._incident[self.S0]] == [self.S1_now, self.S1_earlier]
+        assert [w for w, _, _ in decoded_records(g, self.S0)] == [self.S1_now, self.S1_earlier]
         assert m_separated(g, self.QUERY).witness == (self.S0, self.S1_now)
 
     def test_directed_edges_compare_time_first(self):
         g = DirectedMixedGraph([self.S0, self.S1_now, self.S1_earlier], [
             (self.S1_now, self.S0), (self.S1_earlier, self.S0)])
-        assert [w for w, _, _ in g._incident[self.S0]] == [self.S1_earlier, self.S1_now]
+        assert [w for w, _, _ in decoded_records(g, self.S0)] == [self.S1_earlier, self.S1_now]
         assert m_separated(g, self.QUERY).witness == (self.S0, self.S1_earlier)
 
     def test_json_lists_bidirected_pairs_time_first(self):
@@ -359,6 +360,10 @@ class TestNodeCodec:
     def test_json_reader_rejects(self, data):
         with pytest.raises(GraphError):
             node_from_json(data)
+
+    def test_graph_reader_rejects_a_missing_key(self):
+        with pytest.raises(GraphError, match="'nodes'"):
+            graph_from_json({})
 
     @pytest.mark.parametrize("ref", ["Z@0", "e(Z)@0", "X@1.5", "X@", "X", "-1@0"])
     def test_text_reader_rejects(self, ref):

@@ -52,6 +52,12 @@ class TestQueryValidation:
         assert clone.i_set == query.i_set and clone.b_set == query.b_set
         assert np.array_equal(clone.weight, query.weight)
 
+    def test_json_reader_rejects_a_missing_key(self):
+        with pytest.raises(ModelError, match="'y'"):
+            IvQuery.from_dict({"x": []})
+        with pytest.raises(ModelError, match="not iterable"):
+            IvQuery.from_dict({"y": node_to_json(endo(Y, 0)), "x": 3, "i": []})
+
 
 class TestIdentifyPopulation:
     def test_result_to_dict_holds_plain_lists(self, varma_lagged_spec):

@@ -32,6 +32,7 @@ from varma_causal import (
     validate,
 )
 from varma_causal import model
+from conftest import decoded_records
 
 X, Y = 0, 1
 
@@ -111,6 +112,21 @@ class TestValidation:
             VarmaSpec(a=[np.zeros((2, 2))], gamma=[1.0, np.inf])
         with pytest.raises(ModelError, match="gamma has non-finite"):
             VarmaSpec(a=[np.zeros((2, 2))], gamma=[np.nan, 1.0])
+
+    @pytest.mark.parametrize("names, message", [
+        # component 1 could not be named, and the DOT output would merge nodes
+        (["X", "X"], "distinct"),
+        # component 0 named 1 would be written 1@t and read back as index 1
+        ([1, 0], "strings"),
+        # e(X)@0 would read as the innovation of X, not as component 1
+        (["X", "e(X)"], r"\['e\(X\)'\] read as innovations"),
+    ], ids=["duplicate", "non-string", "innovation-form"])
+    def test_ambiguous_names_rejected(self, names, message):
+        with pytest.raises(ModelError, match=message):
+            VarmaSpec(a=[np.zeros((2, 2))], names=names)
+
+    def test_innovation_form_of_no_other_name_accepted(self):
+        assert VarmaSpec(a=[np.zeros((2, 2))], names=["e(Y)", "Z"]).names == ("e(Y)", "Z")
 
     def test_topological_order_takes_smallest_free_component(self):
         # edges 3 -> 0 -> 2; components 1 and 3 are free from the start
@@ -385,7 +401,7 @@ class TestWindows:
                     decoded = [(admg.node(admg.code(v) + off), here, there)
                                for off, here, there in admg.records[v.component]]
                     inside = [e for e in decoded if t_min <= e[0].time <= t_max]
-                    assert inside == g._incident[v]
+                    assert inside == decoded_records(g, v)
 
 
 def forbidden_pairs(*args):

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_lyapunov
 
 from varma_causal import (
+    CoefficientSampler,
     ModelError,
     SeparationQuery,
     VarmaSpec,
@@ -14,11 +17,13 @@ from varma_causal import (
     m_separated,
     population_ci,
     rewritten_full_time_window,
+    sample_stable_spec,
     solve_stationary,
     validate,
 )
 from varma_causal import stationary
 from varma_causal.stationary import (
+    LYAPUNOV_MAX_DOUBLINGS,
     LYAPUNOV_RESIDUAL_RTOL,
     PINV_RTOL,
     RANK_RTOL,
@@ -27,6 +32,7 @@ from varma_causal.stationary import (
     _solve_lyapunov_doubling,
 )
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
+from reference import autocovariances_by_recursion
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -76,7 +82,7 @@ class TestLyapunov:
         assert ss.autocov(0)[0, 0] == pytest.approx(exact, rel=1e-9)
         assert ss.residual < LYAPUNOV_RESIDUAL_RTOL
         _, iterations = _solve_lyapunov_doubling(ss.f, ss.g_load @ ss.g_load.T)
-        assert iterations < 200
+        assert iterations < LYAPUNOV_MAX_DOUBLINGS
 
     def test_small_variance_scale(self):
         # the solve must not depend on the scale of the variances
@@ -103,7 +109,7 @@ class TestLyapunov:
         assert np.max(np.abs(ref - ss.sigma_z)) < 1e-9 * np.max(np.abs(ref))
         assert ss.residual < LYAPUNOV_RESIDUAL_RTOL
         _, iterations = _solve_lyapunov_doubling(ss.f, q)
-        assert iterations < 200
+        assert iterations < LYAPUNOV_MAX_DOUBLINGS
 
     def test_unstable_spec_rejected(self):
         with pytest.raises(ModelError, match="unstable"):
@@ -315,6 +321,38 @@ class TestNumericalRank:
         assert numerical_rank(np.diag([1e3, 0.99e-5])) == 1  # relative to the largest
 
 
+class TestLagTable:
+    """A law keeps one d x d lag table, grown by n x d column blocks."""
+
+    @staticmethod
+    def wide_law():
+        # state dimension n = 12 · (4 + 2) = 72
+        spec = sample_stable_spec(CoefficientSampler(d=12, p=4, q=2, sparsity=0.5), 72)
+        ss = solve_stationary(spec)
+        assert ss.f.shape == (72, 72)
+        return ss
+
+    def test_held_arrays_stay_small(self):
+        ss = self.wide_law()
+        ss.autocov(40)
+        held = [a for value in vars(ss).values()
+                for a in (value if isinstance(value, (tuple, list)) else (value,))
+                if isinstance(a, np.ndarray)]
+        # F, G, Sigma_z, 81 lag blocks of 12 x 12 and one 72 x 12 block:
+        # 0.19 MB; n x n blocks per lag would hold 1.7 MB
+        assert sum(a.nbytes for a in held) < 0.3e6
+
+    def test_lags_match_the_state_recursion(self):
+        ss = self.wide_law()
+        expected = autocovariances_by_recursion(ss, 40)
+        for h in range(-40, 41):
+            got = ss.autocov(h)
+            assert np.max(np.abs(got - expected[h])) <= 1e-13 * np.max(np.abs(expected[h]))
+            assert np.array_equal(ss.autocov(-h), got.T)
+        with pytest.raises(ValueError, match="read-only"):
+            ss.autocov(3)[0, 0] = 0.0
+
+
 class TestConcurrentTableGrowth:
     def test_parallel_readers_get_consistent_blocks(self, varma_instant_spec):
         from concurrent.futures import ThreadPoolExecutor
@@ -325,6 +363,11 @@ class TestConcurrentTableGrowth:
         def read(h):
             return np.max(np.abs(ss.autocov(h) - reference[h]))
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            errors = list(pool.map(read, list(range(40)) * 5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the table growth
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                errors = list(pool.map(read, list(range(40)) * 5))
+        finally:
+            sys.setswitchinterval(interval)
         assert max(errors) == 0.0
