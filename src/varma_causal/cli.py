@@ -19,6 +19,7 @@ import numpy as np
 from .errors import VarmaCausalError, ModelError
 from .graphs import SeparationQuery, graph_to_json, node_label, parse_node_ref, to_dot
 from .model import (
+    component_names,
     full_time_window,
     load_spec,
     marginalized_admg_window,
@@ -41,7 +42,7 @@ def _print_json(payload) -> None:
 
 
 def _load_csv(path: str):
-    """CSV series: one row per time step, optional header with names."""
+    """CSV series: one row per time step, optional header of component names."""
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         names = None
@@ -55,6 +56,8 @@ def _load_csv(path: str):
         data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:
         raise ModelError(f"malformed CSV {path}: {exc}") from None
+    if names is not None:
+        names = component_names(names, data.shape[1])
     return data, names
 
 

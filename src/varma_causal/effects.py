@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import GraphError, ModelError
 from .graphs import (
-    ENDOGENOUS,
     DirectedMixedGraph,
     SeparationQuery,
     TimedNode,
@@ -28,6 +27,7 @@ from .graphs import (
     _reach,
     _result,
     node_to_json,
+    process_nodes,
 )
 from .model import VarmaSpec, _compiled_admg, full_time_window
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
@@ -37,16 +37,13 @@ MAX_STABILIZATION_ROUNDS = 12
 
 @dataclass(frozen=True)
 class EffectQuery:
-    """Target node y and ordered treatment nodes; all endogenous, y not in x."""
+    """Target y and ordered distinct treatments x, y not in x; nodes checked when answered."""
 
     y: TimedNode
     x_set: tuple[TimedNode, ...]
 
     def __init__(self, y: TimedNode, x_set: Sequence[TimedNode]):
         x_set = tuple(x_set)
-        for v in (y, *x_set):
-            if v.kind != ENDOGENOUS:
-                raise ModelError(f"effect queries are over endogenous nodes; got {v!r}")
         if y in x_set:
             raise ModelError("y must not be part of the treatment set")
         if len(set(x_set)) != len(x_set):
@@ -86,7 +83,7 @@ def total_causal_effect(spec: VarmaSpec, query: EffectQuery) -> TotalEffect:
     full-time window spanning the query; treatments that lie later than y get
     entry 0 (no causal path can exist).
     """
-    times = [v.time for v in (query.y, *query.x_set)]
+    times = [v.time for v in process_nodes((query.y, *query.x_set), spec.d)]
     g = full_time_window(spec, min(times), max(times), include_innovations=False)
     sums = _path_sums_to(g, query.y, frozenset(query.x_set))
     return TotalEffect(query, np.array([sums[x] for x in query.x_set]))
@@ -141,9 +138,7 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     Returns (SeparationResult, (bottom, top) of the last window, stabilized).
     """
     admg = _compiled_admg(spec)
-    for v in nodes:
-        if v.kind != ENDOGENOUS or not 0 <= v.component < spec.d:
-            raise GraphError(f"unknown node {v!r} in separation query")
+    nodes = process_nodes(nodes, spec.d)
     codes = tuple(tuple(map(admg.code, s)) for s in (query.a, query.b, query.c))
     ceiling = (top + 1) * spec.d
     removed = frozenset()
@@ -231,17 +226,16 @@ class IvConditionReport:
 
 
 def _query_sets(y, x_set, i_set, b_set):
-    y_tuple = (y,)
-    sets = {"x": tuple(x_set), "i": tuple(i_set), "b": tuple(b_set)}
-    seen = set(y_tuple)
-    for name, nodes in sets.items():
-        for v in nodes:
-            if v.kind != ENDOGENOUS:
-                raise ModelError(f"{name} nodes must be endogenous; got {v!r}")
-            if v in seen:
-                raise ModelError(f"node {v!r} appears in more than one query set")
-            seen.add(v)
-    return sets["x"], sets["i"], sets["b"]
+    """x, i and b as tuples: x and i non-empty, no node twice, y in none."""
+    x_set, i_set, b_set = sets = tuple(x_set), tuple(i_set), tuple(b_set)
+    if not x_set or not i_set:
+        raise ModelError("x and i sets must be non-empty")
+    seen = {y}
+    for v in (*x_set, *i_set, *b_set):
+        if v in seen:
+            raise ModelError(f"node {v!r} appears in more than one query set")
+        seen.add(v)
+    return sets
 
 
 def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
@@ -296,8 +290,5 @@ def check_iv_conditions(
     values above 1e-8 of the largest) with dim(X).
     """
     x_set, i_set, b_set = _query_sets(y, x_set, i_set, b_set)
-    if not x_set or not i_set:
-        raise ModelError("x and i sets must be non-empty")
-
     rank = numerical_rank(conditional_covariance(solve_stationary(spec), x_set, i_set, b_set))
     return _iv_report(spec, y, x_set, i_set, b_set, rank)

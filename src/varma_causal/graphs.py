@@ -18,6 +18,8 @@ Every input and output writes a timed node in one of two forms, each with
 its writer and reader here: JSON ``{"component", "time", "kind"}``
 (``node_to_json``, ``node_from_json``) and text ``name@time`` or
 ``e(name)@time`` (``node_label``, ``parse_node_ref``).
+Questions about a process take its endogenous nodes S_i@t, 0 <= i < d, as
+``process_nodes`` checks; finite graphs take the nodes they hold.
 """
 
 from __future__ import annotations
@@ -52,6 +54,18 @@ def innov(component: int, time: int) -> TimedNode:
 def node_sort_key(v: TimedNode):
     # Reproducible ordering for every set-valued return.
     return (v.time, v.component, v.kind)
+
+
+def process_nodes(nodes: Iterable[TimedNode], d: int) -> tuple[TimedNode, ...]:
+    """``nodes`` as a tuple, if each is an endogenous node of a process with
+    ``d`` components; ModelError otherwise."""
+    nodes = tuple(nodes)
+    for v in nodes:
+        if v.kind != ENDOGENOUS:
+            raise ModelError(f"process queries are over endogenous nodes; got {v!r}")
+        if not 0 <= v.component < d:
+            raise ModelError(f"component {v.component} of {v!r} outside 0..{d - 1}")
+    return nodes
 
 
 def sorted_nodes(nodes: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
@@ -322,11 +336,6 @@ class SeparationQuery:
         if not sa or not sc:
             raise GraphError("separation query needs non-empty a and c sets")
 
-    def validate_in(self, g: DirectedMixedGraph) -> None:
-        for v in (*self.a, *self.b, *self.c):
-            if not g.has_node(v):
-                raise GraphError(f"unknown node {v!r} in separation query")
-
 
 @dataclass(frozen=True)
 class SeparationResult:
@@ -473,7 +482,6 @@ def m_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationResu
     the witness search runs only for a connected query (see
     :func:`_connection`). On a DAG this is d-separation.
     """
-    query.validate_in(g)
     codes = tuple(map(g._codes, (query.a, query.b, query.c)))
     connection = next(_connection(g._coded, codes, (0,), len(g.nodes)))
     return _result(g._coded, codes, frozenset(), connection, g.nodes.__getitem__)
@@ -524,7 +532,6 @@ def extend_separated_sets(g: DirectedMixedGraph, query: SeparationQuery):
     containing ``a`` go to the first returned set, those containing ``c`` to
     the second; leftover components join the first for determinism.
     """
-    query.validate_in(g)
     closure = g.ancestors((*query.a, *query.b, *query.c))
     if set(closure) != set(g.nodes):
         raise GraphError("extend_separated_sets requires nodes == "

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import EstimationError, ModelError, UnderIdentifiedError
-from .graphs import ENDOGENOUS, TimedNode, node_from_json
+from .graphs import TimedNode, node_from_json, process_nodes
 from .model import VarmaSpec
 from .effects import IvConditionReport, _field_dict, _iv_report, _json_value, _query_sets
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
@@ -33,8 +33,6 @@ class IvQuery:
 
     def __init__(self, y, x_set, i_set, b_set=(), weight=None):
         x_set, i_set, b_set = _query_sets(y, x_set, i_set, b_set)
-        if not x_set or not i_set:
-            raise ModelError("x and i sets must be non-empty")
         if weight is not None:
             weight = np.asarray(weight, dtype=float)
             k = len(i_set)
@@ -106,9 +104,10 @@ def identify_population(spec: VarmaSpec, query: IvQuery,
     ``check_conditions`` is set the result carries the full graph-side
     condition report, built from the same stationary solve and rank.
     """
-    ss = solve_stationary(spec)
-    s_xi = conditional_covariance(ss, query.x_set, query.i_set, query.b_set)
-    s_yi = conditional_covariance(ss, (query.y,), query.i_set, query.b_set)
+    # one Schur complement: row 0 is E[Cov(Y,I|B)], the rest E[Cov(X,I|B)]
+    moments = conditional_covariance(solve_stationary(spec), (query.y, *query.x_set),
+                                     query.i_set, query.b_set)
+    s_yi, s_xi = moments[:1], moments[1:]
 
     rank = numerical_rank(s_xi)
     if rank < len(query.x_set):
@@ -126,7 +125,7 @@ def identify_population(spec: VarmaSpec, query: IvQuery,
 
 
 def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:
-    """Observation matrix for nodes given as (component, lag) references.
+    """Observation matrix for endogenous nodes whose components are data columns.
 
     Row t of the result stacks data[t + time(v), component(v)] over the nodes,
     for every anchor t where all references fall inside the series; the first
@@ -136,12 +135,7 @@ def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:
     if data.ndim == 1:
         data = data[:, None]
     n, d = data.shape
-    nodes = tuple(nodes)
-    for v in nodes:
-        if v.kind != ENDOGENOUS:
-            raise ModelError(f"data designs are over endogenous nodes; got {v!r}")
-        if not 0 <= v.component < d:
-            raise ModelError(f"component {v.component} outside data with {d} columns")
+    nodes = process_nodes(nodes, d)
     times = [v.time for v in nodes]
     t_hi = max(times)
     span = t_hi - min(times)

@@ -35,6 +35,22 @@ def _as_matrix(m, d, what):
     return arr
 
 
+def component_names(names, d: int) -> tuple[str, ...]:
+    """``names`` as a tuple if they are ``d`` distinct strings, none of the
+    form ``e(name)`` of another (``graphs.node_label``); ModelError otherwise."""
+    names = tuple(names)
+    if len(names) != d:
+        raise ModelError(f"names must have length {d}")
+    if not all(isinstance(n, str) for n in names):
+        raise ModelError(f"names must be strings, got {list(names)}")
+    if len(set(names)) != d:
+        raise ModelError(f"names must be distinct, got {list(names)}")
+    shadowed = [f"e({n})" for n in names if f"e({n})" in names]
+    if shadowed:
+        raise ModelError(f"names {shadowed} read as innovations of other components")
+    return names
+
+
 class VarmaSpec:
     """Process definition: S_t = A0 S_t + sum_k Ak S_(t-k) + eps_t + sum_l Bl eps_(t-l).
 
@@ -47,9 +63,8 @@ class VarmaSpec:
         MA matrices B1..Bq (may be empty).
     gamma : length-d array
         Innovation variances (diagonal of the innovation covariance).
-    names : optional component names, used for display only. They must be
-        distinct strings, and none may read as ``e(name)`` of another, the
-        text form of that component's innovation (see ``graphs.node_label``).
+    names : optional component names, used for display only; see
+        :func:`component_names`.
 
     Shape errors and non-finite or negative entries raise immediately;
     stability and acyclicity are checked by :func:`validate`. Instances are
@@ -75,17 +90,7 @@ class VarmaSpec:
             raise ModelError("gamma has non-finite entries")
         if np.any(self.gamma < 0):
             raise ModelError("gamma entries must be non-negative")
-        self.names = tuple(names) if names is not None else None
-        if self.names is not None:
-            if len(self.names) != d:
-                raise ModelError(f"names must have length {d}")
-            if not all(isinstance(n, str) for n in self.names):
-                raise ModelError(f"names must be strings, got {list(self.names)}")
-            if len(set(self.names)) != d:
-                raise ModelError(f"names must be distinct, got {list(self.names)}")
-            shadowed = [f"e({n})" for n in self.names if f"e({n})" in self.names]
-            if shadowed:
-                raise ModelError(f"names {shadowed} read as innovations of other components")
+        self.names = component_names(names, d) if names is not None else None
         for arr in (*self.a, *self.b, self.gamma):
             arr.setflags(write=False)
         self._compiled = {}  # "rewrite", "blocks" and the two _MarginalizedAdmg forms

@@ -222,6 +222,11 @@ class CoefficientSampler:
     mask_ma: Optional[Sequence[np.ndarray]] = None
     max_rejections: int = 500
 
+    def __post_init__(self):
+        if not (self.d >= 1 and self.p >= 0 and self.q >= 0 and 0 <= self.sparsity <= 1):
+            raise ModelError(f"sampler needs d >= 1, p >= 0, q >= 0 and sparsity in [0, 1]; "
+                             f"got d={self.d}, p={self.p}, q={self.q}, sparsity={self.sparsity}")
+
     def entry_scale(self) -> float:
         return self.scale if self.scale is not None else 0.9 / (max(self.p, 1) * self.d)
 

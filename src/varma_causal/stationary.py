@@ -3,21 +3,22 @@
 The process is put into the companion state space of its rewrite without
 instantaneous effects, the stationary state covariance is obtained from the
 discrete Lyapunov equation, and cross/conditional covariances between
-arbitrary finite sets of endogenous nodes are read off the autocovariance
-table. Under the Gaussian module contract, conditional covariances are exact
-Schur complements and zero conditional covariance is conditional independence.
+finite sets of the process's nodes (``graphs.process_nodes``) are read off
+the autocovariance table. Under the Gaussian module contract, conditional
+covariances are exact Schur complements and zero conditional covariance is
+conditional independence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ModelError
-from .graphs import ENDOGENOUS, SeparationQuery, TimedNode
+from .graphs import SeparationQuery, TimedNode, process_nodes
 from .model import VarmaSpec, remove_instantaneous
 
 LYAPUNOV_RESIDUAL_RTOL = 1e-10
@@ -143,18 +144,6 @@ def solve_stationary(spec: VarmaSpec) -> StateSpaceForm:
     return StateSpaceForm(spec)
 
 
-def _check_endogenous(ss: StateSpaceForm, nodes: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
-    nodes = tuple(nodes)
-    for v in nodes:
-        if v.kind != ENDOGENOUS:
-            raise ModelError(
-                f"population covariances are over endogenous nodes; got {v!r}")
-        if not 0 <= v.component < ss.d:
-            raise ModelError(
-                f"component {v.component} outside a process with {ss.d} components")
-    return nodes
-
-
 @dataclass(frozen=True)
 class NodeSetCovariance:
     u: tuple[TimedNode, ...]
@@ -164,9 +153,8 @@ class NodeSetCovariance:
 
 def cross_covariance(ss: StateSpaceForm, u: Sequence[TimedNode],
                      v: Sequence[TimedNode]) -> NodeSetCovariance:
-    """Cov(U, V) for ordered endogenous node lists, from the stationary law."""
-    u = _check_endogenous(ss, u)
-    v = _check_endogenous(ss, v)
+    """Cov(U, V) for ordered lists of the process's nodes, from the stationary law."""
+    u, v = process_nodes(u, ss.d), process_nodes(v, ss.d)
     tu, tv = [w.time for w in u], [w.time for w in v]
     table = ss._lag_table(max(max(tu, default=0) - min(tv, default=0),
                              max(tv, default=0) - min(tu, default=0)))

@@ -66,7 +66,7 @@ def m_separated_oracle(
     collider has no descendant in ``b``. Returns as soon as an open path is
     found; raises once more than ``max_paths`` paths have been enumerated.
     """
-    query.validate_in(g)
+    g._codes((*query.a, *query.b, *query.c))  # unknown nodes raise GraphError
     b_set, c_set = set(query.b), set(query.c)
     an_b = set(g.ancestors(query.b)) if query.b else set()
     incident = {v: edges_at(g, v) for v in g.nodes}
@@ -106,7 +106,7 @@ def m_separated_oracle(
 
 def d_separated_moral(g: DirectedMixedGraph, query: SeparationQuery) -> bool:
     """d-separation via the moralized ancestral subgraph (DAG only)."""
-    query.validate_in(g)
+    g._codes((*query.a, *query.b, *query.c))  # unknown nodes raise GraphError
     if g.bidirected:
         raise GraphError("moralization-based check requires a DAG")
     ancestral = g.subgraph(g.ancestors((*query.a, *query.b, *query.c)))

@@ -196,6 +196,14 @@ class TestIvCommand:
         assert code == 1 and out == ""
         assert err.startswith(f"error: malformed CSV {path}: ") and "Traceback" not in err
 
+    def test_duplicate_header_names_are_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("X,X\n0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n")
+        code, out, err = run_cli(capsys, "iv", "--data", str(path), "--y", "X@0",
+                                 "--x", "X@-1", "--i", "X@-2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: names must be distinct") and "Traceback" not in err
+
     def test_requires_model_or_data(self, capsys):
         code, _, err = run_cli(capsys, "iv", "--y", "Y@0", "--x", "X@-1",
                                "--i", "X@-2")
@@ -228,6 +236,13 @@ class TestSimulateCommand:
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("option", [("--d", "0"), ("--p", "-1"), ("--q", "-1"),
+                                        ("--sparsity", "1.5")])
+    def test_bad_sampler_settings_are_domain_errors(self, capsys, option):
+        code, out, err = run_cli(capsys, "experiment", "gmp", "--trials", "1", *option)
+        assert code == 1 and out == ""
+        assert err.startswith("error: sampler needs d >= 1") and "Traceback" not in err
+
     def test_gmp_run_with_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
         code, out, _ = run_cli(
