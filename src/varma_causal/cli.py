@@ -52,6 +52,8 @@ def _load_csv(path: str):
         except ValueError:
             names = [tok.strip() for tok in first.strip().split(",")]
             skip = 1
+        if (skip or not first.strip()) and not any(line.strip() for line in fh):
+            raise ModelError(f"CSV {path} has no data rows")
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:

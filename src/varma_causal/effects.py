@@ -29,7 +29,7 @@ from .graphs import (
     node_to_json,
     process_nodes,
 )
-from .model import VarmaSpec, _compiled_admg, full_time_window
+from .model import VarmaSpec, full_time_window
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
 MAX_STABILIZATION_ROUNDS = 12
@@ -137,7 +137,7 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
 
     Returns (SeparationResult, (bottom, top) of the last window, stabilized).
     """
-    admg = _compiled_admg(spec)
+    admg = spec._admg
     nodes = process_nodes(nodes, spec.d)
     codes = tuple(tuple(map(admg.code, s)) for s in (query.a, query.b, query.c))
     ceiling = (top + 1) * spec.d
@@ -249,7 +249,7 @@ def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
 
     # condition 2 on the uncut last window: An(b) ∩ Sp(De(x ∪ y)), where Sp
     # adds one bi-directed step and keeps the nodes themselves
-    admg = _compiled_admg(spec)
+    admg = spec._admg
     floor, ceiling = bottom * spec.d, (top + 1) * spec.d
     an_b = _reach(admg, map(admg.code, b_set), admg.parents, floor, ceiling)
     de = _reach(admg, map(admg.code, (y, *x_set)), admg.children, floor, ceiling)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,7 +69,8 @@ class VarmaSpec:
     Shape errors and non-finite or negative entries raise immediately;
     stability and acyclicity are checked by :func:`validate`. Instances are
     immutable after construction. Every layer needs a valid spec: it is
-    validated once on first use; the result is cached on the immutable spec.
+    validated once on first use; the rewrite, both ADMG forms and the
+    simulation levels are named slots on the spec, each filled on first use.
     """
 
     def __init__(self, a: Sequence, b: Sequence = (), gamma: Sequence = None, names=None):
@@ -93,7 +94,8 @@ class VarmaSpec:
         self.names = component_names(names, d) if names is not None else None
         for arr in (*self.a, *self.b, self.gamma):
             arr.setflags(write=False)
-        self._compiled = {}  # "rewrite", "blocks" and the two _MarginalizedAdmg forms
+        self._rewrite = None  # RewrittenVarSpec, left by validate on an acyclic, stable spec
+        self._levels = []  # simulation block operators, one entry per recursion level
 
     def __repr__(self):
         return f"VarmaSpec(d={self.d}, p={self.p}, q={self.q})"
@@ -101,6 +103,14 @@ class VarmaSpec:
     @property
     def max_lag(self) -> int:
         return max(self.p, self.q)
+
+    @cached_property
+    def _admg(self) -> "_MarginalizedAdmg":
+        return _MarginalizedAdmg(self, False)
+
+    @cached_property
+    def _rewritten_admg(self) -> "_MarginalizedAdmg":
+        return _MarginalizedAdmg(self, True)
 
 
 def instantaneous_order(a0: np.ndarray):
@@ -143,7 +153,8 @@ def validate(spec: VarmaSpec, allow_zero_variance: bool = False) -> ValidationRe
     The stability clause requires every root of
     det((I - A0) λ^p - A1 λ^(p-1) - ... - Ap) to satisfy |λ| < 1; it is
     checked through the companion matrix of (I - A0)^(-1) Ak with a margin of
-    1e-8 on the spectral radius.
+    1e-8 on the spectral radius. The report is computed anew on every call;
+    an acyclic, stable spec keeps the rewrite built from the same matrices.
     """
     messages = []
     a0 = spec.a[0]
@@ -157,14 +168,25 @@ def validate(spec: VarmaSpec, allow_zero_variance: bool = False) -> ValidationRe
     acyclic = order is not None
 
     radius = float("inf")
-    if acyclic and spec.p > 0:
+    if acyclic:
         ice = ice_matrix(a0)
-        comp = companion_matrix([ice @ ak for ak in spec.a[1:]])
+        ar = tuple(ice @ ak for ak in spec.a[1:])
+        comp = companion_matrix(ar)
         radius = float(np.max(np.abs(np.linalg.eigvals(comp)))) if comp.size else 0.0
-    elif acyclic:
-        radius = 0.0
     if radius >= 1 - STABILITY_MARGIN:
         messages.append(f"unstable: companion spectral radius {radius:.6g} >= 1 - 1e-8")
+    elif spec._rewrite is None:
+        inv_ice = np.eye(spec.d) - a0
+        rw = RewrittenVarSpec(
+            ice=ice,
+            ar=ar,
+            ma_eps=tuple(ice @ bl for bl in spec.b),
+            ma_delta=tuple(ice @ bl @ inv_ice for bl in spec.b),
+            sigma_delta=ice @ np.diag(spec.gamma) @ ice.T,
+        )
+        for arr in (rw.ice, *rw.ar, *rw.ma_eps, *rw.ma_delta, rw.sigma_delta):
+            arr.setflags(write=False)
+        spec._rewrite = rw
 
     gamma_pos = bool(np.all(spec.gamma > 0))
     if not gamma_pos and not allow_zero_variance:
@@ -230,30 +252,16 @@ class RewrittenVarSpec:
 def remove_instantaneous(spec: VarmaSpec) -> RewrittenVarSpec:
     """Rewrite the process without instantaneous effects (distribution kept).
 
-    Every layer validates a spec here: the first call checks it with
-    :func:`validate` (zero innovation variances allowed), raises
-    :class:`ModelError` with the report's messages if it is invalid, and
-    caches the read-only rewrite on the spec for all later calls.
+    Every layer validates a spec here: the first call runs :func:`validate`
+    once (zero innovation variances allowed), raises :class:`ModelError` with
+    the report's messages if the spec is invalid, and otherwise returns the
+    read-only rewrite that validate left on the spec, as do all later calls.
     """
-    if "rewrite" in spec._compiled:
-        return spec._compiled["rewrite"]
-    report = validate(spec, allow_zero_variance=True)
-    if not report.passed:
-        raise ModelError("invalid process specification: " + "; ".join(report.messages))
-    a0 = spec.a[0]
-    ice = ice_matrix(a0)
-    inv_ice = np.eye(spec.d) - a0
-    rw = RewrittenVarSpec(
-        ice=ice,
-        ar=tuple(ice @ ak for ak in spec.a[1:]),
-        ma_eps=tuple(ice @ bl for bl in spec.b),
-        ma_delta=tuple(ice @ bl @ inv_ice for bl in spec.b),
-        sigma_delta=ice @ np.diag(spec.gamma) @ ice.T,
-    )
-    for arr in (rw.ice, *rw.ar, *rw.ma_eps, *rw.ma_delta, rw.sigma_delta):
-        arr.setflags(write=False)
-    spec._compiled["rewrite"] = rw
-    return rw
+    if spec._rewrite is None:
+        report = validate(spec, allow_zero_variance=True)
+        if not report.passed:
+            raise ModelError("invalid process specification: " + "; ".join(report.messages))
+    return spec._rewrite
 
 
 def embed_as_var(spec: VarmaSpec) -> VarmaSpec:
@@ -282,19 +290,17 @@ def embed_as_var(spec: VarmaSpec) -> VarmaSpec:
     return VarmaSpec([c0, *lags], (), gamma, names=names)
 
 
-def _lag_edges(mats, tail, t_min, t_max, first=None):
+def _lag_edges(mats, tail, t_min, t_max):
     """Edges tail(j, t-k) -> endo(i, t) with coefficient mats[k][i, j].
 
-    One edge per exactly non-zero entry, for heads in [t_min, t_max] and
-    tails from ``first`` (default ``t_min``) on.
+    One edge per exactly non-zero entry, for heads and tails in [t_min, t_max].
     """
-    first = t_min if first is None else first
     support = [(k, np.argwhere(mat).tolist()) for k, mat in enumerate(mats)]
     return [
         (tail(j, t - k), endo(i, t), float(mats[k][i, j]))
         for t in range(t_min, t_max + 1)
         for k, entries in support
-        if t - k >= first
+        if t - k >= t_min
         for i, j in entries
     ]
 
@@ -302,11 +308,13 @@ def _lag_edges(mats, tail, t_min, t_max, first=None):
 class _MarginalizedAdmg(_CodedGraph):
     """The full-time marginalized ADMG of a spec, validated and compiled once.
 
-    Lags A0..Ap and innovation loadings I, B1..Bq; in the rewritten form (no
-    instantaneous effects, original innovations) lags 0, C A1..C Ap and
-    loadings C, C B1..C Bq with C = (I - A0)^(-1). A window holds the
-    directed edges of the lag supports and S_i@t <-> S_k@u iff one innovation
-    loads both. The graph is translation invariant, so the separation core
+    Lags A0..Ap and innovation loadings L_0..L_q = I, B1..Bq; in the
+    rewritten form (no instantaneous effects, original innovations) lags 0,
+    C A1..C Ap and loadings C, C B1..C Bq with C = (I - A0)^(-1). A window
+    reads S_j@(t-k) -> S_i@t off the lags and S_k@(t-δ) <-> S_i@t off
+    ``shared[δ]`` = Σ_l supp(L_(l+δ)) supp(L_l)^T (i > k at δ = 0), which
+    counts the innovations loading both in integers, so no product of small
+    loadings underflows. The graph is translation invariant, so the separation core
     reads it integer-coded, period d: S_i@t is t·d + i, and ``records[i]``
     lists the edges at S_i@0 as offsets k·d + j - i to S_j@k, in the
     ``graphs._incidence`` order of the window [-max(p,q), max(p,q)], which
@@ -320,6 +328,10 @@ class _MarginalizedAdmg(_CodedGraph):
             self.loadings = (rw.ice, *rw.ma_eps)
         else:
             self.lags, self.loadings = spec.a, (np.eye(spec.d), *spec.b)
+        support = [(m != 0).astype(np.int64) for m in self.loadings]
+        self.shared = [sum(support[l + delta] @ support[l].T for l in range(len(support) - delta))
+                       for delta in range(len(support))]
+        self.shared[0] = np.tril(self.shared[0], -1)
         d = self.d = spec.d
         _, directed, bidirected = self.window(-spec.max_lag, spec.max_lag)
         super().__init__(d, _incidence([endo(i, 0) for i in range(d)],
@@ -343,27 +355,14 @@ class _MarginalizedAdmg(_CodedGraph):
     def window(self, t_min: int, t_max: int):
         """Nodes, directed (with coefficients) and bi-directed edges of [t_min, t_max]."""
         nodes, directed = self.directed_window(t_min, t_max)
-        children = {}  # of each innovation that loads the window
-        for shock, v, _ in _lag_edges(self.loadings, innov, t_min, t_max,
-                                      t_min - len(self.loadings) + 1):
-            children.setdefault(shock, []).append(v)
-        bidirected = {pair for heads in children.values() for pair in combinations(heads, 2)}
-        return nodes, directed, bidirected
+        return nodes, directed, [(v, w) for v, w, _ in _lag_edges(self.shared, endo, t_min, t_max)]
 
 
-def _compiled_admg(spec: VarmaSpec, rewritten: bool = False) -> _MarginalizedAdmg:
-    """The spec's marginalized ADMG, validated and compiled on first use."""
-    if rewritten not in spec._compiled:
-        spec._compiled[rewritten] = _MarginalizedAdmg(spec, rewritten)
-    return spec._compiled[rewritten]
-
-
-def _structural_window(spec, t_min, t_max, rewritten, include_innovations):
+def _structural_window(admg: _MarginalizedAdmg, t_min, t_max, include_innovations):
     """Window of the full-time DAG of S_t = sum_k AR_k S_(t-k) + sum_l L_l eps_(t-l)."""
-    admg = _compiled_admg(spec, rewritten)
     nodes, directed = admg.directed_window(t_min, t_max)
     if include_innovations:
-        nodes += [innov(i, t) for t in range(t_min, t_max + 1) for i in range(spec.d)]
+        nodes += [innov(i, t) for t in range(t_min, t_max + 1) for i in range(admg.d)]
         directed += _lag_edges(admg.loadings, innov, t_min, t_max)
     return DirectedMixedGraph(nodes, directed)
 
@@ -377,7 +376,7 @@ def full_time_window(
     innovations, eps_t^i feeds S_t^i with unit coefficient and eps_(t-l)^j
     feeds S_t^i iff (Bl)[i,j] != 0.
     """
-    return _structural_window(spec, t_min, t_max, False, include_innovations)
+    return _structural_window(spec._admg, t_min, t_max, include_innovations)
 
 
 def rewritten_full_time_window(
@@ -388,7 +387,7 @@ def rewritten_full_time_window(
     The rewrite keeps the original innovations: the contemporaneous loading is
     C = (I - A0)^(-1) and the lag-l loading is C Bl; endogenous lags are C Ak.
     """
-    return _structural_window(spec, t_min, t_max, True, include_innovations)
+    return _structural_window(spec._rewritten_admg, t_min, t_max, include_innovations)
 
 
 def marginalized_admg_window(
@@ -401,10 +400,12 @@ def marginalized_admg_window(
     full-time DAG between endogenous nodes of [t_min, t_max], with their
     coefficients, and S_i@t <-> S_k@u iff one innovation eps_j@s loads both
     (the loadings of :func:`full_time_window`, or of
-    :func:`rewritten_full_time_window` when ``rewritten``), the rule from
-    which the separation loop's compiled incidence is also read.
+    :func:`rewritten_full_time_window` when ``rewritten``), read off the
+    integer products of the loading supports by the walk that reads the
+    directed edges, as is the separation loop's compiled incidence.
     """
-    return DirectedMixedGraph(*_compiled_admg(spec, rewritten).window(t_min, t_max))
+    admg = spec._rewritten_admg if rewritten else spec._admg
+    return DirectedMixedGraph(*admg.window(t_min, t_max))
 
 
 # -- JSON model format --------------------------------------------------------

@@ -88,9 +88,9 @@ def _block_operators(spec: VarmaSpec, level: int):
     k+1 is the recurrence of the companion states at the block boundaries of
     level k, a VAR(1) whose matrix is F_k^(L_k); its rows are the top rows
     of F_k^(L_k), ..., F_k^(L_k-lags+1), read off the carry matrix of level
-    k. The levels are cached, read-only, on the spec next to its rewrite.
+    k. The levels are kept, read-only, in the spec's ``_levels`` slot.
     """
-    levels = spec._compiled.setdefault("blocks", [])
+    levels = spec._levels
     while len(levels) <= level:
         if levels:
             *_, carry, length, lags = levels[-1]
@@ -396,6 +396,9 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         spec = sampler(rng) if callable(sampler) else sample_stable_spec(sampler, rng)
+        if (window + 1) * spec.d < 2:  # _draw_query's pool of nodes
+            raise ModelError(f"separation queries need (window + 1)·d >= 2 nodes to draw from; "
+                             f"got window={window}, d={spec.d}")
         ss = solve_stationary(spec)
         series = None
         if mode == "empirical":

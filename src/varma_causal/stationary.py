@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ModelError
 from .graphs import SeparationQuery, TimedNode, process_nodes
-from .model import VarmaSpec, remove_instantaneous
+from .model import VarmaSpec, companion_matrix, remove_instantaneous
 
 LYAPUNOV_RESIDUAL_RTOL = 1e-10
 PINV_RTOL = 1e-10
@@ -62,14 +62,15 @@ def numerical_rank(m: np.ndarray) -> int:
 class StateSpaceForm:
     """Companion state space of the rewrite without instantaneous effects.
 
-    The state stacks max(p,1) lags of S and q lags of eps; the stationary
-    state covariance solves Sigma_z = F Sigma_z F^T + G Gamma G^T by Smith
-    doubling, and the solve residual is checked to 1e-10 relative. The gate
-    bounds the residual, not the error of Sigma_z: near the unit root a
-    relative error delta leaves a residual of about delta·(1 - rho²), so with
-    ill-conditioned eigenvectors an error of 4.2e-8 was measured at a
-    residual of 2.0e-13.
-    The spec is validated through its cached rewrite, but each form solves
+    The state stacks max(p,1) lags of S and q lags of eps; F is the
+    companion matrix of C A1..C Ap (or 0) and C B1..C Bq, without the shift
+    into the first eps block. The stationary state covariance solves
+    Sigma_z = F Sigma_z F^T + G Gamma G^T by Smith doubling, and the solve
+    residual is checked to 1e-10 relative. The gate bounds the residual, not
+    the error of Sigma_z: near the unit root a relative error delta leaves a
+    residual of about delta·(1 - rho²), so with ill-conditioned eigenvectors
+    an error of 4.2e-8 was measured at a residual of 2.0e-13.
+    The spec is validated through its rewrite slot, but each form solves
     the Lyapunov equation anew. The autocovariances are kept in one lag table,
     grown on demand by the n x d column blocks X_h = F X_(h-1) from
     X_0 = Sigma_z[:, :d]: the top d rows of X_h are autocov(h), and only the
@@ -81,25 +82,14 @@ class StateSpaceForm:
         d = spec.d
         rw = remove_instantaneous(spec)
         p_blocks = max(spec.p, 1)
-        q_blocks = spec.q
-        n = d * (p_blocks + q_blocks)
-
-        f = np.zeros((n, n))
-        for k in range(1, spec.p + 1):
-            f[:d, (k - 1) * d:k * d] = rw.ar[k - 1]
-        for l in range(1, spec.q + 1):
-            col = (p_blocks + l - 1) * d
-            f[:d, col:col + d] = rw.ma_eps[l - 1]
-        for i in range(1, p_blocks):
-            f[i * d:(i + 1) * d, (i - 1) * d:i * d] = np.eye(d)
-        for i in range(1, q_blocks):
-            row = (p_blocks + i) * d
-            col = (p_blocks + i - 1) * d
-            f[row:row + d, col:col + d] = np.eye(d)
+        # the block below S_(t-p_blocks+1) is eps_t, which enters through G
+        f = companion_matrix([*(rw.ar or [np.zeros((d, d))]), *rw.ma_eps])
+        f[p_blocks * d:(p_blocks + 1) * d, (p_blocks - 1) * d:p_blocks * d] = 0
+        n = f.shape[0]
 
         g = np.zeros((n, d))
         g[:d] = rw.ice
-        if q_blocks:
+        if spec.q:
             g[p_blocks * d:(p_blocks + 1) * d] = np.eye(d)
 
         q_mat = g @ np.diag(spec.gamma) @ g.T

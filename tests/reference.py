@@ -29,7 +29,6 @@ from varma_causal.graphs import (
     ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, UndirectedGraph, _connection,
     _result, sorted_nodes)
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
-from varma_causal.model import _compiled_admg
 from varma_causal.stationary import numerical_rank
 
 
@@ -120,7 +119,7 @@ def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
     Returns (SeparationResult, (bottom, top) of the last window, stabilized,
     the separated verdict of each window in turn).
     """
-    admg = _compiled_admg(spec)
+    admg = spec._admg
     codes = tuple(tuple(map(admg.code, s)) for s in (query.a, query.b, query.c))
     ceiling = (top + 1) * spec.d
     removed = frozenset()

@@ -196,6 +196,14 @@ class TestIvCommand:
         assert code == 1 and out == ""
         assert err.startswith(f"error: malformed CSV {path}: ") and "Traceback" not in err
 
+    def test_header_only_csv_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("X,Y\n")
+        code, out, err = run_cli(capsys, "iv", "--data", str(path), "--y", "Y@0",
+                                 "--x", "X@-1", "--i", "X@-2")
+        assert code == 1 and out == ""
+        assert err == f"error: CSV {path} has no data rows\n"
+
     def test_duplicate_header_names_are_domain_error(self, capsys, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("X,X\n0.1,0.2\n0.3,0.4\n0.5,0.6\n0.7,0.8\n")
@@ -242,6 +250,14 @@ class TestExperimentCommand:
         code, out, err = run_cli(capsys, "experiment", "gmp", "--trials", "1", *option)
         assert code == 1 and out == ""
         assert err.startswith("error: sampler needs d >= 1") and "Traceback" not in err
+
+    @pytest.mark.parametrize("options, window, d", [(("--window", "-1"), -1, 2),
+                                                    (("--d", "1", "--window", "0"), 0, 1)])
+    def test_query_pool_below_two_nodes_is_domain_error(self, capsys, options, window, d):
+        code, out, err = run_cli(capsys, "experiment", "gmp", "--trials", "1", *options)
+        assert code == 1 and out == ""
+        assert err == (f"error: separation queries need (window + 1)·d >= 2 nodes to draw "
+                       f"from; got window={window}, d={d}\n")
 
     def test_gmp_run_with_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"

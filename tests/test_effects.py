@@ -484,7 +484,7 @@ class TestIntegerCoding:
         a1 = np.zeros((3, 3))
         a1[0, 2], a1[2, 0] = 0.5, 0.4
         spec = VarmaSpec([np.zeros((3, 3)), a1], gamma=[1, 1, 1])
-        admg = model._compiled_admg(spec)
+        admg = spec._admg
         neighbours = {(admg.node(off), here, there) for off, here, there in admg.records[0]}
         assert neighbours == {(endo(2, -1), True, False), (endo(2, 1), False, True)}
         chain = SeparationQuery([endo(0, -2)], [], [endo(0, 0)])

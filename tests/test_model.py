@@ -350,8 +350,14 @@ class TestWindows:
     @pytest.mark.parametrize("rewritten", [False, True])
     def test_closed_form_equals_latent_projection(self, varma_instant_spec, rewritten):
         # reference: project a DAG widened max(p,q)+1 steps left onto its
-        # endogenous nodes, then crop to the window
-        specs = [varma_instant_spec] + sampled_window_specs()
+        # endogenous nodes, then crop to the window. Dense specs give each
+        # innovation a high fan-out; in the last spec one innovation loads
+        # S0 and S1 at 1e-200 each, whose float product underflows to 0
+        dense = [sample_stable_spec(CoefficientSampler(d=d, p=p, q=q), (56, d, p, q))
+                 for d, p, q in ((6, 2, 2), (4, 1, 3))]
+        tiny = VarmaSpec([np.zeros((3, 3)), 0.5 * np.eye(3)],
+                         [[[1e-200, 0, 0], [1e-200, 0, 0], [0, 0, 0]]], [1, 1, 1])
+        specs = [varma_instant_spec, *sampled_window_specs(), *dense, tiny]
         builder = rewritten_full_time_window if rewritten else full_time_window
         for spec in specs:
             for t_min, t_max in ((-3, 0), (-12, 0), (5, 9), (0, 0), (-1, 0)):
@@ -371,12 +377,21 @@ class TestWindows:
         # loads dozens of nodes; past the one compile of the spec, the
         # structural windows build none of the bi-directed pairs
         spec = sample_stable_spec(CoefficientSampler(d=16, p=2, q=2), 16)
-        model._compiled_admg(spec, rewritten)
+        admg = spec._rewritten_admg if rewritten else spec._admg
         rw = remove_instantaneous(spec)
         lags, loadings = (((np.zeros((16, 16)), *rw.ar), (rw.ice, *rw.ma_eps)) if rewritten
                           else (spec.a, (np.eye(16), *spec.b)))
         builder = rewritten_full_time_window if rewritten else full_time_window
-        monkeypatch.setattr(model, "combinations", forbidden_pairs)
+        edges = model._lag_edges
+
+        def structural_edges(mats, *args):
+            # the loading-support products, or a fresh compile, would come
+            # through here with other matrices
+            if mats is not admg.lags and mats is not admg.loadings:
+                raise AssertionError("bi-directed edges built for a structural window")
+            return edges(mats, *args)
+
+        monkeypatch.setattr(model, "_lag_edges", structural_edges)
         for innovations in (False, True):
             g = builder(spec, -2, 2, include_innovations=innovations)
             mats = ((endo, lags), (innov, loadings)) if innovations else ((endo, lags),)
@@ -394,7 +409,7 @@ class TestWindows:
         # node's edges in the order of the window graph's incidence table,
         # which breaks ties between shortest separation witnesses
         for spec in [varma_instant_spec] + sampled_window_specs():
-            admg = model._compiled_admg(spec, rewritten)
+            admg = spec._rewritten_admg if rewritten else spec._admg
             for t_min, t_max in ((-3, 0), (-12, 0), (5, 9), (0, 0), (-1, 0)):
                 g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten)
                 for v in g.nodes:
@@ -402,10 +417,6 @@ class TestWindows:
                                for off, here, there in admg.records[v.component]]
                     inside = [e for e in decoded if t_min <= e[0].time <= t_max]
                     assert inside == decoded_records(g, v)
-
-
-def forbidden_pairs(*args):
-    raise AssertionError("bi-directed pairs built for a structural window")
 
 
 def sampled_window_specs():

@@ -167,7 +167,7 @@ class TestSimulate:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        cached = sum(arr.nbytes for level in spec._compiled["blocks"]
+        cached = sum(arr.nbytes for level in spec._levels
                      for arr in level if isinstance(arr, np.ndarray))
         assert cached < 4e6
         assert kept < 4e6
