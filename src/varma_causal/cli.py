@@ -151,7 +151,7 @@ def _cmd_iv(args) -> int:
     weight = None
     if args.weight:
         with open(args.weight, "r", encoding="utf-8") as fh:
-            weight = np.asarray(json.load(fh), dtype=float)
+            weight = json.load(fh)
     ref = lambda r: parse_node_ref(r, spec, names)
     query = IvQuery(
         ref(args.y),

@@ -34,10 +34,15 @@ class IvQuery:
     def __init__(self, y, x_set, i_set, b_set=(), weight=None):
         x_set, i_set, b_set = _query_sets(y, x_set, i_set, b_set)
         if weight is not None:
-            weight = np.asarray(weight, dtype=float)
+            try:
+                weight = np.asarray(weight, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ModelError(f"weight must be a numeric matrix: {exc}") from None
             k = len(i_set)
             if weight.shape != (k, k):
                 raise ModelError(f"weight must be {k}x{k}")
+            if not np.all(np.isfinite(weight)):
+                raise ModelError("weight has non-finite entries")
             if not np.allclose(weight, weight.T, atol=1e-12):
                 raise ModelError("weight must be symmetric")
             if np.min(np.linalg.eigvalsh(weight)) <= 0:

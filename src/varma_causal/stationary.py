@@ -64,36 +64,59 @@ class StateSpaceForm:
 
     The state stacks max(p,1) lags of S and q lags of eps; F is the
     companion matrix of C A1..C Ap (or 0) and C B1..C Bq, without the shift
-    into the first eps block. The stationary state covariance solves
-    Sigma_z = F Sigma_z F^T + G Gamma G^T by Smith doubling, and the solve
-    residual is checked to 1e-10 relative. The gate bounds the residual, not
-    the error of Sigma_z: near the unit root a relative error delta leaves a
-    residual of about delta·(1 - rho²), so with ill-conditioned eigenvectors
-    an error of 4.2e-8 was measured at a residual of 2.0e-13.
-    The spec is validated through its rewrite slot, but each form solves
-    the Lyapunov equation anew. The autocovariances are kept in one lag table,
-    grown on demand by the n x d column blocks X_h = F X_(h-1) from
-    X_0 = Sigma_z[:, :d]: the top d rows of X_h are autocov(h), and only the
-    last block is kept to grow from.
+    into the first eps block. The stationary state covariance Sigma_z solves
+    Sigma_z = F Sigma_z F^T + G Gamma G^T, but only its AR block, the
+    covariance of x_t = (S_t..S_(t-max(p,1)+1)), needs a Lyapunov solve. With
+    Phi the companion of C A1..C Ap, Theta_0 = C, Theta_l = C B_l and E1 the
+    first d rows, x_t = Phi x_(t-1) + E1 sum_l Theta_l eps_(t-l). The eps
+    blocks are white, I_q (x) Gamma; the cross blocks C_k = Cov(x_t, eps_(t-k))
+    follow C_0 = E1 Theta_0 Gamma, C_k = Phi C_(k-1) + E1 Theta_k Gamma; and
+    Gamma_x = Phi Gamma_x Phi^T + Q_eff with Q_eff = E1 (sum_l Theta_l Gamma
+    Theta_l^T) E1^T + Phi M + M^T Phi^T, M = sum_(l>=1) C_(l-1) Theta_l^T E1^T,
+    which is the AR block of F Sigma_z F^T + G Gamma G^T while that block of
+    Sigma_z is zero. Smith doubling thus runs on d·max(p,1) rows instead of
+    n = d·(max(p,1)+q), and the residual of the full n x n equation is checked
+    to 1e-10 relative. The gate bounds the residual, not the error of Sigma_z:
+    near the unit root a relative error delta leaves a residual of about
+    delta·(1 - rho²), so with ill-conditioned eigenvectors an error of 4.2e-8
+    was measured at a residual of 2.0e-13.
+    The spec is validated through its rewrite slot, and each form solves its
+    AR block anew; nothing is cached across forms. The autocovariances are
+    kept in one lag table, grown on demand by the n x d column blocks
+    X_h = F X_(h-1) from X_0 = Sigma_z[:, :d]: the top d rows of X_h are
+    autocov(h), and only the last block is kept to grow from.
     """
 
     def __init__(self, spec: VarmaSpec):
         self.spec = spec
-        d = spec.d
+        d, q, gamma = spec.d, spec.q, spec.gamma
         rw = remove_instantaneous(spec)
-        p_blocks = max(spec.p, 1)
-        # the block below S_(t-p_blocks+1) is eps_t, which enters through G
+        m = max(spec.p, 1) * d
+        # the block below S_(t-max(p,1)+1) is eps_t, which enters through G
         f = companion_matrix([*(rw.ar or [np.zeros((d, d))]), *rw.ma_eps])
-        f[p_blocks * d:(p_blocks + 1) * d, (p_blocks - 1) * d:p_blocks * d] = 0
+        f[m:m + d, m - d:m] = 0
         n = f.shape[0]
 
         g = np.zeros((n, d))
         g[:d] = rw.ice
-        if spec.q:
-            g[p_blocks * d:(p_blocks + 1) * d] = np.eye(d)
+        if q:
+            g[m:m + d] = np.eye(d)
 
-        q_mat = g @ np.diag(spec.gamma) @ g.T
-        sigma_z, _ = _solve_lyapunov_doubling(f, q_mat)
+        q_mat = (g * gamma) @ g.T
+        phi = f[:m, :m]
+        # Sigma_z outside its AR block, from Q: Q holds the first eps block
+        # Gamma and the cross block C_0 = E1 Theta_0 Gamma; each later eps block
+        # is Gamma, and C_k = Phi C_(k-1) + E1 Theta_k Gamma, with Theta_k in
+        # F[:d] just left of column block k
+        sigma_z = q_mat.copy()
+        sigma_z[:m, :m] = 0
+        for k in range(m + d, n, d):
+            sigma_z[k:k + d, k:k + d] = q_mat[m:m + d, m:m + d]
+            sigma_z[:m, k:k + d] = phi @ sigma_z[:m, k - d:k] + f[:m, k - d:k] * gamma
+            sigma_z[k:k + d, :m] = sigma_z[:m, k:k + d].T
+        # while the AR block of sigma_z is zero, that of F sigma_z F^T + Q is Q_eff
+        top = f[:m]
+        sigma_z[:m, :m], _ = _solve_lyapunov_doubling(phi, top @ sigma_z @ top.T + q_mat[:m, :m])
 
         denom = max(np.linalg.norm(sigma_z, "fro"), np.finfo(float).tiny)
         residual = np.linalg.norm(sigma_z - f @ sigma_z @ f.T - q_mat, "fro") / denom
@@ -206,8 +229,11 @@ def population_ci(ss: StateSpaceForm, query: SeparationQuery,
 
     For non-Gaussian innovations m-separation still forces these covariances
     to zero, but zero covariance then no longer certifies independence; the
-    verdict is only an independence statement under Gaussianity.
+    verdict is only an independence statement under Gaussianity. A tol
+    outside (0, inf), NaN included, raises ModelError.
     """
+    if not 0 < tol < math.inf:
+        raise ModelError(f"CI tolerance must be positive and finite, got {tol}")
     stacked = (*query.a, *query.c)
     # Python floats round abs, /, * and sqrt as numpy's float64 scalars do
     cond = conditional_covariance(ss, stacked, stacked, query.b).tolist()

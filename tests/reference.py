@@ -13,12 +13,18 @@ library's ``_connection`` on each window, from scratch.
 ``autocovariances_by_recursion`` is the n x n recursion from which the
 stationary law read its autocovariances before it kept one lag table.
 
+``exact_lyapunov`` solves X = F X F^T + Q in rationals by the Kronecker
+system (I - F kron F) vec X = vec Q, and ``exact_state_covariance`` builds
+the library's companion state of a rational spec and solves it that way, on
+the whole state and without any float arithmetic.
+
 ``estimate_from_data`` is the row-major IV estimator the library used before
 it built its design one node row at a time: an n x k design, centred into a
 copy, residualized one block at a time. It shares only the weighted solve and
 the rank routine with the library.
 """
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -154,6 +160,75 @@ def autocovariances_by_recursion(ss, span: int) -> dict:
         out[-h] = out[h].T
         block = ss.f @ block
     return out
+
+
+def mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def mat_add(*ms):
+    return [[sum(vals, Fraction(0)) for vals in zip(*rows)] for rows in zip(*ms)]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def solve_exact(m, rhs):
+    """Gauss-Jordan elimination over Fractions: the exact x with m x = rhs."""
+    n = len(m)
+    rows = [list(row) + [r] for row, r in zip(m, rhs)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [row[n] for row in rows]
+
+
+def exact_lyapunov(f, q):
+    """The X with X = F X F^T + Q, from (I - F kron F) vec X = vec Q."""
+    n = len(f)
+    idx = [(i, j) for i in range(n) for j in range(n)]
+    system = [[int(r == c) - f[i][k] * f[j][l] for c, (k, l) in enumerate(idx)]
+              for r, (i, j) in enumerate(idx)]
+    flat = solve_exact(system, [q[i][j] for i, j in idx])
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def exact_state_covariance(a, b, gamma):
+    """Sigma_z of ``StateSpaceForm`` for rational A0..Ap, B1..Bq and gamma.
+
+    With C = (I - A0)^(-1) and P = max(p, 1), the state (S_t..S_(t-P+1),
+    eps_t..eps_(t-q+1)) moves by F: first block row C A1..C Ap (0 if p = 0)
+    and C B1..C Bq, identity shifts inside the S blocks and inside the eps
+    blocks; eps_t loads through G = (C, 0, .., 0, I, 0, .., 0). The whole
+    state is solved by :func:`exact_lyapunov`.
+    """
+    d, p, q = len(gamma), len(a) - 1, len(b)
+    eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    minus_a0 = mat_add(eye, [[-x for x in row] for row in a[0]])
+    c = transpose([solve_exact(minus_a0, col) for col in eye])
+    ar = [mat_mul(c, ak) for ak in a[1:]] or [[[Fraction(0)] * d for _ in range(d)]]
+    blocks, n = len(ar), d * (len(ar) + q)
+    f = [[Fraction(0)] * n for _ in range(n)]
+    g = [[Fraction(0)] * d for _ in range(n)]
+    for k, m in enumerate([*ar, *(mat_mul(c, bl) for bl in b)]):
+        for i in range(d):
+            f[i][k * d:(k + 1) * d] = m[i]
+    for start, count in ((0, blocks), (blocks * d, q)):
+        for i in range(d * (count - 1)):
+            f[start + d + i][start + i] = Fraction(1)
+    for i in range(d):
+        g[i] = c[i]
+        if q:
+            g[blocks * d + i][i] = Fraction(1)
+    sigma = [[gamma[i] * int(i == j) for j in range(d)] for i in range(d)]
+    return exact_lyapunov(f, mat_mul(mat_mul(g, sigma), transpose(g)))
 
 
 def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:

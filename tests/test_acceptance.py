@@ -37,7 +37,8 @@ from varma_causal import (
     simulate,
     solve_stationary,
 )
-from reference import d_separated_moral, m_separated_oracle
+from reference import (
+    d_separated_moral, exact_lyapunov, m_separated_oracle, mat_add, mat_mul, solve_exact, transpose)
 from conftest import LAGGED_SPEC_BETA, LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI, random_admg, random_dag, random_query
 from test_model import brute_force_ice, random_acyclic_a0
 
@@ -50,34 +51,6 @@ LAGGED_B1 = [[Fraction(0), Fraction(1, 4)], [Fraction(0), Fraction(0)]]
 LAGGED_SIGMA = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
 
 
-def _mul(a, b):
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
-            for row in a]
-
-
-def _add(*ms):
-    return [[sum(vals, Fraction(0)) for vals in zip(*rows)] for rows in zip(*ms)]
-
-
-def _t(a):
-    return [list(col) for col in zip(*a)]
-
-
-def _solve(m, rhs):
-    """Gauss-Jordan elimination over Fractions: the exact x with m x = rhs."""
-    n = len(m)
-    rows = [list(row) + [r] for row, r in zip(m, rhs)]
-    for c in range(n):
-        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        rows[c] = [v / rows[c][c] for v in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
-    return [row[n] for row in rows]
-
-
 def yule_walker_lagged_tables():
     """Exact Cov(X, I) and Cov(Y, I) of varma_lagged_spec, without the library.
 
@@ -88,20 +61,16 @@ def yule_walker_lagged_tables():
         Gamma_2 = A Gamma_1
 
     Gamma_0 comes from the linear system (I - A kron A) vec Gamma_0 = vec Q in
-    rationals. With X = (X@-1, Y@-1), I = (X@-2, Y@-2) and Y = Y@0,
-    Cov(X, I) = Gamma_1 and Cov(Y, I) is row Y of Gamma_2.
+    rationals (``reference.exact_lyapunov``). With X = (X@-1, Y@-1),
+    I = (X@-2, Y@-2) and Y = Y@0, Cov(X, I) = Gamma_1 and Cov(Y, I) is row Y
+    of Gamma_2.
     """
     a, b, sigma = LAGGED_A1, LAGGED_B1, LAGGED_SIGMA
-    q = _add(_mul(_mul(a, sigma), _t(b)), _mul(_mul(b, sigma), _t(a)),
-             sigma, _mul(_mul(b, sigma), _t(b)))
-    d = len(a)
-    idx = [(i, j) for i in range(d) for j in range(d)]
-    system = [[int(r == c) - a[i][k] * a[j][l] for c, (k, l) in enumerate(idx)]
-              for r, (i, j) in enumerate(idx)]
-    flat = _solve(system, [q[i][j] for i, j in idx])
-    gamma0 = [flat[i * d:(i + 1) * d] for i in range(d)]
-    gamma1 = _add(_mul(a, gamma0), _mul(b, sigma))
-    gamma2 = _mul(a, gamma1)
+    q = mat_add(mat_mul(mat_mul(a, sigma), transpose(b)), mat_mul(mat_mul(b, sigma), transpose(a)),
+                sigma, mat_mul(mat_mul(b, sigma), transpose(b)))
+    gamma0 = exact_lyapunov(a, q)
+    gamma1 = mat_add(mat_mul(a, gamma0), mat_mul(b, sigma))
+    gamma2 = mat_mul(a, gamma1)
     return gamma1, [gamma2[Y]]
 
 
@@ -163,7 +132,7 @@ class TestCriterion01WorkedPopulation:
         assert ref_xi == [[F(17, 24), F(53, 108)], [F(77, 108), F(505, 486)]]
         assert ref_yi == [[F(16, 27), F(166, 243)]]
         # Cov(Y, I) = beta Cov(X, I) identifies beta exactly
-        beta = _solve(_t(ref_xi), ref_yi[0])
+        beta = solve_exact(transpose(ref_xi), ref_yi[0])
         assert beta == [F(1, 3), F(1, 2)]
 
         ref_xi = np.array(ref_xi, dtype=float)

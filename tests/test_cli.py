@@ -217,6 +217,20 @@ class TestIvCommand:
                                "--i", "X@-2")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ('[["a", 0], [0, 1]]', "error: weight must be a numeric matrix"),
+        ('[[1, 0], [0]]', "error: weight must be a numeric matrix"),
+        ('[[NaN, 0], [0, 1]]', "error: weight has non-finite entries"),
+    ])
+    def test_bad_weight_file_is_domain_error(self, capsys, tmp_path, model_path, text, message):
+        path = tmp_path / "weight.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            capsys, "iv", "-m", model_path, "--y", "Y@0", "--x", "X@-1", "Y@-1",
+            "--i", "X@-2", "Y@-2", "--weight", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(message) and "Traceback" not in err
+
     def test_under_identified_domain_error(self, capsys, model_path):
         code, _, err = run_cli(
             capsys, "iv", "-m", model_path, "--y", "Y@0",
@@ -258,6 +272,14 @@ class TestExperimentCommand:
         assert code == 1 and out == ""
         assert err == (f"error: separation queries need (window + 1)·d >= 2 nodes to draw "
                        f"from; got window={window}, d={d}\n")
+
+    @pytest.mark.parametrize("tol", ["nan", "0"])
+    def test_tolerance_outside_open_positive_range_is_domain_error(self, capsys, tol):
+        code, out, err = run_cli(capsys, "experiment", "faithfulness", "--trials", "1",
+                                 f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: CI tolerance must be positive and finite")
+        assert "Traceback" not in err
 
     def test_gmp_run_with_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"

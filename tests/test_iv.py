@@ -36,6 +36,17 @@ class TestQueryValidation:
             IvQuery(y, xs, (endo(X, -2), endo(Y, -2)),
                     weight=[[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("weight", [[["a", 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0]]])
+    def test_weight_must_be_numeric(self, weight):
+        with pytest.raises(ModelError, match="weight must be a numeric matrix"):
+            IvQuery(endo(Y, 0), (endo(X, -1),), (endo(X, -2), endo(Y, -2)), weight=weight)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weight_must_be_finite(self, bad):
+        with pytest.raises(ModelError, match="weight has non-finite entries"):
+            IvQuery(endo(Y, 0), (endo(X, -1),), (endo(X, -2), endo(Y, -2)),
+                    weight=[[bad, 0.0], [0.0, 1.0]])
+
     def test_disjointness_enforced(self):
         with pytest.raises(ModelError, match="more than one"):
             IvQuery(endo(Y, 0), (endo(X, -1),), (endo(X, -1),))

@@ -1,4 +1,6 @@
+import math
 import sys
+from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from varma_causal.stationary import (
     _solve_lyapunov_doubling,
 )
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
-from reference import autocovariances_by_recursion
+from reference import autocovariances_by_recursion, exact_state_covariance
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -111,6 +113,17 @@ class TestLyapunov:
         _, iterations = _solve_lyapunov_doubling(ss.f, q)
         assert iterations < LYAPUNOV_MAX_DOUBLINGS
 
+    def test_residual_gate_fires(self, monkeypatch, varma_lagged_spec):
+        solve = stationary._solve_lyapunov_doubling
+
+        def off_by_1e_6(f, q):
+            sigma, iterations = solve(f, q)
+            return sigma * (1 + 1e-6), iterations
+
+        monkeypatch.setattr(stationary, "_solve_lyapunov_doubling", off_by_1e_6)
+        with pytest.raises(ModelError, match="Lyapunov solve residual"):
+            solve_stationary(varma_lagged_spec)
+
     def test_unstable_spec_rejected(self):
         with pytest.raises(ModelError, match="unstable"):
             solve_stationary(VarmaSpec(a=[[[0.0]], [[1.01]]], gamma=[1.0]))
@@ -121,6 +134,35 @@ class TestLyapunov:
             ss = solve_stationary(random_stable_spec(rng))
             eigs = np.linalg.eigvalsh(ss.sigma_z)
             assert eigs.min() > -1e-10 * max(eigs.max(), 1.0)
+
+
+# rational specs (A0..Ap, B1..Bq, gamma) for the exact whole-state solve
+EXACT_SPECS = {
+    # instantaneous edge 0 -> 1, so Theta_0 = C is not the identity
+    "d2_p1_q2_instantaneous": (
+        [[[0, 0], [Fr(1, 2), 0]], [[Fr(1, 2), Fr(1, 5)], [0, Fr(1, 3)]]],
+        [[[Fr(1, 4), 0], [Fr(1, 3), Fr(-1, 5)]], [[0, Fr(1, 6)], [Fr(-1, 7), 0]]],
+        [1, Fr(3, 2)]),
+    "d1_p2_q2": ([[[0]], [[Fr(1, 2)]], [[Fr(-1, 3)]]], [[[Fr(2, 5)]], [[Fr(1, 4)]]], [2]),
+    "d2_p0_q2": ([[[0, Fr(1, 3)], [0, 0]]],
+                 [[[Fr(1, 2), Fr(-1, 4)], [0, Fr(1, 3)]], [[Fr(1, 5), 0], [Fr(1, 6), Fr(-1, 2)]]],
+                 [Fr(1, 2), 1]),
+}
+
+
+class TestExactStateCovariance:
+    @pytest.mark.parametrize("name", sorted(EXACT_SPECS))
+    def test_sigma_z_matches_rational_solve(self, name):
+        a, b, gamma = EXACT_SPECS[name]
+        frac = lambda ms: [[[Fr(x) for x in row] for row in m] for m in ms]
+        exact = np.array(exact_state_covariance(frac(a), frac(b), [Fr(g) for g in gamma]),
+                         dtype=float)
+        spec = VarmaSpec([np.array(m, dtype=float) for m in frac(a)],
+                         [np.array(m, dtype=float) for m in frac(b)],
+                         [float(g) for g in gamma])
+        ss = solve_stationary(spec)
+        assert ss.sigma_z.shape == exact.shape
+        assert np.max(np.abs(ss.sigma_z - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 class TestCrossCovariance:
@@ -310,6 +352,14 @@ class TestPopulationCi:
         spec = VarmaSpec(a=[[[0, 1], [0, 0]], [[0, 0], [0, 0.5]]], gamma=[g, 1])
         q = SeparationQuery([endo(X, 0)], [endo(Y, 0)], [endo(Y, -1)])
         assert population_ci(solve_stationary(spec), q).degenerate is degenerate
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_tolerance_outside_open_positive_range_rejected(self, varma_lagged_spec, tol):
+        ss = solve_stationary(varma_lagged_spec)
+        q = SeparationQuery([endo(X, -1)], [], [endo(Y, 0)])
+        assert population_ci(ss, q, tol=0.5).max_abs_correlation > 0.2
+        with pytest.raises(ModelError, match="CI tolerance must be positive and finite"):
+            population_ci(ss, q, tol=tol)
 
 
 class TestNumericalRank:
