@@ -2,9 +2,9 @@
 
 Identification solves the population moment equation
 E[Cov(Y - beta X, I | B)] = 0 with conditional covariances from the exact
-stationary law; estimation evaluates the closed-form weighted estimator on
-residualized lagged observation blocks and is consistent whenever the
-graph-side conditions hold.
+stationary law; estimation solves its sample analogue on centred lagged
+observations and is consistent whenever the graph-side conditions hold. Both
+sides take Cov(., . | B) by the same Schur step on a joint moment matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from .errors import EstimationError, ModelError, UnderIdentifiedError
 from .graphs import TimedNode, node_from_json, process_nodes
 from .model import VarmaSpec
 from .effects import IvConditionReport, _field_dict, _iv_report, _json_value, _query_sets
-from .stationary import conditional_covariance, numerical_rank, solve_stationary
+from .stationary import (_check_conditioning, _schur_complement, conditional_covariance,
+                         numerical_rank, solve_stationary)
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,24 @@ class IvResult:
     to_dict = _field_dict
 
 
-def _weighted_solve(s_yi: np.ndarray, s_xi: np.ndarray, w: np.ndarray):
-    """beta minimizing (s_yi - beta s_xi) W (s_yi - beta s_xi)'; s_xi has full row rank.
+def _weighted_solve(moments: np.ndarray, w: np.ndarray):
+    """beta minimizing (s_yi - beta s_xi) W (s_yi - beta s_xi)' for moments
+    [s_yi; s_xi] = Cov([Y; X], I | B), with the moment residual and rank(s_xi).
 
-    With W = L L' this is the least-squares problem of (s_yi L)' on
-    (s_xi L)'. The normal matrix s_xi W s_xi' is never formed, so the
-    solve is conditioned like s_xi rather than like its square.
+    Rank below dim(X) raises UnderIdentifiedError. With W = L L' this is the
+    least-squares problem of (s_yi L)' on (s_xi L)', conditioned like s_xi
+    rather than like the normal matrix s_xi W s_xi'.
     """
+    s_yi, s_xi = moments[:1], moments[1:]
+    rank = numerical_rank(s_xi)
+    if rank < len(s_xi):
+        raise UnderIdentifiedError(
+            f"moment matrix Cov(X,I|B) is singular (rank {rank} < dim(X) = {len(s_xi)}); "
+            "the total causal effect is under-identified", rank=rank, required=len(s_xi))
     chol = np.linalg.cholesky(w)
-    beta, *_ = np.linalg.lstsq((s_xi @ chol).T, (s_yi @ chol).T, rcond=None)
-    beta = beta.T
+    beta = np.linalg.lstsq((s_xi @ chol).T, (s_yi @ chol).T, rcond=None)[0].T
     residual = float(np.max(np.abs(s_yi - beta @ s_xi)))
-    return beta.reshape(-1), residual
+    return beta.reshape(-1), residual, rank
 
 
 def identify_population(spec: VarmaSpec, query: IvQuery,
@@ -112,20 +119,9 @@ def identify_population(spec: VarmaSpec, query: IvQuery,
     # one Schur complement: row 0 is E[Cov(Y,I|B)], the rest E[Cov(X,I|B)]
     moments = conditional_covariance(solve_stationary(spec), (query.y, *query.x_set),
                                      query.i_set, query.b_set)
-    s_yi, s_xi = moments[:1], moments[1:]
-
-    rank = numerical_rank(s_xi)
-    if rank < len(query.x_set):
-        raise UnderIdentifiedError(
-            f"E[Cov(X,I|B)] has rank {rank} < dim(X) = {len(query.x_set)}; "
-            "the total causal effect is under-identified",
-            rank=rank, required=len(query.x_set))
-
-    beta, residual = _weighted_solve(s_yi, s_xi, query.weight_or_identity())
-    conditions = None
-    if check_conditions:
-        conditions = _iv_report(spec, query.y, query.x_set, query.i_set,
-                                query.b_set, rank)
+    beta, residual, rank = _weighted_solve(moments, query.weight_or_identity())
+    conditions = (_iv_report(spec, query.y, query.x_set, query.i_set, query.b_set, rank)
+                  if check_conditions else None)
     return IvResult(beta, residual, conditions, "population")
 
 
@@ -156,42 +152,35 @@ def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:
     return rows.T
 
 
-def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
-    """Closed-form weighted IV estimate from an observed series.
-
-    Builds lagged blocks for Y, X, I, B from overlapping windows, centers
-    them, replaces each block by its OLS residuals on B (centering only when B
-    is empty), and evaluates
-    beta = E^[r_Y r_I'] W E^[r_I r_X'] (E^[r_X r_I'] W E^[r_I r_X'])^(-1).
-    A sample moment matrix E^[r_X r_I'] of numerical rank below dim(X)
-    raises :class:`EstimationError`.
-
-    Linear residualization equals the conditional expectation on B under the
-    Gaussian stationary law; for non-Gaussian innovations it is only the best
-    linear approximation, and the estimator targets the linearly-residualized
-    moment equation.
+def _sample_conditional_covariance(data, a, c, b):
+    """Cov^(A, C | B) of the centred lagged observations, and their count n_eff:
+    the rows of (A, B) times those of (B, C), over n_eff, through the Schur
+    step. By Frisch–Waugh–Lovell that is the cross moment of the OLS
+    residuals on B, short of the B directions the step drops.
     """
-    nodes = (query.y, *query.x_set, *query.i_set, *query.b_set)
-    rows = lagged_design(data, nodes).T  # one contiguous row per node
+    _check_conditioning(a, c, b)
+    rows = lagged_design(data, (*a, *b, *c)).T  # one contiguous row per node
     n_eff = rows.shape[1]
+    rows -= rows.mean(axis=1, keepdims=True)
+    na, nb = len(a), len(b)
+    return _schur_complement(rows[:na + nb] @ rows[na:].T / n_eff, nb), n_eff
+
+
+def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
+    """Closed-form weighted IV estimate from an observed series:
+    beta = S_YI W S_XI' (S_XI W S_XI')^(-1) for S = Cov^([Y; X], I | B) of the
+    centred lagged blocks. An S_XI of numerical rank below dim(X) raises
+    :class:`UnderIdentifiedError`, an EstimationError. B directions with
+    singular value below about 1e-5 of the largest are dropped, so a
+    duplicated or nearly duplicated B column counts once. Under the Gaussian
+    stationary law S is the conditional covariance given B; otherwise it is
+    the best linear approximation, which the estimator targets.
+    """
     n_regressors = len(query.x_set) + len(query.b_set)
+    moments, n_eff = _sample_conditional_covariance(
+        data, (query.y, *query.x_set), query.i_set, query.b_set)
     if n_eff <= n_regressors + 1:
         raise EstimationError(
             f"{n_eff} usable rows are too few for {n_regressors} regressors")
-    rows -= rows.mean(axis=1, keepdims=True)
-
-    nx, ni = len(query.x_set), len(query.i_set)
-    resid, controls = rows[:1 + nx + ni], rows[1 + nx + ni:]
-    if len(controls):
-        coef, *_ = np.linalg.lstsq(controls.T, resid.T, rcond=None)
-        resid = resid - coef.T @ controls
-    r_y, r_x, r_i = resid[:1], resid[1:1 + nx], resid[1 + nx:]
-
-    s_yi = r_y @ r_i.T / n_eff
-    s_xi = r_x @ r_i.T / n_eff
-    rank = numerical_rank(s_xi)
-    if rank < nx:
-        raise EstimationError(
-            f"sample moment matrix E^[r_X r_I'] is singular (rank {rank} < dim(X) = {nx})")
-    beta, residual = _weighted_solve(s_yi, s_xi, query.weight_or_identity())
+    beta, residual, _ = _weighted_solve(moments, query.weight_or_identity())
     return IvResult(beta, residual, None, int(n_eff))

@@ -21,9 +21,10 @@ import numpy as np
 from .errors import EstimationError, ModelError
 from .graphs import SeparationQuery, TimedNode, endo, node_label
 from .model import VarmaSpec, companion_matrix, remove_instantaneous
-from .stationary import CI_DEFAULT_TOL, StateSpaceForm, population_ci, solve_stationary
+from .stationary import (CI_DEFAULT_TOL, StateSpaceForm, _check_tol, population_ci,
+                         solve_stationary)
 from .effects import _field_dict, stable_marginal_separation
-from .iv import lagged_design
+from .iv import _sample_conditional_covariance
 
 
 def default_burn_in(spec: VarmaSpec) -> int:
@@ -284,24 +285,18 @@ def _phi(x: float) -> float:
 
 def fisher_z_pvalue(data: np.ndarray, a: TimedNode, c: TimedNode,
                     b: Sequence[TimedNode] = ()) -> float:
-    """Fisher-z partial-correlation test of a ⫫ c | b on lagged observations."""
-    rows = lagged_design(data, (a, c, *b)).T  # one contiguous row per node
-    rows -= rows.mean(axis=1, keepdims=True)
-    n = rows.shape[1]
-    controls = rows[2:].T
-    xa, xc = rows[0], rows[1]
-    if controls.shape[1]:
-        coef_a, *_ = np.linalg.lstsq(controls, xa, rcond=None)
-        coef_c, *_ = np.linalg.lstsq(controls, xc, rcond=None)
-        xa = xa - controls @ coef_a
-        xc = xc - controls @ coef_c
-    denom = math.sqrt(float(xa @ xa) * float(xc @ xc))
-    if denom == 0:
-        return 1.0
-    r = max(-0.999999999, min(0.999999999, float(xa @ xc) / denom))
+    """Fisher-z partial-correlation test of a ⫫ c | b on lagged observations.
+
+    The sample Cov^((a, c) | b) drops b directions with singular value below
+    about 1e-5 of the largest; the degrees of freedom count every node of b.
+    A conditional variance or dof <= 0 gives p = 1.0; a or c in b raises ModelError.
+    """
+    cov, n = _sample_conditional_covariance(data, (a, c), (a, c), b)
+    (var_a, cov_ac), (_, var_c) = cov.tolist()
     dof = n - len(b) - 3
-    if dof <= 0:
+    if var_a <= 0 or var_c <= 0 or dof <= 0:
         return 1.0
+    r = max(-0.999999999, min(0.999999999, cov_ac / math.sqrt(var_a * var_c)))
     stat = math.sqrt(dof) * abs(math.atanh(r))
     return 2.0 * (1.0 - _phi(stat))
 
@@ -389,6 +384,7 @@ def faithfulness_check(spec: VarmaSpec, query: SeparationQuery,
 
 def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
                     seed, mode):
+    _check_tol(tol)
     if mode not in ("population", "empirical"):
         raise ModelError(f"unknown experiment mode {mode!r}")
 

@@ -179,31 +179,46 @@ def cross_covariance(ss: StateSpaceForm, u: Sequence[TimedNode],
     return NodeSetCovariance(u, v, np.take(table, np.add.outer(rows, cols)))
 
 
-def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
-                           c: Sequence[TimedNode],
-                           b: Sequence[TimedNode] = ()) -> np.ndarray:
-    """Cov(A, C | B) of the Gaussian stationary law (Schur complement).
-
-    With B empty this is the plain cross covariance. Singular values of
-    Cov(B, B) below 1e-10 of the largest are treated as zero.
-    """
+def _check_conditioning(a, c, b) -> None:
     overlap = (set(a) | set(c)) & set(b)
     if overlap:
         raise ModelError(f"conditioning set overlaps a/c nodes: {sorted(overlap)}")
-    # one gather for all four blocks, each copied out contiguous
-    ac, nodes = len(a) + len(c), (*a, *c, *b)
-    joint = cross_covariance(ss, nodes, nodes).matrix
-    s_ac = np.ascontiguousarray(joint[:len(a), len(a):ac])
-    if not b:
+
+
+def _schur_complement(joint: np.ndarray, nb: int) -> np.ndarray:
+    """S_AC - S_AB S_BB^+ S_BC of a joint (A ∪ B) x (B ∪ C) moment matrix.
+
+    Eigenvalues of S_BB below PINV_RTOL of the largest count as zero. On a
+    sample Gram matrix that drops each direction of the B rows whose singular
+    value is below about 1e-5 of the largest.
+    """
+    na = len(joint) - nb
+    s_ac = np.ascontiguousarray(joint[:na, nb:])
+    if not nb:
         return s_ac
-    s_ab, s_cb, s_bb = (np.ascontiguousarray(joint[rows, ac:])
-                        for rows in (slice(len(a)), slice(len(a), ac), slice(ac, None)))
+    s_ab, s_bb, s_bc = map(np.ascontiguousarray, (joint[:na, :nb], joint[na:, :nb],
+                                                  joint[na:, nb:]))
     # numpy.linalg.pinv(s_bb, PINV_RTOL, hermitian=True), step for step
     w, u = np.linalg.eigh(s_bb)
     order = np.argsort(abs(w))[::-1]
     w, u = w[order], u[:, order]
     inv = np.divide(1, abs(w), out=np.zeros_like(w), where=abs(w) > PINV_RTOL * abs(w[0]))
-    return s_ac - s_ab @ ((u * np.copysign(1.0, w)) @ (inv[:, None] * u.T)) @ s_cb.T
+    return s_ac - s_ab @ ((u * np.copysign(1.0, w)) @ (inv[:, None] * u.T)) @ s_bc
+
+
+def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
+                           c: Sequence[TimedNode], b: Sequence[TimedNode] = ()) -> np.ndarray:
+    """Cov(A, C | B) of the Gaussian stationary law, by the Schur step on the
+    gathered (A ∪ B) x (B ∪ C) covariance; B may share no node with A or C.
+    Eigenvalues of Cov(B, B) below 1e-10 of the largest count as zero.
+    """
+    _check_conditioning(a, c, b)
+    return _schur_complement(cross_covariance(ss, (*a, *b), (*b, *c)).matrix, len(b))
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ModelError(f"CI tolerance must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +247,7 @@ def population_ci(ss: StateSpaceForm, query: SeparationQuery,
     verdict is only an independence statement under Gaussianity. A tol
     outside (0, inf), NaN included, raises ModelError.
     """
-    if not 0 < tol < math.inf:
-        raise ModelError(f"CI tolerance must be positive and finite, got {tol}")
+    _check_tol(tol)
     stacked = (*query.a, *query.c)
     # Python floats round abs, /, * and sqrt as numpy's float64 scalars do
     cond = conditional_covariance(ss, stacked, stacked, query.b).tolist()

@@ -24,6 +24,7 @@ copy, residualized one block at a time. It shares only the weighted solve and
 the rank routine with the library.
 """
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -314,5 +315,25 @@ def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
     if rank < nx:
         raise EstimationError(
             f"sample moment matrix E^[r_X r_I'] is singular (rank {rank} < dim(X) = {nx})")
-    beta, residual = _weighted_solve(s_yi, s_xi, query.weight_or_identity())
+    beta, residual, _ = _weighted_solve(np.vstack((s_yi, s_xi)), query.weight_or_identity())
     return IvResult(beta, residual, None, int(n_eff))
+
+
+def fisher_z_pvalue(data: np.ndarray, a: TimedNode, c: TimedNode,
+                    b: Sequence[TimedNode] = ()) -> float:
+    """Fisher-z test of a ⫫ c | b from the OLS residuals of a row-major design.
+
+    The two columns are residualized on the centred b columns with
+    ``np.linalg.lstsq``, which cuts singular values only at machine precision.
+    """
+    design = lagged_design(data, (a, c, *b))
+    design = design - design.mean(axis=0)
+    controls = design[:, 2:] if b else None
+    xa, xc = _residualize(design[:, :2], controls).T
+    denom = math.sqrt(float(xa @ xa) * float(xc @ xc))
+    dof = design.shape[0] - len(b) - 3
+    if denom == 0 or dof <= 0:
+        return 1.0
+    r = max(-0.999999999, min(0.999999999, float(xa @ xc) / denom))
+    stat = math.sqrt(dof) * abs(math.atanh(r))
+    return 2.0 * (1.0 - 0.5 * (1.0 + math.erf(stat / math.sqrt(2.0))))

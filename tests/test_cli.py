@@ -274,12 +274,17 @@ class TestExperimentCommand:
                        f"from; got window={window}, d={d}\n")
 
     @pytest.mark.parametrize("tol", ["nan", "0"])
-    def test_tolerance_outside_open_positive_range_is_domain_error(self, capsys, tol):
-        code, out, err = run_cli(capsys, "experiment", "faithfulness", "--trials", "1",
-                                 f"--tol={tol}")
-        assert code == 1 and out == ""
-        assert err.startswith("error: CI tolerance must be positive and finite")
-        assert "Traceback" not in err
+    def test_tolerance_outside_open_positive_range_is_domain_error(self, capsys, tmp_path,
+                                                                   tol):
+        # --trials 0 draws no query, so the rule must hold at the entry
+        target = tmp_path / "r.json"
+        for kind, trials in (("faithfulness", "1"), ("gmp", "0")):
+            code, out, err = run_cli(capsys, "experiment", kind, "--trials", trials,
+                                     f"--tol={tol}", "-o", str(target))
+            assert code == 1 and out == ""
+            assert err.startswith("error: CI tolerance must be positive and finite")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert not target.exists()
 
     def test_gmp_run_with_report(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"

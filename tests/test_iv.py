@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import varma_causal
 from varma_causal import (
     CoefficientSampler,
     EffectQuery,
@@ -225,6 +229,9 @@ class TestEstimateFromData:
         # a non-identity weight
         ((endo(X, -2), endo(Y, -2), endo(X, -3)), (),
          np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])),
+        # |B| = 3, over-identified, with a non-identity weight
+        ((endo(X, -2), endo(Y, -2), endo(X, -3)), (endo(Y, -3), endo(X, -4), endo(Y, -4)),
+         np.array([[1.5, -0.4, 0.1], [-0.4, 0.8, 0.0], [0.1, 0.0, 2.0]])),
     ])
     def test_matches_row_major_reference(self, varma_lagged_spec, instruments, b, weight):
         series = simulate(SimulationConfig(varma_lagged_spec, n=20_000, seed=7))
@@ -234,6 +241,32 @@ class TestEstimateFromData:
         assert np.max(np.abs(new.beta - ref.beta)) <= 1e-12 * np.max(np.abs(ref.beta))
         # exactly identified queries leave a residual at rounding level on both sides
         assert np.isclose(new.moment_residual, ref.moment_residual, rtol=1e-12, atol=1e-15)
+
+    def test_near_duplicate_conditioning_columns(self, varma_lagged_spec):
+        # a third column Z copies Y, exactly or up to a relative 1e-7, and B
+        # holds both at lag 3. Cov(B, B) then has an eigenvalue below
+        # PINV_RTOL = 1e-10 of the largest, so the direction Z - Y is dropped:
+        # a copy conditions as Y alone, and the perturbed copy as the mean
+        # column (Y + Z) / 2 alone. lstsq, which cuts at machine precision,
+        # keeps the 1e-7 direction and moves beta by far more
+        series = simulate(SimulationConfig(varma_lagged_spec, n=20_000, seed=7))
+        y = series[:, Y]
+        noise = 1e-7 * y.std() * np.random.default_rng(3).standard_normal(len(y))
+
+        def estimates(z, b_columns):
+            data = np.column_stack([series, z, (y + z) / 2])
+            query = IvQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1)),
+                            (endo(X, -2), endo(Y, -2)), [endo(k, -3) for k in b_columns])
+            return estimate_from_data(data, query).beta, row_major_estimate(data, query).beta
+
+        def relative(u, v):
+            return np.max(np.abs(u - v)) / np.max(np.abs(v))
+
+        both, _ = estimates(y, (Y, 2))
+        assert relative(both, estimates(y, (Y,))[0]) <= 1e-12
+        both, lstsq = estimates(y + noise, (Y, 2))
+        assert relative(both, estimates(y + noise, (3,))[0]) <= 1e-12
+        assert relative(lstsq, both) > 1e-5
 
     def test_conditional_iv_configuration_consistent(self, varma_lagged_spec):
         # nonempty conditioning set passing all three conditions
@@ -256,3 +289,24 @@ class TestEstimateFromData:
         large = [error_at(40_000, s) for s in range(9)]
         # quadrupling the sample should shrink the error roughly by half
         assert np.median(small) / np.median(large) > 1.3
+
+
+def test_lstsq_only_in_weighted_solve():
+    # one residualization path: conditional covariances go through the Schur
+    # step, and a least-squares solve appears only in iv._weighted_solve
+    calls = []
+    for path in sorted(Path(varma_causal.__file__).parent.glob("*.py")):
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    visit(child, (*scope, child.name))
+                    continue
+                func = child.func if isinstance(child, ast.Call) else None
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name == "lstsq":
+                    calls.append((path.stem, ".".join(scope)))
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    assert calls == [("iv", "_weighted_solve")]

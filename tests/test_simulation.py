@@ -28,6 +28,7 @@ from varma_causal import (
     validate,
 )
 from varma_causal.simulation import default_burn_in
+from reference import fisher_z_pvalue as lstsq_fisher_z
 
 X, Y = 0, 1
 
@@ -320,6 +321,15 @@ class TestSampler:
 
 
 class TestExperiments:
+    @pytest.mark.parametrize("run", [run_gmp_experiment, run_faithfulness_experiment])
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_tolerance_outside_open_positive_range_rejected(self, run, tol):
+        # checked at the entry, so a run that draws no query rejects it too
+        sampler = CoefficientSampler(d=2, p=1, q=0)
+        for trials, queries in ((0, 5), (1, 0), (1, 2)):
+            with pytest.raises(ModelError, match="CI tolerance must be positive and finite"):
+                run(sampler, trials=trials, queries_per_trial=queries, tol=tol)
+
     def test_gmp_no_violations_and_deterministic(self):
         sampler = CoefficientSampler(d=2, p=1, q=1, sparsity=0.6)
         rep1 = run_gmp_experiment(sampler, trials=8, queries_per_trial=6, seed=42)
@@ -434,6 +444,20 @@ class TestFisherZ:
         # layout nor the simulation recursion may move them
         series = per_step_simulation(SimulationConfig(varma_lagged_spec, n=3_000, seed=31))
         assert abs(fisher_z_pvalue(series, a, c, b) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("spec_seed", [None, 11])
+    def test_matches_lstsq_reference(self, varma_lagged_spec, spec_seed):
+        # seeded queries with |b| = 0..3 on the worked spec and a d = 3 one;
+        # p = 2(1 - Phi) moves in steps of 2.2e-16, hence the absolute floor
+        spec = varma_lagged_spec if spec_seed is None else sample_stable_spec(
+            CoefficientSampler(d=3, p=2, q=1, sparsity=0.3), spec_seed)
+        series = simulate(SimulationConfig(spec, n=4_000, seed=5))
+        pool = [endo(i, -t) for t in range(6) for i in range(spec.d)]
+        rng = np.random.default_rng(12)
+        for k in range(100):
+            a, c, *b = (pool[j] for j in rng.permutation(len(pool))[:2 + k % 4])
+            new, ref = fisher_z_pvalue(series, a, c, b), lstsq_fisher_z(series, a, c, b)
+            assert abs(new - ref) <= 1e-12 * ref + 1e-15
 
     def test_detects_dependence_and_independence(self, varma_lagged_spec):
         series = simulate(SimulationConfig(varma_lagged_spec, n=20_000, seed=31))

@@ -8,18 +8,23 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from varma_causal import (
     CoefficientSampler,
+    IvQuery,
     ModelError,
     SeparationQuery,
+    SimulationConfig,
     VarmaSpec,
     conditional_covariance,
     cross_covariance,
     embed_as_var,
     endo,
+    estimate_from_data,
+    fisher_z_pvalue,
     innov,
     m_separated,
     population_ci,
     rewritten_full_time_window,
     sample_stable_spec,
+    simulate,
     solve_stationary,
     validate,
 )
@@ -272,13 +277,38 @@ class TestConditionalCovariance:
         with pytest.raises(ModelError, match="overlaps"):
             conditional_covariance(ss, [endo(X, 0)], [endo(Y, 0)], [endo(X, 0)])
 
+    @pytest.mark.parametrize("caller", ["conditional_covariance", "estimate_from_data",
+                                        "fisher_z_pvalue"])
+    def test_one_schur_step_per_call(self, varma_lagged_spec, monkeypatch, caller):
+        # population and sample moments share one Schur step, taken once per call
+        b = (endo(Y, -3), endo(X, -4))
+        series = simulate(SimulationConfig(varma_lagged_spec, n=500, seed=2))
+        calls = {
+            "conditional_covariance": lambda: conditional_covariance(
+                solve_stationary(varma_lagged_spec), [endo(X, 0)], [endo(Y, -1)], b),
+            "estimate_from_data": lambda: estimate_from_data(series, IvQuery(
+                endo(Y, 0), (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2)), b)),
+            "fisher_z_pvalue": lambda: fisher_z_pvalue(series, endo(X, 0), endo(Y, -1), b),
+        }
+        steps = []
+        original = stationary._schur_complement
+
+        def counting(joint, nb):
+            steps.append(nb)
+            return original(joint, nb)
+
+        for name, module in list(sys.modules.items()):  # every binding of the step
+            if (name.startswith("varma_causal")
+                    and vars(module).get("_schur_complement") is original):
+                monkeypatch.setattr(module, "_schur_complement", counting)
+        calls[caller]()
+        assert steps == [len(b)]
+
 
 def schur_of_blocks(monkeypatch, s_ac, s_ab, s_cb, s_bb):
-    """conditional_covariance on a joint covariance of (a, c, b) given by its blocks."""
+    """conditional_covariance on a joint (a ∪ b) x (b ∪ c) covariance given by its blocks."""
     na, nc, nb = len(s_ac), len(s_cb), len(s_bb)
-    joint = np.zeros((na + nc + nb,) * 2)
-    joint[:na, na:na + nc], joint[:na, na + nc:] = s_ac, s_ab
-    joint[na:na + nc, na + nc:], joint[na + nc:, na + nc:] = s_cb, s_bb
+    joint = np.block([[s_ab, s_ac], [s_bb, s_cb.T]])
     monkeypatch.setattr(stationary, "cross_covariance",
                         lambda ss, u, v: NodeSetCovariance(u, v, joint))
     nodes = [endo(0, -t) for t in range(na + nc + nb)]
