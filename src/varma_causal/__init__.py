@@ -64,7 +64,6 @@ from .effects import (
     IvConditionReport,
     TotalEffect,
     check_iv_conditions,
-    cut_causal_edges,
     stable_marginal_separation,
     total_causal_effect,
 )

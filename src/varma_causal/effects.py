@@ -2,10 +2,9 @@
 
 A causal path starts in the treatment set, never revisits it, and runs along
 directed endogenous edges only; the total effect is the sum over such paths of
-the products of edge coefficients. Because directed edges never point backward
-in time, every causal path lives inside the time window spanned by the query,
-so finite windows compute the infinite-graph quantity exactly. Separation
-has no such constructive bound; one window-deepening loop serves both
+the products of edge coefficients, read off the structural impulse responses
+of the rewrite by one linear solve, with no window graph. Separation has no
+constructive window bound; one window-deepening loop serves both
 ``stable_marginal_separation`` and the instrument condition, and reports
 carry the window actually used. The loop builds no window graph: it runs the
 integer-coded separation core of ``graphs`` on the spec's compiled incidence.
@@ -18,9 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import GraphError, ModelError
+from .errors import ModelError
 from .graphs import (
-    DirectedMixedGraph,
     SeparationQuery,
     TimedNode,
     _connection,
@@ -29,7 +27,7 @@ from .graphs import (
     node_to_json,
     process_nodes,
 )
-from .model import VarmaSpec, full_time_window
+from .model import VarmaSpec, remove_instantaneous
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
 MAX_STABILIZATION_ROUNDS = 12
@@ -58,63 +56,50 @@ class TotalEffect:
     beta: np.ndarray
 
 
-def _path_sums_to(g: DirectedMixedGraph, y: TimedNode, x_set: frozenset) -> dict:
-    """For each node, the coefficient sum of directed paths to y avoiding x_set."""
-    sums: dict[TimedNode, float] = {}
-    for v in reversed(g.topological_order()):
-        if v == y:
-            sums[v] = 1.0
-            continue
-        total = 0.0
-        for w in g.children(v):
-            if w in x_set:
-                continue
-            hw = sums.get(w, 0.0)
-            if hw != 0.0:
-                total += g.directed[(v, w)] * hw
-        sums[v] = total
-    return sums
+def _causal_reach(coded, y: int, x_set: frozenset, floor: int, ceiling: int) -> set:
+    """y and the codes in ``coded`` inside [floor, ceiling) with a causal path
+    to y that passes no node of x_set: the walk back from y without the edges
+    into x_set, which reaches treatments but never leaves them."""
+    period, parents = coded.period, coded.parents
+    into_x = {e for x in x_set for off in parents[x % period] for e in ((x, x + off), (x + off, x))}
+    return _reach(coded, (y,), parents, floor, ceiling, into_x)
 
 
 def total_causal_effect(spec: VarmaSpec, query: EffectQuery) -> TotalEffect:
     """Sum of path coefficients over causal paths from each treatment to y.
 
-    Computed by dynamic programming in topological order over the endogenous
-    full-time window spanning the query; treatments that lie later than y get
-    entry 0 (no causal path can exist).
+    The sum over all directed paths from S_j@s to S_i@t is the structural
+    impulse response R_(t-s)[i, j] (0 for s > t): R_0 = C = (I - A0)^(-1) and
+    R_h = Σ_(k ≤ min(h, p)) C·A_k·R_(h-k). Cut at their last treatment, the
+    paths from x_k to y give R(x_k, y) = Σ_l R(x_k, x_l)·β_l, one solve whose
+    matrix is unit triangular in causal order. A treatment with no causal path
+    to y that avoids the other treatments, a later one included, gets an exact 0.
     """
-    times = [v.time for v in process_nodes((query.y, *query.x_set), spec.d)]
-    g = full_time_window(spec, min(times), max(times), include_innovations=False)
-    sums = _path_sums_to(g, query.y, frozenset(query.x_set))
-    return TotalEffect(query, np.array([sums[x] for x in query.x_set]))
+    y, *x_set = nodes = process_nodes((query.y, *query.x_set), spec.d)
+    rw, admg, start = remove_instantaneous(spec), spec._admg, min(v.time for v in nodes)
+    responses = [rw.ice]
+    for h in range(1, max(v.time for v in nodes) - start + 1):
+        responses.append(sum((ak @ responses[h - k] for k, ak in enumerate(rw.ar[:h], 1)),
+                             np.zeros_like(rw.ice)))
+    sums = np.reshape([[responses[t.time - x.time][t.component, x.component]
+                        if x.time <= t.time else 0.0 for t in (*x_set, y)] for x in x_set],
+                      (len(x_set), len(x_set) + 1))  # R(x_k, t) for t in (*x_set, y)
+    beta = np.linalg.solve(sums[:, :-1], sums[:, -1])
+    reach = _causal_reach(admg, admg.code(y), frozenset(map(admg.code, x_set)),
+                          start * spec.d, (y.time + 1) * spec.d)
+    beta[[admg.code(x) not in reach for x in x_set]] = 0.0
+    return TotalEffect(query, beta)
 
 
 def _causal_cut(coded, y: int, x_set: frozenset, floor: int, ceiling: int) -> set:
     """Code pairs, in both orders, of the treatment edges that start a causal
-    path to y, in ``coded`` inside [floor, ceiling).
-
-    Causal paths may start in x_set but never pass through it, so the walk
-    back from y runs without the edges into x_set. ``floor`` may cut off
-    nodes earlier than every treatment: none heads a treatment edge.
-    """
-    period, parents = coded.period, coded.parents
-    into_x = {e for x in x_set for off in parents[x % period] for e in ((x, x + off), (x + off, x))}
-    reach = _reach(coded, (y,), parents, floor, ceiling, into_x)
-    return {e for head in reach - x_set for off in parents[head % period] if head + off in x_set
+    path to y (see :func:`_causal_reach`), in ``coded`` inside [floor, ceiling).
+    ``floor`` may cut off nodes earlier than every treatment: none heads a
+    treatment edge."""
+    parents = coded.parents
+    return {e for head in _causal_reach(coded, y, x_set, floor, ceiling) - x_set
+            for off in parents[head % coded.period] if head + off in x_set
             for e in ((head + off, head), (head, head + off))}
-
-
-def cut_causal_edges(g: DirectedMixedGraph, query: EffectQuery) -> DirectedMixedGraph:
-    """Remove every outgoing treatment edge that starts a causal path to y."""
-    for v in (query.y, *query.x_set):
-        if not g.has_node(v):
-            raise GraphError(
-                f"node {v!r} missing from window; build a wider window")
-    index = g._index
-    cut = _causal_cut(g._coded, index[query.y], frozenset(index[x] for x in query.x_set),
-                      0, len(g.nodes))
-    directed = [(t, h, c) for (t, h), c in g.directed.items() if (index[t], index[h]) not in cut]
-    return DirectedMixedGraph(g.nodes, directed, g.bidirected)
 
 
 def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,

@@ -193,11 +193,10 @@ class DirectedMixedGraph:
         # the one-slice coding: code = index in ``nodes``, period = len(nodes)
         self._coded = _CodedGraph(len(self.nodes), _incidence(
             self.nodes, self.directed, self.bidirected, self._index.__getitem__))
-        children = self._coded.children  # codes follow node_sort_key
-        self._order = tuple(self.nodes[k] for k in _kahn_order(
-            range(len(self.nodes)), lambda k: [k + off for off in children[k]], int))
-        if len(self._order) != len(self.nodes):
-            cycle = sorted_nodes(set(self.nodes) - set(self._order))
+        children = self._coded.children
+        order = _kahn_order(range(len(self.nodes)), lambda k: [k + off for off in children[k]], int)
+        if len(order) != len(self.nodes):
+            cycle = sorted_nodes(set(self.nodes) - {self.nodes[k] for k in order})
             raise GraphError(f"directed cycle among {[tuple(v) for v in cycle]}")
 
     def _require(self, v: TimedNode) -> None:
@@ -210,9 +209,6 @@ class DirectedMixedGraph:
         return tuple(self._index[v] for v in nodes)
 
     # -- local neighborhoods ------------------------------------------------
-
-    def has_node(self, v: TimedNode) -> bool:
-        return v in self._index
 
     def _neighbors(self, v, offsets) -> tuple[TimedNode, ...]:
         (k,) = self._codes((v,))
@@ -234,9 +230,6 @@ class DirectedMixedGraph:
             or (w, v) in self.directed
             or frozenset((v, w)) in self.bidirected
         )
-
-    def topological_order(self) -> tuple[TimedNode, ...]:
-        return self._order
 
     # -- reachability sets --------------------------------------------------
 

@@ -153,17 +153,17 @@ def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:
 
 
 def _sample_conditional_covariance(data, a, c, b):
-    """Cov^(A, C | B) of the centred lagged observations, and their count n_eff:
-    the rows of (A, B) times those of (B, C), over n_eff, through the Schur
-    step. By Frisch–Waugh–Lovell that is the cross moment of the OLS
-    residuals on B, short of the B directions the step drops.
+    """Cov^(A, C | B) of the centred lagged observations, the mask of the B
+    directions kept and the count n_eff: the rows of (A, B) times those of
+    (B, C), over n_eff, through the Schur step. By Frisch–Waugh–Lovell that is
+    the cross moment of the OLS residuals on B, short of the directions dropped.
     """
     _check_conditioning(a, c, b)
     rows = lagged_design(data, (*a, *b, *c)).T  # one contiguous row per node
     n_eff = rows.shape[1]
     rows -= rows.mean(axis=1, keepdims=True)
     na, nb = len(a), len(b)
-    return _schur_complement(rows[:na + nb] @ rows[na:].T / n_eff, nb), n_eff
+    return (*_schur_complement(rows[:na + nb] @ rows[na:].T / n_eff, nb), n_eff)
 
 
 def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
@@ -177,7 +177,7 @@ def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
     the best linear approximation, which the estimator targets.
     """
     n_regressors = len(query.x_set) + len(query.b_set)
-    moments, n_eff = _sample_conditional_covariance(
+    moments, _, n_eff = _sample_conditional_covariance(
         data, (query.y, *query.x_set), query.i_set, query.b_set)
     if n_eff <= n_regressors + 1:
         raise EstimationError(

@@ -288,12 +288,12 @@ def fisher_z_pvalue(data: np.ndarray, a: TimedNode, c: TimedNode,
     """Fisher-z partial-correlation test of a ⫫ c | b on lagged observations.
 
     The sample Cov^((a, c) | b) drops b directions with singular value below
-    about 1e-5 of the largest; the degrees of freedom count every node of b.
-    A conditional variance or dof <= 0 gives p = 1.0; a or c in b raises ModelError.
+    about 1e-5 of the largest, and the r kept give the dof n - r - 3. A
+    conditional variance or dof <= 0 gives p = 1.0; a or c in b raises ModelError.
     """
-    cov, n = _sample_conditional_covariance(data, (a, c), (a, c), b)
+    cov, kept, n = _sample_conditional_covariance(data, (a, c), (a, c), b)
     (var_a, cov_ac), (_, var_c) = cov.tolist()
-    dof = n - len(b) - 3
+    dof = n - int(np.count_nonzero(kept)) - 3
     if var_a <= 0 or var_c <= 0 or dof <= 0:
         return 1.0
     r = max(-0.999999999, min(0.999999999, cov_ac / math.sqrt(var_a * var_c)))

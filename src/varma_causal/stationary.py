@@ -185,25 +185,27 @@ def _check_conditioning(a, c, b) -> None:
         raise ModelError(f"conditioning set overlaps a/c nodes: {sorted(overlap)}")
 
 
-def _schur_complement(joint: np.ndarray, nb: int) -> np.ndarray:
+def _schur_complement(joint: np.ndarray, nb: int):
     """S_AC - S_AB S_BB^+ S_BC of a joint (A ∪ B) x (B ∪ C) moment matrix.
 
-    Eigenvalues of S_BB below PINV_RTOL of the largest count as zero. On a
-    sample Gram matrix that drops each direction of the B rows whose singular
-    value is below about 1e-5 of the largest.
+    Eigenvalues of S_BB below PINV_RTOL of the largest count as zero; the mask
+    of those kept comes second (``()`` for an empty B). On a sample Gram matrix
+    that drops each direction of the B rows whose singular value is below
+    about 1e-5 of the largest.
     """
     na = len(joint) - nb
     s_ac = np.ascontiguousarray(joint[:na, nb:])
     if not nb:
-        return s_ac
+        return s_ac, ()
     s_ab, s_bb, s_bc = map(np.ascontiguousarray, (joint[:na, :nb], joint[na:, :nb],
                                                   joint[na:, nb:]))
     # numpy.linalg.pinv(s_bb, PINV_RTOL, hermitian=True), step for step
     w, u = np.linalg.eigh(s_bb)
     order = np.argsort(abs(w))[::-1]
     w, u = w[order], u[:, order]
-    inv = np.divide(1, abs(w), out=np.zeros_like(w), where=abs(w) > PINV_RTOL * abs(w[0]))
-    return s_ac - s_ab @ ((u * np.copysign(1.0, w)) @ (inv[:, None] * u.T)) @ s_bc
+    kept = abs(w) > PINV_RTOL * abs(w[0])
+    inv = np.divide(1, abs(w), out=np.zeros_like(w), where=kept)
+    return s_ac - s_ab @ ((u * np.copysign(1.0, w)) @ (inv[:, None] * u.T)) @ s_bc, kept
 
 
 def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
@@ -213,7 +215,7 @@ def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
     Eigenvalues of Cov(B, B) below 1e-10 of the largest count as zero.
     """
     _check_conditioning(a, c, b)
-    return _schur_complement(cross_covariance(ss, (*a, *b), (*b, *c)).matrix, len(b))
+    return _schur_complement(cross_covariance(ss, (*a, *b), (*b, *c)).matrix, len(b))[0]
 
 
 def _check_tol(tol: float) -> None:

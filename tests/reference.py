@@ -6,6 +6,10 @@ core they share only the ancestor sets of ``DirectedMixedGraph``; the edges
 at a node come from ``edges_at``, which reads the public edge sets, not the
 library's coded incidence.
 
+``cut_causal_edges`` removes the causal treatment edges of an effect query
+from a finite window graph, through the library's ``_causal_cut`` on the
+window's one-slice coding; the IV tests compare the compiled cut against it.
+
 ``deepening_separation`` is the window-deepening loop as it ran before one
 Bayes-ball pass served all of a query's windows: a fresh pass of the
 library's ``_connection`` on each window, from scratch.
@@ -117,6 +121,19 @@ def d_separated_moral(g: DirectedMixedGraph, query: SeparationQuery) -> bool:
         raise GraphError("moralization-based check requires a DAG")
     ancestral = g.subgraph(g.ancestors((*query.a, *query.b, *query.c)))
     return moralize(ancestral).separated(query.a, query.c, query.b)
+
+
+def cut_causal_edges(g: DirectedMixedGraph, query) -> DirectedMixedGraph:
+    """Remove every outgoing treatment edge that starts a causal path to y."""
+    for v in (query.y, *query.x_set):
+        if v not in g._index:
+            raise GraphError(
+                f"node {v!r} missing from window; build a wider window")
+    index = g._index
+    cut = effects._causal_cut(g._coded, index[query.y],
+                              frozenset(index[x] for x in query.x_set), 0, len(g.nodes))
+    directed = [(t, h, c) for (t, h), c in g.directed.items() if (index[t], index[h]) not in cut]
+    return DirectedMixedGraph(g.nodes, directed, g.bidirected)
 
 
 def deepening_separation(spec, query: SeparationQuery, nodes, top: int,

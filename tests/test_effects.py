@@ -12,7 +12,6 @@ from varma_causal import (
     SeparationQuery,
     VarmaSpec,
     check_iv_conditions,
-    cut_causal_edges,
     endo,
     full_time_window,
     is_m_connecting_path,
@@ -23,21 +22,20 @@ from varma_causal import (
     total_causal_effect,
 )
 from varma_causal import effects, graphs, model, simulation
-from reference import deepening_separation
+from reference import cut_causal_edges, deepening_separation
 from test_acceptance import mixed_sampler
 from test_model import random_stable_spec
 
 X, Y = 0, 1
 
 
-def brute_force_effect(spec, query):
-    """Enumerate causal paths on the spanning window; sum coefficient products."""
+def causal_paths(spec, query):
+    """(k, coefficient product) for each causal path from x_k to y, enumerated
+    on the window spanning the query."""
     times = [v.time for v in (query.y, *query.x_set)]
     g = full_time_window(spec, min(times), max(times))
     forbidden = set(query.x_set)
-    out = []
-    for x in query.x_set:
-        total = 0.0
+    for k, x in enumerate(query.x_set):
         stack = [(x, 1.0)]
         while stack:
             node, prod = stack.pop()
@@ -46,11 +44,17 @@ def brute_force_effect(spec, query):
                     continue
                 value = prod * g.directed[(node, child)]
                 if child == query.y:
-                    total += value
+                    yield k, value
                 else:
                     stack.append((child, value))
-        out.append(total)
-    return np.array(out)
+
+
+def brute_force_effect(spec, query):
+    """Sum the coefficient products of the enumerated causal paths."""
+    out = np.zeros(len(query.x_set))
+    for k, value in causal_paths(spec, query):
+        out[k] += value
+    return out
 
 
 class TestTotalEffect:
@@ -91,6 +95,42 @@ class TestTotalEffect:
             got = total_causal_effect(spec, query).beta
             want = brute_force_effect(spec, query)
             assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_exact_zero_iff_no_causal_path(self):
+        # a treatment whose every path to y passes another treatment has
+        # path sums that cancel in the solve only up to rounding; its entry
+        # must be 0.0 exactly, and every other entry must not be
+        rng = np.random.default_rng(44)
+        zeros = 0
+        for _ in range(60):
+            spec = random_stable_spec(rng)
+            y = endo(int(rng.integers(0, spec.d)), 0)
+            pool = [endo(i, -t) for i in range(spec.d) for t in range(-1, 4)]
+            rng.shuffle(pool)
+            xs = tuple(v for v in pool if v != y)[: int(rng.integers(1, 8))]
+            query = EffectQuery(y, xs)
+            beta = total_causal_effect(spec, query).beta
+            reached = {k for k, _ in causal_paths(spec, query)}
+            assert [b != 0.0 for b in beta] == [k in reached for k in range(len(xs))]
+            zeros += len(xs) - len(reached)
+        assert zeros > 40
+
+    @pytest.mark.parametrize("lags", [
+        [[[0, 0], [0.6, 0]]],  # p = 0: pure MA, no response beyond lag 0
+        [[[0, 0], [0.6, 0]], [[0.5, 0], [0.3, 0.4]]],  # p = 1
+    ])
+    def test_horizon_beyond_p(self, lags):
+        # treatments in y's slice, three lags back and one slice after y: the
+        # recurrence runs past p, where R_h has no term for p = 0
+        spec = VarmaSpec(a=lags, b=[[[0, 0.3], [0, 0]]], gamma=[1, 1])
+        query = EffectQuery(endo(Y, 0), (endo(X, 0), endo(X, -3), endo(Y, -3), endo(X, 1)))
+        beta = total_causal_effect(spec, query).beta
+        assert np.max(np.abs(beta - brute_force_effect(spec, query))) < 1e-15
+        assert list(beta == 0.0) == [False, spec.p == 0, spec.p == 0, True]
+
+    def test_no_treatments(self, varma_lagged_spec):
+        beta = total_causal_effect(varma_lagged_spec, EffectQuery(endo(Y, 0), ())).beta
+        assert beta.shape == (0,) and beta.dtype == float
 
     def test_window_enlargement_invariance(self, varma_lagged_spec):
         # adding an unreachable far-past treatment must not change the others
@@ -208,9 +248,9 @@ class TestIvConditions:
                 varma_lagged_spec, endo(Y, 0), (endo(X, -1),), (endo(X, -1),))
 
     def test_no_window_graph_and_one_compile_per_spec(self, monkeypatch):
-        # separation and the IV conditions run on the compiled records:
-        # no graph is built, nothing is projected, the spec compiles and
-        # validates once, not once per deepening round
+        # separation, the IV conditions and total effects run on the compiled
+        # records and the rewrite: no graph is built, nothing is projected,
+        # the spec compiles and validates once, not once per deepening round
         spec = VarmaSpec(
             a=[np.zeros((2, 2)), [[1 / 2, 0], [1 / 3, 1 / 2]]],
             b=[[[0, 1 / 4], [0, 0]]], gamma=[1, 1])
@@ -226,7 +266,7 @@ class TestIvConditions:
             return validate(*args, **kwargs)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("off the separation path")
+            raise AssertionError("off the compiled path")
 
         monkeypatch.setattr(model, "validate", counted_validate)
         monkeypatch.setattr(model._MarginalizedAdmg, "__init__", counted_compile)
@@ -246,6 +286,8 @@ class TestIvConditions:
             spec, endo(Y, 0), (endo(X, -1), endo(Y, -1)),
             (endo(X, -2), endo(Y, -2)), b_set=(endo(Y, -3),))
         assert report.stabilized
+        effect = total_causal_effect(spec, EffectQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1))))
+        assert np.max(np.abs(effect.beta - [1 / 3, 1 / 2])) < 1e-15
         assert len(compiles) == 1
         assert len(validations) == 1
 

@@ -459,6 +459,26 @@ class TestFisherZ:
             new, ref = fisher_z_pvalue(series, a, c, b), lstsq_fisher_z(series, a, c, b)
             assert abs(new - ref) <= 1e-12 * ref + 1e-15
 
+    def test_duplicated_b_column_counts_once(self, varma_lagged_spec):
+        # a third data column copies Y: conditioning on its lag as well drops
+        # one b direction, which must leave the degrees of freedom, and so
+        # the p-value, as without it
+        b = (endo(X, -1), endo(Y, -1))
+        pool = [endo(i, t) for i in (X, Y) for t in (0, -2, -3, -4)]
+        checked = 0
+        for seed in range(20):
+            series = simulate(SimulationConfig(varma_lagged_spec, n=20_000, seed=seed))
+            copied = np.column_stack((series, series[:, Y]))
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                a, c = (pool[j] for j in rng.choice(len(pool), 2, replace=False))
+                p = fisher_z_pvalue(series, a, c, b)
+                if p > 1e-6:
+                    assert fisher_z_pvalue(copied, a, c, (*b, endo(2, -1))) == pytest.approx(
+                        p, rel=1e-12, abs=0)
+                    checked += 1
+        assert checked >= 20
+
     def test_detects_dependence_and_independence(self, varma_lagged_spec):
         series = simulate(SimulationConfig(varma_lagged_spec, n=20_000, seed=31))
         dependent = fisher_z_pvalue(series, endo(X, 0), endo(X, -1))
