@@ -119,6 +119,10 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     an induced subgraph of the next and An(b) only grows, so a path open in
     one window is open in all deeper ones: verdicts never turn back from
     connected, and at most three rounds run (separated, connected, connected).
+    A query connected in the first window stops there, reporting the second
+    window as stabilized, when its witness has fewer edges than the
+    2·⌈(earliest − bottom + 1)/lag⌉ a path below the first window needs: the
+    second window's shortest witness, tie-breaks included, is then the same.
 
     Returns (SeparationResult, (bottom, top) of the last window, stabilized).
     """
@@ -135,10 +139,17 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
         t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
     lag, start = max(spec.max_lag, 1), min(t_min, earliest)
     bottoms = range(start, start - MAX_STABILIZATION_ROUNDS * lag, -lag)
-    rounds = _connection(admg, codes, (t * spec.d for t in bottoms), ceiling, removed)
-    previous, stabilized = None, False
-    for bottom, connection in zip(bottoms, rounds):
-        if previous is not None and previous == (connection is None):
+    rounds = zip(bottoms, _connection(admg, codes, (t * spec.d for t in bottoms),
+                                      ceiling, removed))
+    bottom, connection = next(rounds)
+    if connection is not None and len(bottoms) > 1:
+        # a path below the first window falls and climbs earliest - start + 1 lags
+        result = _result(admg, codes, removed, connection, admg.node)
+        if len(result.witness) - 1 < 2 * -(-(earliest - start + 1) // lag):
+            return result, (bottoms[1], top), True
+    previous, stabilized = connection is None, False
+    for bottom, connection in rounds:
+        if previous == (connection is None):
             stabilized = True
             break
         previous = connection is None
@@ -154,7 +165,10 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
     starts at ``t_min`` (default: earliest query time minus
     (max(p,q)+1)·(d+1)) and moves down by max(p,q,1) lags until the verdict
     agrees twice in a row: a connecting path stays open in deeper windows,
-    so that takes at most three windows. For stationary processes some finite
+    so that takes at most three windows. A query connected in the first
+    window whose witness is too short to dip below it is final at once: the
+    second window, which would find the same witness, is reported without
+    being searched. For stationary processes some finite
     depth always suffices, but no constructive bound is available, so the
     returned ``stabilized`` flag records that this is a heuristic stopping
     rule: a separated verdict may still turn connected deeper down. The

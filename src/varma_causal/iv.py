@@ -18,8 +18,8 @@ from .errors import EstimationError, ModelError, UnderIdentifiedError
 from .graphs import TimedNode, node_from_json, process_nodes
 from .model import VarmaSpec
 from .effects import IvConditionReport, _field_dict, _iv_report, _json_value, _query_sets
-from .stationary import (_check_conditioning, _schur_complement, conditional_covariance,
-                         numerical_rank, solve_stationary)
+from .stationary import (_check_conditioning, _rank_of, _schur_complement,
+                         conditional_covariance, numerical_rank, solve_stationary)
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class IvQuery:
         object.__setattr__(self, "b_set", b_set)
         object.__setattr__(self, "weight", weight)
 
-    def weight_or_identity(self) -> np.ndarray:
-        return np.eye(len(self.i_set)) if self.weight is None else self.weight
-
     def to_dict(self) -> dict:
         out = {"y": _json_value(self.y), "x": _json_value(self.x_set),
                "i": _json_value(self.i_set), "b": _json_value(self.b_set)}
@@ -87,22 +84,30 @@ class IvResult:
     to_dict = _field_dict
 
 
-def _weighted_solve(moments: np.ndarray, w: np.ndarray):
+def _weighted_solve(moments: np.ndarray, w: Optional[np.ndarray]):
     """beta minimizing (s_yi - beta s_xi) W (s_yi - beta s_xi)' for moments
     [s_yi; s_xi] = Cov([Y; X], I | B), with the moment residual and rank(s_xi).
 
     Rank below dim(X) raises UnderIdentifiedError. With W = L L' this is the
     least-squares problem of (s_yi L)' on (s_xi L)', conditioned like s_xi
-    rather than like the normal matrix s_xi W s_xi'.
+    rather than like the normal matrix s_xi W s_xi'. Without a weight (W = I)
+    one factorization serves both: the rank comes from the singular values
+    that the least-squares solve returns. Only a given W is factored by
+    Cholesky, and the rank is then that of the unweighted s_xi.
     """
     s_yi, s_xi = moments[:1], moments[1:]
-    rank = numerical_rank(s_xi)
+    if w is None:
+        lhs, rhs = s_xi, s_yi
+    else:
+        chol = np.linalg.cholesky(w)
+        lhs, rhs = s_xi @ chol, s_yi @ chol
+    beta, _, _, svals = np.linalg.lstsq(lhs.T, rhs.T, rcond=None)
+    rank = _rank_of(svals) if w is None else numerical_rank(s_xi)
     if rank < len(s_xi):
         raise UnderIdentifiedError(
             f"moment matrix Cov(X,I|B) is singular (rank {rank} < dim(X) = {len(s_xi)}); "
             "the total causal effect is under-identified", rank=rank, required=len(s_xi))
-    chol = np.linalg.cholesky(w)
-    beta = np.linalg.lstsq((s_xi @ chol).T, (s_yi @ chol).T, rcond=None)[0].T
+    beta = beta.T
     residual = float(np.max(np.abs(s_yi - beta @ s_xi)))
     return beta.reshape(-1), residual, rank
 
@@ -119,7 +124,7 @@ def identify_population(spec: VarmaSpec, query: IvQuery,
     # one Schur complement: row 0 is E[Cov(Y,I|B)], the rest E[Cov(X,I|B)]
     moments = conditional_covariance(solve_stationary(spec), (query.y, *query.x_set),
                                      query.i_set, query.b_set)
-    beta, residual, rank = _weighted_solve(moments, query.weight_or_identity())
+    beta, residual, rank = _weighted_solve(moments, query.weight)
     conditions = (_iv_report(spec, query.y, query.x_set, query.i_set, query.b_set, rank)
                   if check_conditions else None)
     return IvResult(beta, residual, conditions, "population")
@@ -182,5 +187,5 @@ def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
     if n_eff <= n_regressors + 1:
         raise EstimationError(
             f"{n_eff} usable rows are too few for {n_regressors} regressors")
-    beta, residual, _ = _weighted_solve(moments, query.weight_or_identity())
+    beta, residual, _ = _weighted_solve(moments, query.weight)
     return IvResult(beta, residual, None, int(n_eff))

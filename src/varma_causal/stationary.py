@@ -36,27 +36,32 @@ def _solve_lyapunov_doubling(f: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, 
 
     After k doublings the partial sum covers F^j Q F^j' for j < 2^k, so it
     converges quadratically for spectral radius < 1 (about 25 doublings at
-    radius 1 - 1e-6).
+    radius 1 - 1e-6). It stops once the squared Frobenius norm of the step
+    just added is at most LYAPUNOV_STEP_RTOL² times that of the new sum, one
+    dot product each and no difference array.
     """
     sigma = q.copy()
     a = f.copy()
+    # relative, so the stop does not depend on the scale of Q
+    rtol_sq = LYAPUNOV_STEP_RTOL ** 2
     for iterations in range(1, LYAPUNOV_MAX_DOUBLINGS + 1):
-        nxt = sigma + a @ sigma @ a.T
-        a = a @ a
-        # relative, so the stop does not depend on the scale of Q
-        done = (np.linalg.norm(nxt - sigma, "fro")
-                <= LYAPUNOV_STEP_RTOL * np.linalg.norm(nxt, "fro"))
-        sigma = nxt
-        if done:
+        step = a @ sigma @ a.T
+        sigma += step
+        if np.vdot(step, step) <= rtol_sq * np.vdot(sigma, sigma):
             break
+        a = a @ a
     return (sigma + sigma.T) / 2.0, iterations
+
+
+def _rank_of(svals: np.ndarray) -> int:
+    """Number of the singular values ``svals`` above RANK_RTOL times the largest."""
+    cutoff = RANK_RTOL * max(svals.max(initial=0.0), np.finfo(float).tiny)
+    return int(np.count_nonzero(svals > cutoff))
 
 
 def numerical_rank(m: np.ndarray) -> int:
     """Number of singular values above RANK_RTOL times the largest."""
-    svals = np.linalg.svd(m, compute_uv=False)
-    cutoff = RANK_RTOL * max(svals[0] if svals.size else 0.0, np.finfo(float).tiny)
-    return int(np.sum(svals > cutoff))
+    return _rank_of(np.linalg.svd(m, compute_uv=False))
 
 
 class StateSpaceForm:
@@ -118,8 +123,9 @@ class StateSpaceForm:
         top = f[:m]
         sigma_z[:m, :m], _ = _solve_lyapunov_doubling(phi, top @ sigma_z @ top.T + q_mat[:m, :m])
 
-        denom = max(np.linalg.norm(sigma_z, "fro"), np.finfo(float).tiny)
-        residual = np.linalg.norm(sigma_z - f @ sigma_z @ f.T - q_mat, "fro") / denom
+        gap = sigma_z - f @ sigma_z @ f.T - q_mat
+        denom = max(math.sqrt(np.vdot(sigma_z, sigma_z)), np.finfo(float).tiny)
+        residual = math.sqrt(np.vdot(gap, gap)) / denom
         if residual > LYAPUNOV_RESIDUAL_RTOL:
             raise ModelError(
                 f"Lyapunov solve residual {residual:.3g} exceeds {LYAPUNOV_RESIDUAL_RTOL}")
@@ -188,24 +194,22 @@ def _check_conditioning(a, c, b) -> None:
 def _schur_complement(joint: np.ndarray, nb: int):
     """S_AC - S_AB S_BB^+ S_BC of a joint (A ∪ B) x (B ∪ C) moment matrix.
 
-    Eigenvalues of S_BB below PINV_RTOL of the largest count as zero; the mask
-    of those kept comes second (``()`` for an empty B). On a sample Gram matrix
-    that drops each direction of the B rows whose singular value is below
-    about 1e-5 of the largest.
+    With S_BB = V diag(w) V' from ``eigh``, eigenvalues with |w| at most
+    PINV_RTOL of the largest count as zero, and the step is S_AC -
+    (S_AB V_k / w_k)(V_k' S_BC) on the kept columns k. The mask of those kept,
+    in ``eigh`` order, comes second (``()`` for an empty B); callers only count
+    it. On a sample Gram matrix that drops each direction of the B rows whose
+    singular value is below about 1e-5 of the largest.
     """
-    na = len(joint) - nb
-    s_ac = np.ascontiguousarray(joint[:na, nb:])
     if not nb:
-        return s_ac, ()
-    s_ab, s_bb, s_bc = map(np.ascontiguousarray, (joint[:na, :nb], joint[na:, :nb],
-                                                  joint[na:, nb:]))
-    # numpy.linalg.pinv(s_bb, PINV_RTOL, hermitian=True), step for step
-    w, u = np.linalg.eigh(s_bb)
-    order = np.argsort(abs(w))[::-1]
-    w, u = w[order], u[:, order]
-    kept = abs(w) > PINV_RTOL * abs(w[0])
-    inv = np.divide(1, abs(w), out=np.zeros_like(w), where=kept)
-    return s_ac - s_ab @ ((u * np.copysign(1.0, w)) @ (inv[:, None] * u.T)) @ s_bc, kept
+        return joint, ()
+    na = len(joint) - nb
+    w, v = np.linalg.eigh(joint[na:, :nb])
+    kept = abs(w) > PINV_RTOL * abs(w).max()
+    v = v[:, kept]
+    # times 1/w: for one B node that is S_AC - S_AB (1/S_BB) S_BC, rounded as such
+    scaled = joint[:na, :nb] @ v * (1 / w[kept])
+    return joint[:na, nb:] - scaled @ (v.T @ joint[na:, nb:]), kept
 
 
 def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],

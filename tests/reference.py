@@ -40,7 +40,7 @@ from varma_causal.graphs import (
     ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, UndirectedGraph, _connection,
     _result, sorted_nodes)
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
-from varma_causal.stationary import numerical_rank
+from varma_causal.stationary import LYAPUNOV_MAX_DOUBLINGS, numerical_rank
 
 
 def moralize(g: DirectedMixedGraph) -> UndirectedGraph:
@@ -166,6 +166,21 @@ def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
             break
     result = _result(admg, codes, removed, connection, admg.node)
     return result, (bottom, top), stabilized, verdicts
+
+
+def lyapunov_doubling_by_difference(f, q):
+    """Smith doubling with the difference stop: done once the Frobenius norm
+    of the new sum minus the old is at most 1e-12 of the new sum's. Returns
+    the solution and the number of doublings."""
+    sigma, a = q.copy(), f.copy()
+    for iterations in range(1, LYAPUNOV_MAX_DOUBLINGS + 1):
+        nxt = sigma + a @ sigma @ a.T
+        a = a @ a
+        done = np.linalg.norm(nxt - sigma, "fro") <= 1e-12 * np.linalg.norm(nxt, "fro")
+        sigma = nxt
+        if done:
+            break
+    return (sigma + sigma.T) / 2.0, iterations
 
 
 def autocovariances_by_recursion(ss, span: int) -> dict:
@@ -332,7 +347,7 @@ def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:
     if rank < nx:
         raise EstimationError(
             f"sample moment matrix E^[r_X r_I'] is singular (rank {rank} < dim(X) = {nx})")
-    beta, residual, _ = _weighted_solve(np.vstack((s_yi, s_xi)), query.weight_or_identity())
+    beta, residual, _ = _weighted_solve(np.vstack((s_yi, s_xi)), query.weight)
     return IvResult(beta, residual, None, int(n_eff))
 
 

@@ -390,15 +390,23 @@ class TestWindowOracle:
                         marginalized_admg_window(spec, bottom, top), EffectQuery(y, xs))
                     assert result == m_separated(cut, query)
 
-    def test_one_pass_matches_fresh_rounds(self):
+    def test_one_pass_matches_fresh_rounds(self, monkeypatch):
         # the criterion-07 queries (seed 707) and, on each of their specs,
         # the cut separation of _iv_report: one pass extended across the
         # windows against a fresh pass per window, from the default first
-        # window and from the narrowest one, which the verdicts outgrow
-        rounds = []
+        # window and from the narrowest one, which the verdicts outgrow.
+        # A query connected in its first window returns at once when its
+        # witness has fewer edges than a path dipping below that window
+        # needs; otherwise the second window is searched
+        searches = []
+        original = effects._result
+        monkeypatch.setattr(effects, "_result", lambda *args: searches.append(args)
+                            or original(*args))
+        rounds, branches = [], {"early": 0, "resumed": 0}
         for trial in range(200):
             rng = np.random.default_rng((707, trial))
             spec = mixed_sampler(rng)
+            lag = max(spec.max_lag, 1)
             calls = [simulation._draw_query(rng, spec.d, 5) for _ in range(20)]
             calls = [(query, (*query.a, *query.b, *query.c), 0, None) for query in calls]
             for _ in range(4):
@@ -408,15 +416,43 @@ class TestWindowOracle:
                               EffectQuery(y, xs)))
             for (query, nodes, above, cut), narrowest in itertools.product(calls, (False, True)):
                 top = max(v.time for v in nodes) + above
-                t_min = min(v.time for v in nodes) if narrowest else None
+                earliest = min(v.time for v in nodes)
+                t_min = earliest if narrowest else None
                 *fresh, verdicts = deepening_separation(spec, query, nodes, top, t_min, cut)
+                searches.clear()
                 assert list(effects._deepening_separation(
                     spec, query, nodes, top, t_min, cut)) == fresh
                 # a connecting path stays open in every deeper window, so
                 # the verdicts settle by the third window
                 assert verdicts == sorted(verdicts, reverse=True)
                 rounds.append(len(verdicts))
+                if not verdicts[0]:
+                    start = earliest - (0 if narrowest else (spec.max_lag + 1) * (spec.d + 1))
+                    bound = 2 * -(-(earliest - start + 1) // lag)
+                    early = len(fresh[0].witness) - 1 < bound
+                    assert len(searches) == (1 if early else 2)
+                    branches["early" if early else "resumed"] += 1
         assert len(rounds) == 9600 and set(rounds) == {2, 3}
+        assert min(branches.values()) > 0
+
+    @pytest.mark.parametrize("c_time, searches", [(-1, 1), (-2, 2)])
+    def test_connected_first_window_stops_below_the_dip_bound(self, monkeypatch, c_time,
+                                                              searches):
+        # X_t = X_(t-1)/2 + e_t from t_min = earliest, where a path below
+        # the first window needs 2 edges: the 1-edge witness X@-1 -> X@0
+        # returns at once, the 2-edge X@-2 -> X@-1 -> X@0 searches the
+        # second window; both match a fresh pass per window
+        spec = VarmaSpec(a=[[[0.0]], [[0.5]]], gamma=[1.0])
+        query = SeparationQuery([endo(X, 0)], [], [endo(X, c_time)])
+        nodes = (endo(X, 0), endo(X, c_time))
+        *fresh, verdicts = deepening_separation(spec, query, nodes, 0, c_time)
+        assert verdicts == [False, False] and len(fresh[0].witness) == 1 - c_time
+        found = []
+        original = effects._result
+        monkeypatch.setattr(effects, "_result", lambda *args: found.append(args)
+                            or original(*args))
+        assert list(effects._deepening_separation(spec, query, nodes, 0, c_time)) == fresh
+        assert fresh[1:] == [(c_time - 1, 0), True] and len(found) == searches
 
     def test_iv_report_matches_its_last_window(self):
         rng = np.random.default_rng(608)

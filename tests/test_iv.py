@@ -25,6 +25,8 @@ from varma_causal import (
     simulate,
     total_causal_effect,
 )
+from varma_causal import iv
+from varma_causal.stationary import RANK_RTOL, numerical_rank
 from reference import estimate_from_data as row_major_estimate
 from test_model import random_stable_spec
 
@@ -129,6 +131,34 @@ class TestIdentifyPopulation:
                         (endo(X, -2), endo(Y, -2), endo(X, -3)))
         result = identify_population(varma_lagged_spec, query, check_conditions=False)
         assert np.max(np.abs(result.beta - [1 / 3, 1 / 2])) < 1e-9
+
+    @pytest.mark.parametrize("small, rank", [(0.99e-8, 1), (1.01e-8, 2)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rank_edge_through_the_solve(self, varma_lagged_spec, monkeypatch, small, rank,
+                                         weighted):
+        # s_xi = R1 diag(1, small) R2' around the RANK_RTOL cut; the weight
+        # W = R2 diag(1, across²) R2' moves the second singular value of
+        # s_xi L to across·small, over the cut, yet the rank stays that of s_xi
+        assert RANK_RTOL == 1e-8
+        r1, r2 = (np.array([[c, -s], [s, c]]) for c, s in ((0.6, 0.8), (0.28, 0.96)))
+        s_xi = r1 @ np.diag([1.0, small]) @ r2.T
+        moments = np.vstack(([0.3, -0.2] @ s_xi, s_xi))
+        monkeypatch.setattr(iv, "conditional_covariance", lambda ss, a, c, b: moments)
+        across = 0.5 if rank == 2 else 2.0
+        weight = r2 @ np.diag([1.0, across ** 2]) @ r2.T if weighted else None
+        if weighted:
+            weighted_svals = np.linalg.svd(s_xi @ np.linalg.cholesky(weight), compute_uv=False)
+            assert (weighted_svals[1] > RANK_RTOL * weighted_svals[0]) != (rank == 2)
+        query = IvQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2)),
+                        weight=weight)
+        assert numerical_rank(s_xi) == rank
+        if rank == 1:
+            with pytest.raises(UnderIdentifiedError) as excinfo:
+                identify_population(varma_lagged_spec, query, check_conditions=False)
+            assert (excinfo.value.rank, excinfo.value.required) == (1, 2)
+        else:
+            result = identify_population(varma_lagged_spec, query, check_conditions=False)
+            assert np.max(np.abs(result.beta - [0.3, -0.2])) < 1e-6
 
     def test_one_stationary_solve_with_conditions(self, varma_lagged_spec, monkeypatch):
         y, xs, instruments = endo(Y, 0), (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2))

@@ -39,10 +39,23 @@ from varma_causal.stationary import (
     _solve_lyapunov_doubling,
 )
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
-from reference import autocovariances_by_recursion, exact_state_covariance
+from reference import (autocovariances_by_recursion, exact_state_covariance,
+                       lyapunov_doubling_by_difference)
 from test_model import random_stable_spec
 
 X, Y = 0, 1
+
+
+def near_unit_root_varma11():
+    """Rewritten AR matrix with eigenvalues 1 - 1e-6, 0.4, -0.3 and an
+    instantaneous edge 0 -> 2."""
+    rng = np.random.default_rng(37)
+    v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    ar = v @ np.diag([1 - 1e-6, 0.4, -0.3]) @ v.T
+    a0 = np.zeros((3, 3))
+    a0[2, 0] = 0.5
+    return VarmaSpec([a0, (np.eye(3) - a0) @ ar],
+                     [rng.uniform(-0.3, 0.3, (3, 3))], [1.0, 0.5, 2.0])
 
 
 class TestLyapunov:
@@ -99,15 +112,7 @@ class TestLyapunov:
         assert ss.residual < LYAPUNOV_RESIDUAL_RTOL
 
     def test_near_unit_root_varma11(self):
-        # rewritten AR matrix with eigenvalues 1 - 1e-6, 0.4, -0.3 and an
-        # instantaneous edge 0 -> 2
-        rng = np.random.default_rng(37)
-        v, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        ar = v @ np.diag([1 - 1e-6, 0.4, -0.3]) @ v.T
-        a0 = np.zeros((3, 3))
-        a0[2, 0] = 0.5
-        spec = VarmaSpec([a0, (np.eye(3) - a0) @ ar],
-                         [rng.uniform(-0.3, 0.3, (3, 3))], [1.0, 0.5, 2.0])
+        spec = near_unit_root_varma11()
         assert validate(spec).passed
         ss = solve_stationary(spec)
         assert np.max(np.abs(np.linalg.eigvals(ss.f))) == pytest.approx(1 - 1e-6, abs=1e-12)
@@ -155,6 +160,12 @@ EXACT_SPECS = {
 }
 
 
+def exact_spec(name):
+    a, b, gamma = EXACT_SPECS[name]
+    return VarmaSpec([np.array(m, dtype=float) for m in a],
+                     [np.array(m, dtype=float) for m in b], [float(g) for g in gamma])
+
+
 class TestExactStateCovariance:
     @pytest.mark.parametrize("name", sorted(EXACT_SPECS))
     def test_sigma_z_matches_rational_solve(self, name):
@@ -162,12 +173,49 @@ class TestExactStateCovariance:
         frac = lambda ms: [[[Fr(x) for x in row] for row in m] for m in ms]
         exact = np.array(exact_state_covariance(frac(a), frac(b), [Fr(g) for g in gamma]),
                          dtype=float)
-        spec = VarmaSpec([np.array(m, dtype=float) for m in frac(a)],
-                         [np.array(m, dtype=float) for m in frac(b)],
-                         [float(g) for g in gamma])
-        ss = solve_stationary(spec)
+        ss = solve_stationary(exact_spec(name))
         assert ss.sigma_z.shape == exact.shape
         assert np.max(np.abs(ss.sigma_z - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+GATE_SPECS = {
+    **{name: lambda name=name: exact_spec(name) for name in EXACT_SPECS},
+    "d3_p2_q0": lambda: random_stable_spec(np.random.default_rng(38), d=3, p=2, q=0),
+    "d3_p0_q2": lambda: random_stable_spec(np.random.default_rng(39), d=3, p=0, q=2),
+    "near_unit_root_varma11": near_unit_root_varma11,
+}
+
+
+class TestGateAndStopRule:
+    """The residual gate and the doubling stop, each by a dot product."""
+
+    @pytest.mark.parametrize("name", sorted(GATE_SPECS))
+    def test_residual_is_the_dense_frobenius_residual(self, name):
+        spec = GATE_SPECS[name]()
+        ss = solve_stationary(spec)
+        q = (ss.g_load * spec.gamma) @ ss.g_load.T
+        dense = (np.linalg.norm(ss.sigma_z - ss.f @ ss.sigma_z @ ss.f.T - q, "fro")
+                 / np.linalg.norm(ss.sigma_z, "fro"))
+        # the residual is itself at rounding level, so also compare relatively
+        assert abs(ss.residual - dense) <= 1e-15
+        assert abs(ss.residual - dense) <= 1e-9 * dense
+
+    @pytest.mark.parametrize("name", sorted(GATE_SPECS))
+    def test_step_stop_doubles_as_often_as_the_difference_stop(self, name, monkeypatch):
+        solves = []
+        original = stationary._solve_lyapunov_doubling
+
+        def recording(f, q):
+            out = original(f, q)
+            solves.append((f, q, *out))
+            return out
+
+        monkeypatch.setattr(stationary, "_solve_lyapunov_doubling", recording)
+        solve_stationary(GATE_SPECS[name]())
+        (f, q, sigma, iterations), = solves
+        by_difference, expected = lyapunov_doubling_by_difference(f, q)
+        assert iterations == expected
+        assert np.array_equal(sigma, by_difference)
 
 
 class TestCrossCovariance:
