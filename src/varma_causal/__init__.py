@@ -21,11 +21,9 @@ from .graphs import (
     TimedNode,
     augment,
     endo,
-    extend_separated_sets,
     graph_from_json,
     graph_to_json,
     innov,
-    is_m_connecting_path,
     latent_project,
     m_separated,
     node_from_json,
@@ -39,7 +37,6 @@ from .model import (
     RewrittenVarSpec,
     ValidationReport,
     VarmaSpec,
-    embed_as_var,
     full_time_window,
     ice_matrix,
     load_spec,
@@ -52,7 +49,6 @@ from .model import (
 )
 from .stationary import (
     CiVerdict,
-    NodeSetCovariance,
     StateSpaceForm,
     conditional_covariance,
     cross_covariance,

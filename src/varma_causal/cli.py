@@ -85,6 +85,13 @@ def _parse_window(text: str):
         raise ModelError(f"bad window {text!r}; expected a:b") from None
 
 
+def _lags(text: str) -> int:
+    """A count of lags, 0 or more; anything else is a usage error."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of lags >= 0, got {text!r}")
+    return int(text)
+
+
 def _cmd_graph(args) -> int:
     spec = load_spec(args.model)
     lo, hi = _parse_window(args.window)
@@ -222,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", nargs="+", required=True, metavar="NODE")
     p.add_argument("--b", nargs="*", metavar="NODE")
     p.add_argument("--c", nargs="+", required=True, metavar="NODE")
-    p.add_argument("--window", type=int,
-                   help="extra lags below the earliest query node to start from")
+    p.add_argument("--window", type=_lags,
+                   help="extra lags (>= 0) below the earliest query node to start from")
     p.set_defaults(func=_cmd_separate)
 
     p = sub.add_parser("effect", help="total causal effect of x nodes on y")

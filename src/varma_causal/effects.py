@@ -30,8 +30,6 @@ from .graphs import (
 from .model import VarmaSpec, remove_instantaneous
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
-MAX_STABILIZATION_ROUNDS = 12
-
 
 @dataclass(frozen=True)
 class EffectQuery:
@@ -109,22 +107,21 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
 
     The bottom starts at ``t_min`` (default: earliest of ``nodes`` minus
     (max(p,q)+1)·(d+1), never above the earliest node) and moves down by
-    max(p,q,1) lags until two consecutive verdicts agree, for at most
-    MAX_STABILIZATION_ROUNDS windows. With ``cut`` set, the causal edges of
-    that effect query are removed first. No window is built: no edge points
-    back in time, so An(a ∪ b ∪ c) in a window is the ancestor closure over
-    the compiled incidence cut at its bottom code, and one Bayes-ball pass,
-    extended as the bottom drops (see ``graphs._connection``), decides every
-    round. The witness is searched on the last window only. Each window is
-    an induced subgraph of the next and An(b) only grows, so a path open in
-    one window is open in all deeper ones: verdicts never turn back from
-    connected, and at most three rounds run (separated, connected, connected).
-    A query connected in the first window stops there, reporting the second
-    window as stabilized, when its witness has fewer edges than the
+    max(p,q,1) lags until two consecutive verdicts agree. With ``cut`` set,
+    the causal edges of that effect query are removed first. No window is
+    built: no edge points back in time, so An(a ∪ b ∪ c) in a window is the
+    ancestor closure over the compiled incidence cut at its bottom code, and
+    one Bayes-ball pass, extended as the bottom drops (see
+    ``graphs._connection``), decides every round. The witness is searched on
+    the last window only. Each window is an induced subgraph of the next and
+    An(b) only grows, so a path open in one window is open in all deeper
+    ones: verdicts never turn back from connected, and three windows always
+    settle them. A query connected in the first window stops there,
+    reporting the second window, when its witness has fewer edges than the
     2·⌈(earliest − bottom + 1)/lag⌉ a path below the first window needs: the
     second window's shortest witness, tie-breaks included, is then the same.
 
-    Returns (SeparationResult, (bottom, top) of the last window, stabilized).
+    Returns (SeparationResult, (bottom, top) of the last window, stabilized=True).
     """
     admg = spec._admg
     nodes = process_nodes(nodes, spec.d)
@@ -138,22 +135,22 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     if t_min is None:
         t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
     lag, start = max(spec.max_lag, 1), min(t_min, earliest)
-    bottoms = range(start, start - MAX_STABILIZATION_ROUNDS * lag, -lag)
+    # verdicts never turn back from connected, so three windows settle them
+    bottoms = range(start, start - 3 * lag, -lag)
     rounds = zip(bottoms, _connection(admg, codes, (t * spec.d for t in bottoms),
                                       ceiling, removed))
     bottom, connection = next(rounds)
-    if connection is not None and len(bottoms) > 1:
+    if connection is not None:
         # a path below the first window falls and climbs earliest - start + 1 lags
         result = _result(admg, codes, removed, connection, admg.node)
         if len(result.witness) - 1 < 2 * -(-(earliest - start + 1) // lag):
             return result, (bottoms[1], top), True
-    previous, stabilized = connection is None, False
+    previous = connection is None
     for bottom, connection in rounds:
         if previous == (connection is None):
-            stabilized = True
             break
         previous = connection is None
-    return _result(admg, codes, removed, connection, admg.node), (bottom, top), stabilized
+    return _result(admg, codes, removed, connection, admg.node), (bottom, top), True
 
 
 def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
@@ -168,14 +165,15 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
     so that takes at most three windows. A query connected in the first
     window whose witness is too short to dip below it is final at once: the
     second window, which would find the same witness, is reported without
-    being searched. For stationary processes some finite
-    depth always suffices, but no constructive bound is available, so the
-    returned ``stabilized`` flag records that this is a heuristic stopping
-    rule: a separated verdict may still turn connected deeper down. The
-    verdict and witness equal :func:`~varma_causal.graphs.m_separated` on
+    being searched. For stationary processes some finite depth always
+    suffices, but no constructive bound is available, so this is a heuristic
+    stopping rule: a separated verdict may still turn connected deeper down.
+    The verdict and witness equal :func:`~varma_causal.graphs.m_separated` on
     ``marginalized_admg_window(spec, *window)``.
 
-    Returns (SeparationResult, (t_min_used, t_max_used), stabilized).
+    Returns (SeparationResult, (t_min_used, t_max_used), stabilized), where
+    ``stabilized`` is True by construction, kept in the output until a
+    certified depth bound replaces the stopping rule.
     """
     nodes = (*query.a, *query.b, *query.c)
     return _deepening_separation(spec, query, nodes, max(v.time for v in nodes), t_min)
@@ -206,9 +204,9 @@ class IvConditionReport:
     cutting the causal treatment edges (condition 1). ``confounding_free``:
     ancestors of b avoid spouses of descendants of x ∪ {y} (condition 2).
     ``rank``/``rank_ok``: rank of E[Cov(X, I | B)] vs dim(X) (condition 3).
-    ``under_identified`` flags dim(X) > dim(I). ``stabilized`` reports whether
-    the deepening-window verdict for condition 1 settled; the window bounds used
-    are included because the stopping rule is heuristic.
+    ``under_identified`` flags dim(X) > dim(I). ``stabilized`` is True by
+    construction, as in :func:`stable_marginal_separation`; the window bounds
+    used are included because the stopping rule is heuristic.
     """
 
     instrument_separated: bool

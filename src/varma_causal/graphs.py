@@ -10,9 +10,9 @@ finite graphs and the periodic marginalized ADMG of a spec; its offset
 records are the one incidence either keeps. ``_connection``
 decides with one Bayes-ball pass over (node, entered-with-arrowhead) states
 of the query's ancestral nodes, and ``_result`` searches a witness path only
-when the query is connected. The augmented graph (``augment``) serves
-``extend_separated_sets``; the reference deciders of the tests (path
-enumeration, moralization) live outside the library.
+when the query is connected. The proof devices of the global Markov
+property and the reference deciders of the tests (path enumeration,
+moralization) live outside the library, in ``tests/reference.py``.
 
 Every input and output writes a timed node in one of two forms, each with
 its writer and reader here: JSON ``{"component", "time", "kind"}``
@@ -224,13 +224,6 @@ class DirectedMixedGraph:
         """Bi-directed neighbors of ``v``; a node is a spouse of itself."""
         return sorted_nodes({*self._neighbors(v, self._coded.spouses), v})
 
-    def adjacent(self, v: TimedNode, w: TimedNode) -> bool:
-        return (
-            (v, w) in self.directed
-            or (w, v) in self.directed
-            or frozenset((v, w)) in self.bidirected
-        )
-
     # -- reachability sets --------------------------------------------------
 
     def ancestors(self, s: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
@@ -248,67 +241,6 @@ class DirectedMixedGraph:
         # codes follow the sorted node order
         reached = _reach(self._coded, self._codes(tuple(s)), offsets, 0, len(self.nodes))
         return tuple(self.nodes[k] for k in sorted(reached))
-
-    # -- derived graphs -----------------------------------------------------
-
-    def subgraph(self, keep: Iterable[TimedNode]) -> "DirectedMixedGraph":
-        keep = frozenset(keep)
-        for v in keep:
-            self._require(v)
-        directed = [
-            (t, h, c) for (t, h), c in self.directed.items() if t in keep and h in keep
-        ]
-        bidirected = [pair for pair in self.bidirected if pair <= keep]
-        return DirectedMixedGraph(keep, directed, bidirected)
-
-
-class UndirectedGraph:
-    """Plain undirected graph used for moralization/augmentation results."""
-
-    def __init__(self, nodes, edges):
-        self.nodes = sorted_nodes(nodes)
-        self.edges = frozenset(frozenset(e) for e in edges)
-        self._adj = {v: set() for v in self.nodes}
-        for pair in self.edges:
-            v, w = tuple(pair)
-            self._adj[v].add(w)
-            self._adj[w].add(v)
-
-    def has_edge(self, v, w) -> bool:
-        return frozenset((v, w)) in self.edges
-
-    def separated(self, a, c, b) -> bool:
-        """True iff no path from ``a`` to ``c`` avoids ``b``."""
-        a, c, b = set(a), set(c), set(b)
-        queue = deque(v for v in a if v not in b)
-        seen = set(queue)
-        while queue:
-            v = queue.popleft()
-            if v in c:
-                return False
-            for w in self._adj[v]:
-                if w not in seen and w not in b:
-                    seen.add(w)
-                    queue.append(w)
-        return True
-
-    def connected_components(self, exclude=()) -> list[tuple]:
-        exclude = set(exclude)
-        out, seen = [], set(exclude)
-        for start in self.nodes:
-            if start in seen:
-                continue
-            comp, queue = {start}, deque([start])
-            seen.add(start)
-            while queue:
-                v = queue.popleft()
-                for w in self._adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        queue.append(w)
-            out.append(sorted_nodes(comp))
-        return out
 
 
 @dataclass(frozen=True)
@@ -339,11 +271,10 @@ class SeparationResult:
         return self.separated
 
 
-def augment(g: DirectedMixedGraph) -> UndirectedGraph:
-    """Augmented graph: v-w iff v and w are collider-connected in ``g``.
-
-    Adjacent nodes are collider connected by convention. On a graph without
-    bi-directed edges this coincides edge-for-edge with :func:`moralize`.
+def augment(g: DirectedMixedGraph) -> frozenset:
+    """Edges of the augmented graph as unordered node pairs: v-w iff v and w
+    are collider-connected in ``g``, adjacent nodes included by convention.
+    On a graph without bi-directed edges these are the moral graph's edges.
     """
     edges, records = set(), g._coded.records
     for source in range(len(g.nodes)):
@@ -362,7 +293,7 @@ def augment(g: DirectedMixedGraph) -> UndirectedGraph:
                 if head_here and state[0] != source and state not in seen:
                     seen.add(state)
                     queue.append(state)
-    return UndirectedGraph(g.nodes, edges)
+    return frozenset(edges)
 
 
 def _junction_open(node, entered_head, exit_head, b_set, an_b):
@@ -478,71 +409,6 @@ def m_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationResu
     codes = tuple(map(g._codes, (query.a, query.b, query.c)))
     connection = next(_connection(g._coded, codes, (0,), len(g.nodes)))
     return _result(g._coded, codes, frozenset(), connection, g.nodes.__getitem__)
-
-
-def is_m_connecting_path(g: DirectedMixedGraph, path, b) -> bool:
-    """Check a concrete node path for m-connectivity given ``b``.
-
-    With parallel edges the open orientation is preferred at each step, so a
-    True result certifies at least one open edge realization of the path.
-    """
-    b_set = set(b)
-    an_b = set(g.ancestors(tuple(b_set))) if b_set else set()
-    if len(path) < 2 or len(set(path)) != len(path):
-        return False
-
-    def step_options(v, w):
-        opts = []
-        if (v, w) in g.directed:
-            opts.append((False, True))
-        if (w, v) in g.directed:
-            opts.append((True, False))
-        if frozenset((v, w)) in g.bidirected:
-            opts.append((True, True))
-        return opts
-
-    # entry flags reachable at each step
-    flags = {f_w for (_, f_w) in step_options(path[0], path[1])}
-    if not flags:
-        return False
-    for v, w in zip(path[1:], path[2:]):
-        nxt = set()
-        for entered in flags:
-            for head_v, head_w in step_options(v, w):
-                if _junction_open(v, entered, head_v, b_set, an_b):
-                    nxt.add(head_w)
-        if not nxt:
-            return False
-        flags = nxt
-    return True
-
-
-def extend_separated_sets(g: DirectedMixedGraph, query: SeparationQuery):
-    """Extend separated (a, c) to fill the node set while staying separated.
-
-    Requires the graph nodes to equal the ancestor closure of the query and
-    the query to be separated. Components of the augmented graph minus ``b``
-    containing ``a`` go to the first returned set, those containing ``c`` to
-    the second; leftover components join the first for determinism.
-    """
-    closure = g.ancestors((*query.a, *query.b, *query.c))
-    if set(closure) != set(g.nodes):
-        raise GraphError("extend_separated_sets requires nodes == "
-                         "ancestors(a ∪ b ∪ c)")
-    if not m_separated(g, query).separated:
-        raise GraphError("extend_separated_sets requires a separated query")
-    aug = augment(g)
-    a_set, c_set = set(query.a), set(query.c)
-    a_plus, c_plus = set(), set()
-    for comp in aug.connected_components(exclude=query.b):
-        comp_set = set(comp)
-        if comp_set & a_set:
-            a_plus |= comp_set
-        elif comp_set & c_set:
-            c_plus |= comp_set
-        else:
-            a_plus |= comp_set
-    return sorted_nodes(a_plus), sorted_nodes(c_plus)
 
 
 def latent_project(g: DirectedMixedGraph, keep: Iterable[TimedNode]) -> DirectedMixedGraph:

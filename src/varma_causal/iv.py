@@ -162,13 +162,19 @@ def _sample_conditional_covariance(data, a, c, b):
     directions kept and the count n_eff: the rows of (A, B) times those of
     (B, C), over n_eff, through the Schur step. By Frisch–Waugh–Lovell that is
     the cross moment of the OLS residuals on B, short of the directions dropped.
+    Non-finite moments (a NaN or infinity in a column read) raise EstimationError.
     """
     _check_conditioning(a, c, b)
     rows = lagged_design(data, (*a, *b, *c)).T  # one contiguous row per node
     n_eff = rows.shape[1]
-    rows -= rows.mean(axis=1, keepdims=True)
     na, nb = len(a), len(b)
-    return (*_schur_complement(rows[:na + nb] @ rows[na:].T / n_eff, nb), n_eff)
+    with np.errstate(invalid="ignore", over="ignore"):  # checked on the k x k result
+        rows -= rows.mean(axis=1, keepdims=True)
+        joint = rows[:na + nb] @ rows[na:].T / n_eff
+    if not np.isfinite(joint).all():
+        raise EstimationError("non-finite sample moments: the columns the query reads "
+                              "hold NaN, infinite or overflowing values")
+    return (*_schur_complement(joint, nb), n_eff)
 
 
 def estimate_from_data(data: np.ndarray, query: IvQuery) -> IvResult:

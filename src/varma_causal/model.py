@@ -3,10 +3,10 @@
 A process is given by coefficient matrices A0..Ap (A0 holds the instantaneous
 effects, with acyclic support), MA matrices B1..Bq, and independent innovation
 variances gamma. The module provides validity checking, the canonical
-rewrites (instantaneous-effect elimination, total-instantaneous-effect matrix,
-doubled-dimension VAR embedding) and finite full-time graph windows, both as
-DAGs over (endogenous, innovation) nodes and as marginalized ADMGs over the
-endogenous nodes only, all with edges read off the coefficient supports. The
+rewrites (instantaneous-effect elimination, total-instantaneous-effect matrix)
+and finite full-time graph windows, both as DAGs over (endogenous, innovation)
+nodes and as marginalized ADMGs over the endogenous nodes only, all with edges
+read off the coefficient supports. The
 marginalized ADMG is compiled once per spec into the integer-coded incidence
 of one time slice, on which the separation loop of ``effects`` runs.
 """
@@ -262,32 +262,6 @@ def remove_instantaneous(spec: VarmaSpec) -> RewrittenVarSpec:
         if not report.passed:
             raise ModelError("invalid process specification: " + "; ".join(report.messages))
     return spec._rewrite
-
-
-def embed_as_var(spec: VarmaSpec) -> VarmaSpec:
-    """Embed the VARMA(p,q) as a 2d-dimensional VAR(max(p,q)) on (S_t, eps_t).
-
-    The first d components follow the original process, the last d reproduce
-    the innovations; their own innovations are degenerate at zero (variance
-    exactly 0, flagged by validate, accepted by the stationary solver). The
-    instantaneous block carries A0 together with the unit loading of eps_t on
-    S_t, so the embedded full-time DAG is the VARMA full-time DAG.
-    """
-    remove_instantaneous(spec)  # validates the spec
-    d, p, q = spec.d, spec.p, spec.q
-    ell = max(p, q)
-    zero = np.zeros((d, d))
-    c0 = np.block([[spec.a[0], np.eye(d)], [zero, zero]])
-    lags = []
-    for k in range(1, ell + 1):
-        ak = spec.a[k] if k <= p else zero
-        bk = spec.b[k - 1] if k <= q else zero
-        lags.append(np.block([[ak, bk], [zero, zero]]))
-    gamma = np.concatenate([np.zeros(d), spec.gamma])
-    names = None
-    if spec.names:
-        names = [*spec.names, *[f"eps({n})" for n in spec.names]]
-    return VarmaSpec([c0, *lags], (), gamma, names=names)
 
 
 def _lag_edges(mats, tail, t_min, t_max):

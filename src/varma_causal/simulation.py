@@ -224,16 +224,28 @@ class CoefficientSampler:
     max_rejections: int = 500
 
     def __post_init__(self):
-        if not (self.d >= 1 and self.p >= 0 and self.q >= 0 and 0 <= self.sparsity <= 1):
-            raise ModelError(f"sampler needs d >= 1, p >= 0, q >= 0 and sparsity in [0, 1]; "
-                             f"got d={self.d}, p={self.p}, q={self.q}, sparsity={self.sparsity}")
+        if not (self.d >= 1 and self.p >= 0 and self.q >= 0 and 0 <= self.sparsity <= 1
+                and self.max_rejections >= 0
+                and (self.scale is None or 0 <= self.scale < math.inf)):
+            raise ModelError(
+                f"sampler needs d >= 1, p >= 0, q >= 0, sparsity in [0, 1], max_rejections "
+                f">= 0 and a finite scale >= 0; got d={self.d}, p={self.p}, q={self.q}, "
+                f"sparsity={self.sparsity}, max_rejections={self.max_rejections}, "
+                f"scale={self.scale}")
+        # a mask list of another length would change the order: zip truncates
+        a0 = None if self.mask_a0 is None else [self.mask_a0]
+        for name, count, masks in (("mask_a0", 1, a0), ("mask_ar", self.p, self.mask_ar),
+                                   ("mask_ma", self.q, self.mask_ma)):
+            shapes = None if masks is None else [np.shape(m) for m in masks]
+            if shapes is not None and shapes != [(self.d, self.d)] * count:
+                raise ModelError(f"{name} needs {count} masks of shape ({self.d}, {self.d}); "
+                                 f"got shapes {shapes}")
 
     def entry_scale(self) -> float:
         return self.scale if self.scale is not None else 0.9 / (max(self.p, 1) * self.d)
 
 
-def sample_stable_spec(sampler: CoefficientSampler, seed,
-                       return_rejections: bool = False):
+def sample_stable_spec(sampler: CoefficientSampler, seed) -> VarmaSpec:
     """Draw coefficient matrices until the spec validates.
 
     A draw is accepted through :func:`remove_instantaneous`, so the returned
@@ -246,7 +258,7 @@ def sample_stable_spec(sampler: CoefficientSampler, seed,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     c = sampler.entry_scale()
     d = sampler.d
-    rejections = 0
+
     def draw(shape):
         out = rng.uniform(-c, c, shape)
         if sampler.sparsity > 0:
@@ -271,9 +283,8 @@ def sample_stable_spec(sampler: CoefficientSampler, seed,
         try:
             remove_instantaneous(spec)  # validates once and caches the rewrite
         except ModelError:
-            rejections += 1
             continue
-        return (spec, rejections) if return_rejections else spec
+        return spec
     raise ModelError(
         f"no stable draw in {sampler.max_rejections} attempts; "
         f"reduce the coefficient scale (current {c:.4g})")

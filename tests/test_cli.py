@@ -188,6 +188,22 @@ class TestIvCommand:
         assert payload["sample_size"] == 20000 - 2
         assert np.max(np.abs(np.array(payload["beta"]) - [1 / 3, 1 / 2])) < 0.1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_data_is_domain_error(self, capfd, tmp_path, bad):
+        # captured at the file descriptors, where LAPACK would print its
+        # DLASCL complaints about a NaN matrix
+        rows = np.random.default_rng(0).standard_normal((300, 2)).tolist()
+        rows[150][0] = bad
+        path = tmp_path / "series.csv"
+        path.write_text("X,Y\n" + "".join(f"{x},{y}\n" for x, y in rows))
+        for b in ([], ["--b", "X@-3"]):
+            code = main(["iv", "--data", str(path), "--y", "Y@0", "--x", "X@-1", "Y@-1",
+                         "--i", "X@-2", "Y@-2", *b])
+            out, err = capfd.readouterr()
+            assert code == 1 and out == ""
+            assert err.startswith("error: non-finite sample moments") and err.count("\n") == 1
+            assert "Traceback" not in err and "DLASCL" not in err
+
     def test_ragged_csv_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text("X,Y\n0.1,0.2\n0.3\n0.5,0.6\n")
@@ -436,6 +452,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["separate", "-m", model_path, "--a", "X@0"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("window", ["-3", "-1", "two"])
+    def test_separate_window_must_be_a_non_negative_integer(self, capsys, model_path, window):
+        # a negative count of extra lags would start above the earliest node
+        with pytest.raises(SystemExit) as excinfo:
+            main(["separate", "-m", model_path, "--a", "X@0", "--c", "Y@0",
+                  f"--window={window}"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --window" in captured.err
+
+    def test_separate_window_zero_starts_at_the_earliest_node(self, capsys, model_path):
+        code, out, _ = run_cli(capsys, "separate", "-m", model_path,
+                               "--a", "X@0", "--c", "Y@-2", "--window=0")
+        assert code == 0 and out.startswith("connected")
+        assert "window used: [-3, 0]" in out
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

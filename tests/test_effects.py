@@ -14,7 +14,6 @@ from varma_causal import (
     check_iv_conditions,
     endo,
     full_time_window,
-    is_m_connecting_path,
     m_separated,
     marginalized_admg_window,
     sample_stable_spec,
@@ -22,7 +21,9 @@ from varma_causal import (
     total_causal_effect,
 )
 from varma_causal import effects, graphs, model, simulation
-from reference import cut_causal_edges, deepening_separation
+from reference import (
+    DEEPENING_ROUNDS, cut_causal_edges, deepening_separation, is_m_connecting_path,
+    window_separation)
 from test_acceptance import mixed_sampler
 from test_model import random_stable_spec
 
@@ -346,6 +347,12 @@ def draw_iv_sets(rng, d):
     return y, tuple(pool[:nx]), tuple(pool[nx:nx + ni]), tuple(pool[nx + ni:nx + ni + nb])
 
 
+def settles_below(window, bottom, top, lag):
+    """True iff ``window`` is one a deepening loop started at ``bottom``
+    reports: the second or the third window below ``top``."""
+    return window in ((bottom - lag, top), (bottom - 2 * lag, top))
+
+
 class TestWindowOracle:
     """The compiled rounds against m_separated on materialized windows.
 
@@ -353,9 +360,11 @@ class TestWindowOracle:
     and the cut; TestNetworkxOracle is the independent check of verdicts.
     """
 
-    def test_each_round_matches_its_window(self, monkeypatch):
-        rounds = effects.MAX_STABILIZATION_ROUNDS
-        monkeypatch.setattr(effects, "MAX_STABILIZATION_ROUNDS", 1)
+    def test_each_round_matches_its_window(self):
+        # every window bottom the deepening loop may reach, down to the
+        # reference loop's cap: the one-window pass against m_separated on
+        # that window, and the answer of the loop started there against
+        # m_separated on the window it reports
         rng = np.random.default_rng(606)
         for spec in sampled_query_specs(rng, 12):
             lag = max(spec.max_lag, 1)
@@ -364,30 +373,34 @@ class TestWindowOracle:
                 nodes = (*query.a, *query.b, *query.c)
                 top = max(v.time for v in nodes)
                 start = min(v.time for v in nodes) - (spec.max_lag + 1) * (spec.d + 1)
-                for bottom in range(start, start - rounds * lag, -lag):
-                    result, window, _ = stable_marginal_separation(spec, query, t_min=bottom)
-                    assert window == (bottom, top)
-                    assert result == m_separated(
+                for bottom in range(start, start - DEEPENING_ROUNDS * lag, -lag):
+                    assert window_separation(spec, query, bottom, top) == m_separated(
                         marginalized_admg_window(spec, bottom, top), query)
+                    result, window, _ = stable_marginal_separation(spec, query, t_min=bottom)
+                    assert settles_below(window, bottom, top, lag)
+                    assert result == m_separated(marginalized_admg_window(spec, *window), query)
 
-    def test_each_iv_round_matches_its_cut_window(self, monkeypatch):
-        rounds = effects.MAX_STABILIZATION_ROUNDS
-        monkeypatch.setattr(effects, "MAX_STABILIZATION_ROUNDS", 1)
+    def test_each_iv_round_matches_its_cut_window(self):
+        # as above, for the instrument condition on windows cut by the
+        # causal treatment edges
         rng = np.random.default_rng(607)
         for spec in sampled_query_specs(rng, 12):
             lag = max(spec.max_lag, 1)
             for _ in range(4):
                 y, xs, instruments, b = draw_iv_sets(rng, spec.d)
+                effect = EffectQuery(y, xs)
                 query = SeparationQuery(instruments, b, (y,))
                 nodes = (y, *xs, *instruments, *b)
                 top = max(v.time for v in nodes) + spec.q
                 start = min(v.time for v in nodes) - (spec.max_lag + 1) * (spec.d + 1)
-                for bottom in range(start, start - rounds * lag, -lag):
+                for bottom in range(start, start - DEEPENING_ROUNDS * lag, -lag):
+                    cut = cut_causal_edges(marginalized_admg_window(spec, bottom, top), effect)
+                    assert window_separation(spec, query, bottom, top, effect) == m_separated(
+                        cut, query)
                     result, window, _ = effects._deepening_separation(
-                        spec, query, nodes, top, bottom, cut=EffectQuery(y, xs))
-                    assert window == (bottom, top)
-                    cut = cut_causal_edges(
-                        marginalized_admg_window(spec, bottom, top), EffectQuery(y, xs))
+                        spec, query, nodes, top, bottom, cut=effect)
+                    assert settles_below(window, bottom, top, lag)
+                    cut = cut_causal_edges(marginalized_admg_window(spec, *window), effect)
                     assert result == m_separated(cut, query)
 
     def test_one_pass_matches_fresh_rounds(self, monkeypatch):
@@ -572,19 +585,23 @@ class TestIntegerCoding:
         blocked = SeparationQuery([endo(0, -2)], [endo(2, -1)], [endo(0, 0)])
         assert stable_marginal_separation(spec, blocked)[0].separated
 
-    def test_cut_at_the_window_bottom(self, varma_lagged_spec, monkeypatch):
+    def test_cut_at_the_window_bottom(self, varma_lagged_spec):
         # the treatment X@-2 is the earliest node, so the window starting
-        # there has the cut edges X@-2 -> X@-1 and X@-2 -> Y@-1 at its bottom
-        monkeypatch.setattr(effects, "MAX_STABILIZATION_ROUNDS", 1)
+        # there has the cut edges X@-2 -> X@-1 and X@-2 -> Y@-1 at its bottom;
+        # the loop started there reports a deeper window, cut the same way
         y, xs = endo(Y, 0), (endo(X, -2),)
+        effect = EffectQuery(y, xs)
         g = marginalized_admg_window(varma_lagged_spec, -2, 1)
-        cut = cut_causal_edges(g, EffectQuery(y, xs))
+        cut = cut_causal_edges(g, effect)
         assert set(g.directed) - set(cut.directed) == {
             (endo(X, -2), endo(X, -1)), (endo(X, -2), endo(Y, -1))}
         for instruments, b in ((endo(X, -1),), ()), ((endo(Y, -1),), (endo(X, -1),)):
             query = SeparationQuery(instruments, b, (y,))
             nodes = (y, *xs, *instruments, *b)
+            assert window_separation(varma_lagged_spec, query, -2, 1, effect) == m_separated(
+                cut, query)
             result, window, _ = effects._deepening_separation(
-                varma_lagged_spec, query, nodes, 1, -2, cut=EffectQuery(y, xs))
-            assert window == (-2, 1)
-            assert result == m_separated(cut, query)
+                varma_lagged_spec, query, nodes, 1, -2, cut=effect)
+            assert settles_below(window, -2, 1, 1)
+            deeper = cut_causal_edges(marginalized_admg_window(varma_lagged_spec, *window), effect)
+            assert result == m_separated(deeper, query)

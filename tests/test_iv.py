@@ -18,6 +18,7 @@ from varma_causal import (
     check_iv_conditions,
     endo,
     estimate_from_data,
+    fisher_z_pvalue,
     identify_population,
     lagged_design,
     node_to_json,
@@ -319,6 +320,43 @@ class TestEstimateFromData:
         large = [error_at(40_000, s) for s in range(9)]
         # quadrupling the sample should shrink the error roughly by half
         assert np.median(small) / np.median(large) > 1.3
+
+
+class TestNonFiniteSeries:
+    """A NaN or infinity in a column that a query reads raises EstimationError
+    before any factorization, in both data-side calls, with or without b."""
+
+    @pytest.fixture()
+    def series(self, varma_lagged_spec):
+        return simulate(SimulationConfig(varma_lagged_spec, n=2_000, seed=4))
+
+    def calls(self, series):
+        xs, instruments = (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2))
+        return [lambda: estimate_from_data(series, IvQuery(endo(Y, 0), xs, instruments)),
+                lambda: estimate_from_data(
+                    series, IvQuery(endo(Y, 0), xs, instruments, (endo(X, -3),))),
+                lambda: fisher_z_pvalue(series, endo(X, 0), endo(Y, 0)),
+                lambda: fisher_z_pvalue(series, endo(Y, 0), endo(Y, -2), (endo(X, -1),))]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, series, bad):
+        series[700, X] = bad
+        for call in self.calls(series):
+            with pytest.raises(EstimationError, match="non-finite sample moments"):
+                call()
+
+    def test_overflowing_moments_raise(self, series):
+        # finite values whose products overflow leave the moments infinite
+        series[700:703, X] = 1e300, -1e300, 1e300
+        for call in self.calls(series):
+            with pytest.raises(EstimationError, match="non-finite sample moments"):
+                call()
+
+    def test_unread_column_is_ignored(self, series):
+        query = (series, endo(Y, 0), endo(Y, -2), (endo(Y, -1),))
+        clean = fisher_z_pvalue(*query)
+        series[700, X] = np.nan
+        assert fisher_z_pvalue(*query) == clean
 
 
 def test_lstsq_only_in_weighted_solve():

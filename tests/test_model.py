@@ -12,7 +12,6 @@ from varma_causal import (
     TimedNode,
     VarmaSpec,
     check_iv_conditions,
-    embed_as_var,
     endo,
     estimate_from_data,
     full_time_window,
@@ -33,6 +32,7 @@ from varma_causal import (
 )
 from varma_causal import model
 from conftest import decoded_records
+from reference import embed_as_var, subgraph
 
 X, Y = 0, 1
 
@@ -365,7 +365,7 @@ class TestWindows:
                                include_innovations=True)
                 projected = latent_project(
                     wide, [v for v in wide.nodes if v.kind == "endogenous"])
-                reference = projected.subgraph(v for v in projected.nodes if v.time >= t_min)
+                reference = subgraph(projected, (v for v in projected.nodes if v.time >= t_min))
                 g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten)
                 assert g.nodes == reference.nodes
                 assert g.directed == reference.directed

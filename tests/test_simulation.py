@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from varma_causal import (
     sample_stable_spec,
     simulate,
     solve_stationary,
+    spec_to_json,
     stable_marginal_separation,
     validate,
 )
@@ -263,11 +265,28 @@ class TestSimulate:
         assert len(simulate(SimulationConfig(varma_lagged_spec, n=100, seed=1, burn_in=0))) == 100
 
 
+def sample_counting_draws(monkeypatch, sampler, seed):
+    """``sample_stable_spec(sampler, seed)`` and the number of draws it
+    validated, counted as the reports validate builds: one per draw, however
+    the caller imported validate."""
+    reports = []
+    original = model.ValidationReport
+
+    def counted_report(**fields):
+        reports.append(fields)
+        return original(**fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "ValidationReport", counted_report)
+        spec = sample_stable_spec(sampler, seed)
+    return spec, len(reports)
+
+
 class TestSampler:
-    def test_univariate_small_scale_always_accepted(self):
+    def test_univariate_small_scale_always_accepted(self, monkeypatch):
         sampler = CoefficientSampler(d=1, p=1, q=0, scale=0.8)
-        _, rejections = sample_stable_spec(sampler, 3, return_rejections=True)
-        assert rejections == 0
+        _, draws = sample_counting_draws(monkeypatch, sampler, 3)
+        assert draws == 1
 
     def test_accepted_specs_all_validate(self):
         sampler = CoefficientSampler(d=3, p=2, q=1)
@@ -286,20 +305,64 @@ class TestSampler:
             return original(**fields)
 
         monkeypatch.setattr(model, "ValidationReport", counted_report)
-        spec, rejections = sample_stable_spec(
-            CoefficientSampler(d=2, p=1, q=1), 3, return_rejections=True)
+        spec = sample_stable_spec(CoefficientSampler(d=2, p=1, q=1), 3)
         solve_stationary(spec)
-        assert rejections == 0
-        assert len(validations) == 1
+        assert len(validations) == 1  # the accepted first draw, not again
 
-    def test_acceptance_rate_positive(self):
+    def test_acceptance_rate_positive(self, monkeypatch):
         sampler = CoefficientSampler(d=3, p=2, q=1)
-        rejections = [
-            sample_stable_spec(sampler, seed, return_rejections=True)[1]
-            for seed in range(50)
-        ]
+        draws = [sample_counting_draws(monkeypatch, sampler, seed)[1] for seed in range(50)]
+        rejections = [count - 1 for count in draws]
         accept_rate = 50 / (50 + sum(rejections))
         assert accept_rate > 0.2
+
+    def test_draw_count_is_rejections_plus_one(self, monkeypatch):
+        # the draws counted are those sample_stable_spec makes: it accepts
+        # with max_rejections at the count of rejections, not one below
+        wide = dict(d=3, p=2, q=1, scale=0.6)
+        counts = [sample_counting_draws(monkeypatch, CoefficientSampler(**wide), seed)
+                  for seed in range(6)]
+        assert max(draws for _, draws in counts) > 2
+        for seed, (spec, draws) in enumerate(counts):
+            exact = CoefficientSampler(**wide, max_rejections=draws - 1)
+            assert spec_to_json(sample_stable_spec(exact, seed)) == spec_to_json(spec)
+            if draws > 1:
+                with pytest.raises(ModelError, match="no stable draw"):
+                    sample_stable_spec(CoefficientSampler(**wide, max_rejections=draws - 2), seed)
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(p=3, q=2, mask_ar=[np.eye(2)], mask_ma=[]),
+         r"mask_ar needs 3 masks of shape \(2, 2\); got shapes \[\(2, 2\)\]"),
+        (dict(p=1, q=2, mask_ma=[np.eye(2)]), r"mask_ma needs 2 masks .* got shapes \[\(2, 2\)\]"),
+        (dict(p=1, q=0, mask_ma=[np.eye(2)]), r"mask_ma needs 0 masks .* got shapes \[\(2, 2\)\]"),
+        (dict(p=1, q=1, mask_ar=[np.ones(2)]), r"mask_ar needs 1 masks .* got shapes \[\(2,\)\]"),
+        (dict(p=1, q=1, mask_ma=[np.ones((3, 3))]), r"mask_ma needs 1 masks .* \[\(3, 3\)\]"),
+        (dict(p=1, q=1, mask_a0=np.ones((2, 1))), r"mask_a0 needs 1 masks .* \[\(2, 1\)\]"),
+        (dict(p=2, q=0, mask_ar=[np.eye(2), np.ones((2, 3))]),
+         r"mask_ar needs 2 masks .* got shapes \[\(2, 2\), \(2, 3\)\]"),
+    ])
+    def test_masks_must_match_the_order_and_dimension(self, settings, message):
+        # zip would silently truncate a short mask list, lowering the
+        # spec's order, and a length-d mask would broadcast over columns
+        with pytest.raises(ModelError, match=message):
+            CoefficientSampler(d=2, **settings)
+
+    @pytest.mark.parametrize("scale", [-0.1, float("nan"), float("inf"), -float("inf")])
+    def test_scale_negative_or_non_finite_rejected(self, scale):
+        with pytest.raises(ModelError, match=re.escape(f"a finite scale >= 0; got d=2") + ".*"
+                           + re.escape(f"scale={scale}")):
+            CoefficientSampler(d=2, p=1, q=0, scale=scale)
+
+    def test_zero_scale_accepted(self):
+        spec = sample_stable_spec(CoefficientSampler(d=2, p=1, q=1, scale=0.0), 1)
+        assert not any(np.any(m) for m in (*spec.a, *spec.b))
+
+    def test_negative_max_rejections_rejected(self):
+        with pytest.raises(ModelError, match="max_rejections >= 0 .* max_rejections=-1,"):
+            CoefficientSampler(d=2, p=1, q=0, max_rejections=-1)
+        sampler = CoefficientSampler(d=3, p=2, q=0, scale=5.0, max_rejections=0)
+        with pytest.raises(ModelError, match="no stable draw in"):
+            sample_stable_spec(sampler, 0)
 
     def test_max_rejections_error(self):
         sampler = CoefficientSampler(d=3, p=2, q=0, scale=5.0, max_rejections=10)

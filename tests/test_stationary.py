@@ -15,7 +15,6 @@ from varma_causal import (
     VarmaSpec,
     conditional_covariance,
     cross_covariance,
-    embed_as_var,
     endo,
     estimate_from_data,
     fisher_z_pvalue,
@@ -34,12 +33,11 @@ from varma_causal.stationary import (
     LYAPUNOV_RESIDUAL_RTOL,
     PINV_RTOL,
     RANK_RTOL,
-    NodeSetCovariance,
     numerical_rank,
     _solve_lyapunov_doubling,
 )
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
-from reference import (autocovariances_by_recursion, exact_state_covariance,
+from reference import (autocovariances_by_recursion, embed_as_var, exact_state_covariance,
                        lyapunov_doubling_by_difference)
 from test_model import random_stable_spec
 
@@ -222,26 +220,27 @@ class TestCrossCovariance:
     def test_scalar_variance_positive(self, varma_lagged_spec):
         ss = solve_stationary(varma_lagged_spec)
         out = cross_covariance(ss, [endo(X, 0)], [endo(X, 0)])
-        assert out.matrix.shape == (1, 1) and out.matrix[0, 0] > 0
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (1, 1) and out[0, 0] > 0
 
     def test_varma_lagged_treatment_instrument_block(self, varma_lagged_spec):
         ss = solve_stationary(varma_lagged_spec)
         xs = [endo(X, -1), endo(Y, -1)]
         instruments = [endo(X, -2), endo(Y, -2)]
-        got = cross_covariance(ss, xs, instruments).matrix
+        got = cross_covariance(ss, xs, instruments)
         assert np.max(np.abs(got - LAGGED_SPEC_COV_XI)) < 1e-12
         assert got[0, 0] == pytest.approx(17 / 24, abs=1e-12)
 
     def test_varma_lagged_outcome_instrument_block(self, varma_lagged_spec):
         ss = solve_stationary(varma_lagged_spec)
-        got = cross_covariance(ss, [endo(Y, 0)], [endo(X, -2), endo(Y, -2)]).matrix
+        got = cross_covariance(ss, [endo(Y, 0)], [endo(X, -2), endo(Y, -2)])
         assert np.max(np.abs(got - LAGGED_SPEC_COV_YI)) < 1e-12
 
     def test_time_symmetry(self, varma_lagged_spec):
         ss = solve_stationary(varma_lagged_spec)
         a, b = endo(X, 0), endo(Y, -2)
-        forward = cross_covariance(ss, [a], [b]).matrix[0, 0]
-        backward = cross_covariance(ss, [b], [a]).matrix[0, 0]
+        forward = cross_covariance(ss, [a], [b])[0, 0]
+        backward = cross_covariance(ss, [b], [a])[0, 0]
         assert forward == pytest.approx(backward, abs=1e-14)
 
     def test_gather_reads_the_autocovariance_entries(self):
@@ -258,9 +257,9 @@ class TestCrossCovariance:
                 v = [pool[k] for k in rng.integers(0, len(pool), 4)]
                 expected = [[ss.autocov(a.time - b.time)[a.component, b.component]
                              for b in v] for a in u]
-                assert np.array_equal(cross_covariance(ss, u, v).matrix, expected)
-            assert cross_covariance(ss, [], v).matrix.shape == (0, 4)
-            assert cross_covariance(ss, u, []).matrix.shape == (5, 0)
+                assert np.array_equal(cross_covariance(ss, u, v), expected)
+            assert cross_covariance(ss, [], v).shape == (0, 4)
+            assert cross_covariance(ss, u, []).shape == (5, 0)
 
     def test_innovation_nodes_rejected(self, varma_lagged_spec):
         ss = solve_stationary(varma_lagged_spec)
@@ -293,7 +292,7 @@ class TestConditionalCovariance:
     def test_empty_b_equals_cross_covariance(self, varma_lagged_spec):
         ss = solve_stationary(varma_lagged_spec)
         a, c = [endo(Y, 0)], [endo(X, -1)]
-        plain = cross_covariance(ss, a, c).matrix
+        plain = cross_covariance(ss, a, c)
         cond = conditional_covariance(ss, a, c, [])
         assert np.array_equal(plain, cond)
 
@@ -357,8 +356,7 @@ def schur_of_blocks(monkeypatch, s_ac, s_ab, s_cb, s_bb):
     """conditional_covariance on a joint (a ∪ b) x (b ∪ c) covariance given by its blocks."""
     na, nc, nb = len(s_ac), len(s_cb), len(s_bb)
     joint = np.block([[s_ab, s_ac], [s_bb, s_cb.T]])
-    monkeypatch.setattr(stationary, "cross_covariance",
-                        lambda ss, u, v: NodeSetCovariance(u, v, joint))
+    monkeypatch.setattr(stationary, "cross_covariance", lambda ss, u, v: joint)
     nodes = [endo(0, -t) for t in range(na + nc + nb)]
     return conditional_covariance(None, nodes[:na], nodes[na:na + nc], nodes[na + nc:])
 
