@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ModelError
 from .graphs import (
     SeparationQuery,
+    SeparationResult,
     TimedNode,
     _connection,
     _reach,
@@ -107,19 +108,27 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
 
     The bottom starts at ``t_min`` (default: earliest of ``nodes`` minus
     (max(p,q)+1)·(d+1), never above the earliest node) and moves down by
-    max(p,q,1) lags until two consecutive verdicts agree. With ``cut`` set,
+    lag = max(p,q,1) until two consecutive verdicts agree. With ``cut`` set,
     the causal edges of that effect query are removed first. No window is
-    built: no edge points back in time, so An(a ∪ b ∪ c) in a window is the
-    ancestor closure over the compiled incidence cut at its bottom code, and
-    one Bayes-ball pass, extended as the bottom drops (see
-    ``graphs._connection``), decides every round. The witness is searched on
-    the last window only. Each window is an induced subgraph of the next and
-    An(b) only grows, so a path open in one window is open in all deeper
-    ones: verdicts never turn back from connected, and three windows always
-    settle them. A query connected in the first window stops there,
-    reporting the second window, when its witness has fewer edges than the
-    2·⌈(earliest − bottom + 1)/lag⌉ a path below the first window needs: the
-    second window's shortest witness, tie-breaks included, is then the same.
+    built: no edge points back in time, so whether a node of a window is in
+    its An(b) or An(a ∪ b ∪ c) does not depend on the window's bottom, and
+    one Bayes-ball pass, extended as the bottom drops (see ``graphs._connection``), decides every round. Each
+    window is an induced subgraph of the next and An(b) only grows, so a
+    path open in one window is open in all deeper ones: verdicts never turn
+    back from connected, and three windows always settle them. The witness
+    is searched on the last window only, except in three early exits for
+    a connected query. A path that leaves [s, top] falls and climbs
+    earliest − s + 1 lags, so it has at least 2·⌈(earliest − s + 1)/lag⌉
+    edges; a witness with fewer edges in window s is then the shortest in
+    every deeper window, tie-break included (the bound is strict, so a path
+    of equal length that dips cannot win the tie). Each exit reports the
+    second window, as the confirming round would:
+
+    - an a–c edge, not cut, is the witness, first in incidence order; no
+      pass runs;
+    - a witness of under 4 edges in the shallow window s = earliest − lag,
+      which the pass tries first when it lies above the first window;
+    - a witness in the first window under that window's bound.
 
     Returns (SeparationResult, (bottom, top) of the last window, stabilized=True).
     """
@@ -137,14 +146,25 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     lag, start = max(spec.max_lag, 1), min(t_min, earliest)
     # verdicts never turn back from connected, so three windows settle them
     bottoms = range(start, start - 3 * lag, -lag)
-    rounds = zip(bottoms, _connection(admg, codes, (t * spec.d for t in bottoms),
-                                      ceiling, removed))
-    bottom, connection = next(rounds)
-    if connection is not None:
-        # a path below the first window falls and climbs earliest - start + 1 lags
-        result = _result(admg, codes, removed, connection, admg.node)
-        if len(result.witness) - 1 < 2 * -(-(earliest - start + 1) // lag):
-            return result, (bottoms[1], top), True
+    # the first a–c edge in the order of _connection's first steps (c and a
+    # are disjoint) is the 1-edge witness _result returns at budget 0
+    c_set = set(codes[2])
+    for u in codes[0]:
+        for off, here, there in admg.records[u % admg.period]:
+            if u + off in c_set and not (here != there and (u, u + off) in removed):
+                return (SeparationResult(False, (admg.node(u), admg.node(u + off))),
+                        (bottoms[1], top), True)
+    floors = (earliest - lag, *bottoms) if earliest - lag > start else bottoms
+    rounds = zip(floors, _connection(admg, codes, (t * spec.d for t in floors),
+                                     ceiling, removed))
+    for bottom, connection in rounds:
+        if connection is not None:
+            # a path below this window falls and climbs earliest - bottom + 1 lags
+            result = _result(admg, codes, removed, connection, admg.node)
+            if len(result.witness) - 1 < 2 * -(-(earliest - bottom + 1) // lag):
+                return result, (bottoms[1], top), True
+        if bottom == start:
+            break
     previous = connection is None
     for bottom, connection in rounds:
         if previous == (connection is None):
@@ -162,12 +182,15 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
     starts at ``t_min`` (default: earliest query time minus
     (max(p,q)+1)·(d+1)) and moves down by max(p,q,1) lags until the verdict
     agrees twice in a row: a connecting path stays open in deeper windows,
-    so that takes at most three windows. A query connected in the first
-    window whose witness is too short to dip below it is final at once: the
-    second window, which would find the same witness, is reported without
-    being searched. For stationary processes some finite depth always
-    suffices, but no constructive bound is available, so this is a heuristic
-    stopping rule: a separated verdict may still turn connected deeper down.
+    so that takes at most three windows. A connected query whose witness is
+    too short to dip below the window it was found in is final at once, and
+    the second window, which would find the same witness, is reported
+    without being searched: a query with an edge between a and c runs no
+    pass at all, and a witness of under 4 edges is found in the shallow
+    window that reaches max(p,q,1) lags below the earliest query time. For
+    stationary processes some finite depth always suffices, but no
+    constructive bound is available, so this is a heuristic stopping rule:
+    a separated verdict may still turn connected deeper down.
     The verdict and witness equal :func:`~varma_causal.graphs.m_separated` on
     ``marginalized_admg_window(spec, *window)``.
 

@@ -252,8 +252,8 @@ def sample_stable_spec(sampler: CoefficientSampler, seed) -> VarmaSpec:
     spec carries its cached rewrite and no later layer validates it again
     (gamma is drawn positive, so the zero-variance allowance never applies).
 
-    ``seed`` may be an integer (or tuple) seed or a Generator. Raises after
-    ``max_rejections`` failed draws, advising a smaller scale.
+    ``seed`` may be an integer (or tuple) seed or a Generator. Raises when all
+    ``max_rejections`` + 1 draws fail, advising a smaller scale.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     c = sampler.entry_scale()
@@ -286,7 +286,7 @@ def sample_stable_spec(sampler: CoefficientSampler, seed) -> VarmaSpec:
             continue
         return spec
     raise ModelError(
-        f"no stable draw in {sampler.max_rejections} attempts; "
+        f"no stable draw in {sampler.max_rejections + 1} draws; "
         f"reduce the coefficient scale (current {c:.4g})")
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
@@ -353,6 +354,25 @@ def settles_below(window, bottom, top, lag):
     return window in ((bottom - lag, top), (bottom - 2 * lag, top))
 
 
+def count_work(monkeypatch):
+    """Count the separation core's work in effects: one entry per
+    ``_connection`` pass, the number of windows it yielded, and one entry
+    per ``_result`` call."""
+    passes, searches = [], []
+    connection, result = effects._connection, effects._result
+
+    def counted_connection(*args):
+        passes.append(0)
+        for found in connection(*args):
+            passes[-1] += 1
+            yield found
+
+    monkeypatch.setattr(effects, "_connection", counted_connection)
+    monkeypatch.setattr(effects, "_result", lambda *args: searches.append(None)
+                        or result(*args))
+    return passes, searches
+
+
 class TestWindowOracle:
     """The compiled rounds against m_separated on materialized windows.
 
@@ -408,14 +428,13 @@ class TestWindowOracle:
         # the cut separation of _iv_report: one pass extended across the
         # windows against a fresh pass per window, from the default first
         # window and from the narrowest one, which the verdicts outgrow.
-        # A query connected in its first window returns at once when its
-        # witness has fewer edges than a path dipping below that window
-        # needs; otherwise the second window is searched
-        searches = []
-        original = effects._result
-        monkeypatch.setattr(effects, "_result", lambda *args: searches.append(args)
-                            or original(*args))
-        rounds, branches = [], {"early": 0, "resumed": 0}
+        # Each answer takes one branch, with its own work: an a-c edge
+        # returns before any pass; a witness with fewer edges than a path
+        # dipping below the window needs returns from the shallow window
+        # [earliest - lag, top], tried first when it lies above the first
+        # window, or from the first window; otherwise the pass resumes below
+        passes, searches = count_work(monkeypatch)
+        rounds, branches = [], dict.fromkeys(("adjacent", "shallow", "first", "resumed"), 0)
         for trial in range(200):
             rng = np.random.default_rng((707, trial))
             spec = mixed_sampler(rng)
@@ -432,6 +451,7 @@ class TestWindowOracle:
                 earliest = min(v.time for v in nodes)
                 t_min = earliest if narrowest else None
                 *fresh, verdicts = deepening_separation(spec, query, nodes, top, t_min, cut)
+                passes.clear()
                 searches.clear()
                 assert list(effects._deepening_separation(
                     spec, query, nodes, top, t_min, cut)) == fresh
@@ -439,33 +459,111 @@ class TestWindowOracle:
                 # the verdicts settle by the third window
                 assert verdicts == sorted(verdicts, reverse=True)
                 rounds.append(len(verdicts))
-                if not verdicts[0]:
-                    start = earliest - (0 if narrowest else (spec.max_lag + 1) * (spec.d + 1))
-                    bound = 2 * -(-(earliest - start + 1) // lag)
-                    early = len(fresh[0].witness) - 1 < bound
-                    assert len(searches) == (1 if early else 2)
-                    branches["early" if early else "resumed"] += 1
+                start = earliest - (0 if narrowest else (spec.max_lag + 1) * (spec.d + 1))
+                shallow = earliest - lag > start
+                shallow_connected = shallow and not window_separation(
+                    spec, query, earliest - lag, top, cut).separated
+                edges = math.inf if fresh[0].separated else len(fresh[0].witness) - 1
+                if edges == 1:
+                    branch, work = "adjacent", ([], 0)
+                elif shallow and edges < 4:
+                    branch, work = "shallow", ([1], 1)
+                elif edges < 2 * -(-(earliest - start + 1) // lag):
+                    branch, work = "first", ([1 + shallow], 1 + shallow_connected)
+                else:
+                    branch, work = "resumed", ([shallow + len(verdicts)],
+                                               shallow_connected + (not verdicts[0]) + 1)
+                # windows yielded per _connection pass, and _result calls
+                assert (passes, len(searches)) == work
+                branches[branch] += 1
         assert len(rounds) == 9600 and set(rounds) == {2, 3}
         assert min(branches.values()) > 0
 
-    @pytest.mark.parametrize("c_time, searches", [(-1, 1), (-2, 2)])
-    def test_connected_first_window_stops_below_the_dip_bound(self, monkeypatch, c_time,
-                                                              searches):
-        # X_t = X_(t-1)/2 + e_t from t_min = earliest, where a path below
-        # the first window needs 2 edges: the 1-edge witness X@-1 -> X@0
-        # returns at once, the 2-edge X@-2 -> X@-1 -> X@0 searches the
-        # second window; both match a fresh pass per window
+    @pytest.mark.parametrize("c_time, depth", [(-1, 1), (-2, 2), (-2, 3), (-2, 4), (-4, 6)])
+    def test_connected_first_window_stops_below_the_dip_bound(self, monkeypatch, c_time, depth):
+        # X_t = X_(t-1)/2 + e_t, lag 1, from the first window [-depth, 0]:
+        # the witness X@0 <- ... <- X@c_time has -c_time edges, and a path
+        # below window [s, 0] needs 2·(c_time - s + 1). The 1-edge witness is
+        # an edge: no pass runs. From depth 2 the 2-edge witness meets the
+        # first window's bound and the second is searched; from depth 3 it
+        # stops in the first window, and from depth 4 in the shallow window
+        # [-3, 0] ahead of it. From depth 6 the 4-edge witness meets the
+        # shallow window's bound of 4 and falls through to the first. All
+        # match a fresh pass per window
+        t_min = -depth
         spec = VarmaSpec(a=[[[0.0]], [[0.5]]], gamma=[1.0])
         query = SeparationQuery([endo(X, 0)], [], [endo(X, c_time)])
         nodes = (endo(X, 0), endo(X, c_time))
-        *fresh, verdicts = deepening_separation(spec, query, nodes, 0, c_time)
+        *fresh, verdicts = deepening_separation(spec, query, nodes, 0, t_min)
         assert verdicts == [False, False] and len(fresh[0].witness) == 1 - c_time
-        found = []
-        original = effects._result
-        monkeypatch.setattr(effects, "_result", lambda *args: found.append(args)
-                            or original(*args))
-        assert list(effects._deepening_separation(spec, query, nodes, 0, c_time)) == fresh
-        assert fresh[1:] == [(c_time - 1, 0), True] and len(found) == searches
+        passes, searches = count_work(monkeypatch)
+        assert list(effects._deepening_separation(spec, query, nodes, 0, t_min)) == fresh
+        assert fresh[1:] == [(t_min - 1, 0), True]
+        assert (passes, len(searches)) == {
+            (-1, 1): ([], 0), (-2, 2): ([2], 2), (-2, 3): ([1], 1), (-2, 4): ([1], 1),
+            (-4, 6): ([2], 2)}[c_time, depth]
+
+    def test_adjacent_query_runs_no_pass(self, monkeypatch):
+        # an a-c edge decides the query: neither the Bayes-ball pass nor
+        # the witness search runs, for the narrowest and the default window
+        spec = VarmaSpec(a=[[[0.0]], [[0.5]]], gamma=[1.0])
+        query = SeparationQuery([endo(X, 0)], [endo(X, -2)], [endo(X, -1)])
+        passes, searches = count_work(monkeypatch)
+        for t_min in (-2, None):
+            result, window, _ = stable_marginal_separation(spec, query, t_min)
+            assert result.witness == (endo(X, 0), endo(X, -1))
+            assert result == m_separated(marginalized_admg_window(spec, *window), query)
+        assert (passes, searches) == ([], [])
+
+    def test_four_edge_shallow_witness_falls_through(self, monkeypatch):
+        # lag 2: Y@(t-1) -> X@t, Y@(t-1) -> Y@t, X@(t-2) -> X@t, X@(t-2) -> Y@t.
+        # In the shallow window [-3, 0] the witness X@-1 <- Y@-2 <- Y@-3 ->
+        # X@-2 -> X@0 has 4 edges, as many as a path below it needs; the
+        # deeper windows' witness of the same length dips to X@-4 and comes
+        # first in incidence order, so the shallow one must not be returned
+        spec = VarmaSpec(a=[np.zeros((2, 2)), [[0, 0.2], [0, 0.1]], [[-0.1, 0], [0.05, 0]]],
+                         gamma=[1, 1])
+        query = SeparationQuery([endo(X, -1)], [endo(Y, -1)], [endo(X, 0)])
+        shallow = window_separation(spec, query, -3, 0)
+        assert shallow.witness == (endo(X, -1), endo(Y, -2), endo(Y, -3), endo(X, -2), endo(X, 0))
+        passes, searches = count_work(monkeypatch)
+        result, window, _ = stable_marginal_separation(spec, query)
+        assert result.witness == (endo(X, -1), endo(Y, -2), endo(X, -4), endo(X, -2), endo(X, 0))
+        assert (result, window) == (window_separation(spec, query, -12, 0), (-12, 0))
+        assert result == m_separated(marginalized_admg_window(spec, *window), query)
+        assert (passes, len(searches)) == ([2], 2)
+
+    def test_short_witness_exits_on_dense_specs(self):
+        # denser specs than the criterion sampler (d up to 6, sparsity down
+        # to 0.3), with IV cut queries, from the default and the narrowest
+        # first window: every answer equals the fresh-pass loop and
+        # m_separated on the materialized window it reports, among them
+        # shallow-window witnesses of exactly 4 edges, which fall through
+        rng = np.random.default_rng(612)
+        four_edge_shallow = 0
+        for k in range(24):
+            spec = sample_stable_spec(CoefficientSampler(
+                d=1 + k % 6, p=1 + k % 2, q=k % 3, sparsity=(0.3, 0.45, 0.6)[k % 3]), rng)
+            lag = max(spec.max_lag, 1)
+            calls = [simulation._draw_query(rng, spec.d, 5) for _ in range(4)]
+            calls = [(query, (*query.a, *query.b, *query.c), 0, None) for query in calls]
+            for _ in range(2):
+                y, xs, instruments, b = draw_iv_sets(rng, spec.d)
+                calls.append((SeparationQuery(instruments, b, (y,)), (y, *xs, *instruments, *b),
+                              spec.q, EffectQuery(y, xs)))
+            for (query, nodes, above, cut), narrowest in itertools.product(calls, (False, True)):
+                top = max(v.time for v in nodes) + above
+                earliest = min(v.time for v in nodes)
+                t_min = earliest if narrowest else None
+                *fresh, _ = deepening_separation(spec, query, nodes, top, t_min, cut)
+                result, window, stabilized = effects._deepening_separation(
+                    spec, query, nodes, top, t_min, cut)
+                assert [result, window, stabilized] == fresh
+                g = marginalized_admg_window(spec, *window)
+                assert result == m_separated(g if cut is None else cut_causal_edges(g, cut), query)
+                shallow = window_separation(spec, query, earliest - lag, top, cut)
+                four_edge_shallow += not narrowest and len(shallow.witness or ()) == 5
+        assert four_edge_shallow > 0
 
     def test_iv_report_matches_its_last_window(self):
         rng = np.random.default_rng(608)

@@ -364,6 +364,19 @@ class TestSampler:
         with pytest.raises(ModelError, match="no stable draw in"):
             sample_stable_spec(sampler, 0)
 
+    @pytest.mark.parametrize("max_rejections", [0, 10])
+    def test_max_rejections_error_counts_the_draws(self, monkeypatch, max_rejections):
+        # max_rejections = 0 still makes one draw, and the error says so
+        reports = []
+        original = model.ValidationReport
+        monkeypatch.setattr(model, "ValidationReport", lambda **fields: reports.append(
+            fields) or original(**fields))
+        sampler = CoefficientSampler(d=3, p=2, q=0, scale=5.0, max_rejections=max_rejections)
+        draws = max_rejections + 1
+        with pytest.raises(ModelError, match=f"no stable draw in {draws} draws;"):
+            sample_stable_spec(sampler, 0)
+        assert len(reports) == draws
+
     def test_max_rejections_error(self):
         sampler = CoefficientSampler(d=3, p=2, q=0, scale=5.0, max_rejections=10)
         with pytest.raises(ModelError, match="reduce the coefficient scale"):
