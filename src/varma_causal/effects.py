@@ -28,7 +28,7 @@ from .graphs import (
     node_to_json,
     process_nodes,
 )
-from .model import VarmaSpec, remove_instantaneous
+from .model import VarmaSpec, companion_matrix, remove_instantaneous
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
 
@@ -68,18 +68,22 @@ def total_causal_effect(spec: VarmaSpec, query: EffectQuery) -> TotalEffect:
     """Sum of path coefficients over causal paths from each treatment to y.
 
     The sum over all directed paths from S_j@s to S_i@t is the structural
-    impulse response R_(t-s)[i, j] (0 for s > t): R_0 = C = (I - A0)^(-1) and
-    R_h = Σ_(k ≤ min(h, p)) C·A_k·R_(h-k). Cut at their last treatment, the
-    paths from x_k to y give R(x_k, y) = Σ_l R(x_k, x_l)·β_l, one solve whose
-    matrix is unit triangular in causal order. A treatment with no causal path
-    to y that avoids the other treatments, a later one included, gets an exact 0.
+    impulse response R_(t-s)[i, j] (0 for s > t): R_h = E1'·Φ^h·E1·C for Φ
+    the companion matrix of the rewrite's lags C A1..C Ap, E1 its first d
+    columns and C = (I - A0)^(-1), so R_0 = C and, for p = 0, R_h = 0 beyond
+    it. Only the R_h at the time differences of the query nodes are formed,
+    each from Φ^h by repeated squaring, so a treatment h lags back costs
+    O(log h) products. Cut at their last treatment, the paths from x_k to y
+    give R(x_k, y) = Σ_l R(x_k, x_l)·β_l, one solve whose matrix is unit
+    triangular in causal order. A treatment with no causal path to y that
+    avoids the other treatments, a later one included, gets an exact 0.
     """
     y, *x_set = nodes = process_nodes((query.y, *query.x_set), spec.d)
     rw, admg, start = remove_instantaneous(spec), spec._admg, min(v.time for v in nodes)
-    responses = [rw.ice]
-    for h in range(1, max(v.time for v in nodes) - start + 1):
-        responses.append(sum((ak @ responses[h - k] for k, ak in enumerate(rw.ar[:h], 1)),
-                             np.zeros_like(rw.ice)))
+    comp, d, responses = companion_matrix(rw.ar), spec.d, {0: rw.ice}
+    for h in {t.time - x.time for x in x_set for t in (*x_set, y) if t.time > x.time}:
+        responses[h] = (np.linalg.matrix_power(comp, h)[:d, :d] @ rw.ice if rw.ar
+                        else np.zeros_like(rw.ice))
     sums = np.reshape([[responses[t.time - x.time][t.component, x.component]
                         if x.time <= t.time else 0.0 for t in (*x_set, y)] for x in x_set],
                       (len(x_set), len(x_set) + 1))  # R(x_k, t) for t in (*x_set, y)

@@ -24,7 +24,7 @@ from .model import VarmaSpec, companion_matrix, remove_instantaneous
 from .stationary import (CI_DEFAULT_TOL, StateSpaceForm, _check_tol, population_ci,
                          solve_stationary)
 from .effects import _field_dict, stable_marginal_separation
-from .iv import _sample_conditional_covariance
+from .iv import _CHUNK_ROWS, _chunks, _sample_conditional_covariance
 
 
 def default_burn_in(spec: VarmaSpec) -> int:
@@ -114,26 +114,41 @@ def _block_buffer(spec: VarmaSpec, level: int, m: int):
 
 def _var_solve(buf: np.ndarray, m: int, spec: VarmaSpec, level: int = 0) -> np.ndarray:
     """The level's recursion from zero state, driven by the m rows of a
-    :func:`_block_buffer` (raw draws at level 0).
+    :func:`_block_buffer` (raw draws at level 0), solved in place.
 
     One product gives every block's response from zero state, one more adds
     the MA lags reaching into the block before; the companion states at the
     block boundaries solve the next level's recursion, driven by those
-    responses' end states; one more product adds their carries.
+    responses' end states; one more product adds their carries. Each product
+    runs on groups of blocks of about ``_CHUNK_ROWS`` steps, the last group
+    first, so a group's response overwrites its draws only after the group
+    after it has read them, and the result is a view of ``buf``; with one
+    group, it is a view of that group's response. No temporary is larger
+    than a group, and every row takes the same products as in one product
+    over all blocks.
     """
     own, prev, carry, length, lags = _block_operators(spec, level)
     blocks, width = buf.shape
     dim = width // length
     if blocks == 1:
         return (own[:m * dim, :m * dim] @ buf[0, :m * dim]).reshape(m, dim)
-    resp = buf @ own.T
-    if prev.size:
-        resp[1:] += buf[:-1, width - prev.shape[1]:] @ prev.T
+    group = max(1, _CHUNK_ROWS // length)
+    for lo, hi in reversed(_chunks(blocks, group)):
+        resp = buf[lo:hi] @ own.T
+        if prev.size:
+            first = max(lo, 1)
+            resp[first - lo:] += buf[first - 1:hi - 1, width - prev.shape[1]:] @ prev.T
+        if hi - lo < blocks:
+            buf[lo:hi] = resp
+        else:  # one group: its response is the whole result, with no copy
+            buf = resp
     nxt, ends = _block_buffer(spec, level + 1, blocks - 1)
     # companion state after each block but the last: its last rows, newest first
-    ends.reshape(blocks - 1, lags, dim)[:] = resp.reshape(blocks, length, dim)[:-1, ::-1][:, :lags]
-    resp[1:] += _var_solve(nxt, blocks - 1, spec, level + 1) @ carry.T
-    return resp.reshape(-1, dim)[:m]
+    ends.reshape(blocks - 1, lags, dim)[:] = buf.reshape(blocks, length, dim)[:-1, ::-1][:, :lags]
+    states = _var_solve(nxt, blocks - 1, spec, level + 1)
+    for lo, hi in _chunks(blocks - 1, group):
+        buf[lo + 1:hi + 1] += states[lo:hi] @ carry.T
+    return buf.reshape(-1, dim)[:m]
 
 
 @dataclass(frozen=True)
@@ -158,11 +173,13 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     Uses the rewrite without instantaneous effects. The draws go straight
     into the block buffer of :func:`_var_solve`, whose first operator folds
     sqrt(gamma), C and the MA lags into the VAR solve, so a trajectory takes
-    a few matrix products. It equals the per-step recursion up to rounding.
-    Specs without AR lags apply the MA part directly. The series starts from
-    zero, and the burn-in (default 50(p+q)+100 steps) only damps that start
-    by rho^burn for spectral radius rho: near the unit root the transient
-    remains.
+    a few matrix products, applied in place to groups of blocks, so the
+    working memory beyond the series returned is O(d·_CHUNK_ROWS), not
+    series-sized. It equals the per-step recursion up to rounding. Specs
+    without AR lags apply the MA part directly, on whole series-sized
+    arrays. The series starts from zero, and the burn-in (default
+    50(p+q)+100 steps) only damps that start by rho^burn for spectral radius
+    rho: near the unit root the transient remains.
     """
     spec = config.spec
     rw = remove_instantaneous(spec)
@@ -301,6 +318,8 @@ def fisher_z_pvalue(data: np.ndarray, a: TimedNode, c: TimedNode,
     The sample Cov^((a, c) | b) drops b directions with singular value below
     about 1e-5 of the largest, and the r kept give the dof n - r - 3. A
     conditional variance or dof <= 0 gives p = 1.0; a or c in b raises ModelError.
+    The moments are those of :func:`estimate_from_data`, formed in chunks of
+    ``_CHUNK_ROWS`` rows, so the working memory does not grow with n.
     """
     cov, kept, n = _sample_conditional_covariance(data, (a, c), (a, c), b)
     (var_a, cov_ac), (_, var_c) = cov.tolist()

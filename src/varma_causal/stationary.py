@@ -109,19 +109,23 @@ class StateSpaceForm:
 
         q_mat = (g * gamma) @ g.T
         phi = f[:m, :m]
-        # Sigma_z outside its AR block, from Q: Q holds the first eps block
-        # Gamma and the cross block C_0 = E1 Theta_0 Gamma; each later eps block
-        # is Gamma, and C_k = Phi C_(k-1) + E1 Theta_k Gamma, with Theta_k in
-        # F[:d] just left of column block k
-        sigma_z = q_mat.copy()
-        sigma_z[:m, :m] = 0
-        for k in range(m + d, n, d):
-            sigma_z[k:k + d, k:k + d] = q_mat[m:m + d, m:m + d]
-            sigma_z[:m, k:k + d] = phi @ sigma_z[:m, k - d:k] + f[:m, k - d:k] * gamma
-            sigma_z[k:k + d, :m] = sigma_z[:m, k:k + d].T
-        # while the AR block of sigma_z is zero, that of F sigma_z F^T + Q is Q_eff
-        top = f[:m]
-        sigma_z[:m, :m], _ = _solve_lyapunov_doubling(phi, top @ sigma_z @ top.T + q_mat[:m, :m])
+        if q:
+            # Sigma_z outside its AR block, from Q: Q holds the first eps block
+            # Gamma and the cross block C_0 = E1 Theta_0 Gamma; each later eps
+            # block is Gamma, and C_k = Phi C_(k-1) + E1 Theta_k Gamma, with
+            # Theta_k in F[:d] just left of column block k
+            sigma_z = q_mat.copy()
+            sigma_z[:m, :m] = 0
+            for k in range(m + d, n, d):
+                sigma_z[k:k + d, k:k + d] = q_mat[m:m + d, m:m + d]
+                sigma_z[:m, k:k + d] = phi @ sigma_z[:m, k - d:k] + f[:m, k - d:k] * gamma
+                sigma_z[k:k + d, :m] = sigma_z[:m, k:k + d].T
+            # while the AR block of sigma_z is zero, that of F sigma_z F^T + Q is Q_eff
+            top = f[:m]
+            sigma_z[:m, :m], _ = _solve_lyapunov_doubling(
+                phi, top @ sigma_z @ top.T + q_mat[:m, :m])
+        else:  # the state is the AR block, and Q_eff is Q
+            sigma_z, _ = _solve_lyapunov_doubling(phi, q_mat)
 
         gap = sigma_z - f @ sigma_z @ f.T - q_mat
         denom = max(math.sqrt(np.vdot(sigma_z, sigma_z)), np.finfo(float).tiny)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -129,6 +130,31 @@ class TestTotalEffect:
         beta = total_causal_effect(spec, query).beta
         assert np.max(np.abs(beta - brute_force_effect(spec, query))) < 1e-15
         assert list(beta == 0.0) == [False, spec.p == 0, spec.p == 0, True]
+
+    def test_far_treatment_takes_logarithmic_products(self, varma_lagged_spec, monkeypatch):
+        # R_h comes from the companion power Φ^h by repeated squaring, so a
+        # treatment h = 20,000 lags back takes O(log h) matrix products, where
+        # the lag-by-lag recursion took one step per lag; every product that
+        # reads the rewrite's matrices or the companion matrix is counted
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                products.extend([ufunc] if ufunc is np.matmul else [])
+                plain = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                out = getattr(ufunc, method)(*plain, **kwargs)
+                return out.view(Counted) if isinstance(out, np.ndarray) else out
+
+        rw = model.remove_instantaneous(varma_lagged_spec)
+        counted = dataclasses.replace(rw, ice=rw.ice.view(Counted),
+                                      ar=tuple(m.view(Counted) for m in rw.ar))
+        monkeypatch.setattr(effects, "remove_instantaneous", lambda spec: counted)
+        monkeypatch.setattr(effects, "companion_matrix",
+                            lambda ar: model.companion_matrix(ar).view(Counted), raising=False)
+        h = 20_000
+        beta = total_causal_effect(varma_lagged_spec, EffectQuery(endo(Y, 0), (endo(X, -h),))).beta
+        assert beta.shape == (1,) and np.isfinite(beta).all()
+        assert 0 < len(products) <= 2 * h.bit_length() + 1
 
     def test_no_treatments(self, varma_lagged_spec):
         beta = total_causal_effect(varma_lagged_spec, EffectQuery(endo(Y, 0), ())).beta

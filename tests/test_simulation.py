@@ -109,12 +109,13 @@ class TestBlockedRecursion:
     def test_short_series_and_partial_blocks(self, varma_lagged_spec, n, burn_in):
         assert_matches_per_step(SimulationConfig(varma_lagged_spec, n=n, seed=1, burn_in=burn_in))
 
-    @pytest.mark.parametrize("n, burn_in", [(2_000, 0), (2_003, None)])
+    @pytest.mark.parametrize("n, burn_in", [(2_000, 0), (2_003, None), (20_000, 0)])
     def test_moving_average_order_above_block_width(self, n, burn_in):
         # 128 floats hold 4 steps at d = 32, fewer than q = 5, so the
         # level-0 block is stretched to 5 steps and the MA lags reach back
         # over the whole block before; 2,003 + 400 burn-in steps end in a
-        # partial block
+        # partial block, and 20,000 steps take two groups of blocks, so the
+        # MA lags of the second group's first block read draws of the first
         spec = sample_stable_spec(CoefficientSampler(d=32, p=1, q=5), 7)
         assert simulation._block_operators(spec, 0)[3] == 5
         assert_matches_per_step(SimulationConfig(spec, n=n, seed=3, burn_in=burn_in))
@@ -174,6 +175,21 @@ class TestSimulate:
                      for arr in level if isinstance(arr, np.ndarray))
         assert cached < 4e6
         assert kept < 4e6
+
+    def test_working_memory_beyond_the_series(self, varma_lagged_spec):
+        # the recursion runs in place on the buffer that the returned series
+        # views, in groups of about _CHUNK_ROWS steps, so its transient peak
+        # beyond that buffer stays within a few groups, where one product over
+        # all blocks would hold two more series-sized arrays (6.4 MB here)
+        config = SimulationConfig(varma_lagged_spec, n=200_000, seed=1)
+        simulate(config)  # builds the operators of every level it needs
+        tracemalloc.start()
+        try:
+            series = simulate(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - series.nbytes < 4 * simulation._CHUNK_ROWS * varma_lagged_spec.d * 8
 
     def test_white_noise_autocorrelation(self):
         spec = VarmaSpec(a=[np.zeros((2, 2)), np.zeros((2, 2))], gamma=[1, 1])
