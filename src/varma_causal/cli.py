@@ -121,12 +121,12 @@ def _cmd_separate(args) -> int:
     t_min = None
     if args.window is not None:
         t_min = min(v.time for v in (*query.a, *query.b, *query.c)) - args.window
-    result, used, stabilized = stable_marginal_separation(spec, query, t_min=t_min)
+    result, used, depth_certified = stable_marginal_separation(spec, query, t_min=t_min)
     print("separated" if result.separated else "connected")
     if result.witness:
         path = " - ".join(node_label(v, spec.names) for v in result.witness)
         print(f"witness: {path}")
-    print(f"window used: [{used[0]}, {used[1]}]  stabilized: {stabilized}")
+    print(f"window used: [{used[0]}, {used[1]}]  depth_certified: {depth_certified}")
     return 0
 
 

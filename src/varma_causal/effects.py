@@ -6,7 +6,8 @@ the products of edge coefficients, read off the structural impulse responses
 of the rewrite by one linear solve, with no window graph. Separation has no
 constructive window bound; one window-deepening loop serves both
 ``stable_marginal_separation`` and the instrument condition, and reports
-carry the window actually used. The loop builds no window graph: it runs the
+carry the window actually used and whether the verdict is certified for the
+infinite graph. The loop builds no window graph: it runs the
 integer-coded separation core of ``graphs`` on the spec's compiled incidence.
 """
 
@@ -23,6 +24,7 @@ from .graphs import (
     SeparationResult,
     TimedNode,
     _connection,
+    _junction_open,
     _reach,
     _result,
     node_to_json,
@@ -105,6 +107,42 @@ def _causal_cut(coded, y: int, x_set: frozenset, floor: int, ceiling: int) -> se
             for e in ((head + off, head), (head, head + off))}
 
 
+def _short_witness(coded, query, cut, floor: int, deep: int, ceiling: int):
+    """The codes of the witness of one or two edges that ``graphs._result``
+    finds on every window of ``coded`` from [floor, ceiling) down to [deep,
+    ceiling), or None when the witness is longer or its middle node lies
+    under ``floor``. The scan runs in the search's order: the first steps of
+    the a codes as ``_connection`` lists them, an a–c edge first (budget 0),
+    then the edges on from a neighbour of c (budget 1), without the edges in
+    ``cut``. A middle node m is open by ``_junction_open``; An(b), needed
+    only when m is a collider, is taken inside [deep, ceiling). That is
+    exact at m, because no edge points back in time and the caller's
+    ``deep`` lies an edge span below every a code.
+    """
+    a, b, c = query
+    c_set, period, records = set(c), coded.period, coded.records
+    steps = [(u, u + off, there) for u in a for off, here, there in records[u % period]
+             if u + off not in a and not (here != there and (u, u + off) in cut)]
+    for u, other, _ in steps:
+        if other in c_set:
+            return u, other
+    near_c = {w + off for w in c for off, _, _ in records[w % period]}
+    b_set, an_b = set(b), None
+    for u, m, head_m in steps:
+        if m not in near_c:
+            continue
+        for off, here, there in records[m % period]:
+            w = m + off
+            if w not in c_set or (here != there and (m, w) in cut):
+                continue
+            if head_m and here and an_b is None:
+                an_b = _reach(coded, b, coded.parents, deep, ceiling, cut)
+            if _junction_open(m, head_m, here, b_set, an_b):
+                # a middle node under the floor: a deeper window's witness, not the first's
+                return (u, m, w) if m >= floor else None
+    return None
+
+
 def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
                           nodes: Sequence[TimedNode], top: int,
                           t_min: Optional[int], cut: Optional[EffectQuery] = None):
@@ -116,25 +154,36 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     the causal edges of that effect query are removed first. No window is
     built: no edge points back in time, so whether a node of a window is in
     its An(b) or An(a ∪ b ∪ c) does not depend on the window's bottom, and
-    one Bayes-ball pass, extended as the bottom drops (see ``graphs._connection``), decides every round. Each
-    window is an induced subgraph of the next and An(b) only grows, so a
-    path open in one window is open in all deeper ones: verdicts never turn
-    back from connected, and three windows always settle them. The witness
-    is searched on the last window only, except in three early exits for
-    a connected query. A path that leaves [s, top] falls and climbs
-    earliest − s + 1 lags, so it has at least 2·⌈(earliest − s + 1)/lag⌉
-    edges; a witness with fewer edges in window s is then the shortest in
-    every deeper window, tie-break included (the bound is strict, so a path
-    of equal length that dips cannot win the tie). Each exit reports the
-    second window, as the confirming round would:
+    one Bayes-ball pass, extended as the bottom drops (see
+    ``graphs._connection``), decides every round. Each window is an induced
+    subgraph of the next and An(b) only grows, so a path open in one window
+    is open in all deeper ones: verdicts never turn back from connected, and
+    three windows always settle them. The witness is searched on the last
+    window only, except in the early exits below. A path that leaves [s,
+    top] falls and climbs earliest − s + 1 lags, so it has at least
+    2·⌈(earliest − s + 1)/lag⌉ edges; a witness with fewer edges in window s
+    is then the shortest in every deeper window, tie-break included (the
+    bound is strict, so a path of equal length that dips cannot win the
+    tie). Each exit reports the second window, as the confirming round
+    would:
 
     - an a–c edge, not cut, is the witness, first in incidence order; no
       pass runs;
+    - a two-edge witness whose middle node lies in the first window is the
+      witness of every window from there down (see :func:`_short_witness`);
+      no pass runs;
+    - a separated window whose pass parked no state under its floor is
+      separated in every deeper window (see ``graphs._connection``): the
+      verdict is certified for the infinite graph;
     - a witness of under 4 edges in the shallow window s = earliest − lag,
       which the pass tries first when it lies above the first window;
     - a witness in the first window under that window's bound.
 
-    Returns (SeparationResult, (bottom, top) of the last window, stabilized=True).
+    The searches of the last two exits stop at their window's bound.
+
+    Returns (SeparationResult, (bottom, top) of the last window,
+    depth_certified): True for a connected verdict or a certified separated
+    one, False for a separated verdict that only the stopping rule settled.
     """
     admg = spec._admg
     nodes = process_nodes(nodes, spec.d)
@@ -150,31 +199,31 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     lag, start = max(spec.max_lag, 1), min(t_min, earliest)
     # verdicts never turn back from connected, so three windows settle them
     bottoms = range(start, start - 3 * lag, -lag)
-    # the first a–c edge in the order of _connection's first steps (c and a
-    # are disjoint) is the 1-edge witness _result returns at budget 0
-    c_set = set(codes[2])
-    for u in codes[0]:
-        for off, here, there in admg.records[u % admg.period]:
-            if u + off in c_set and not (here != there and (u, u + off) in removed):
-                return (SeparationResult(False, (admg.node(u), admg.node(u + off))),
-                        (bottoms[1], top), True)
+    reported = bottoms[1], top
+    witness = _short_witness(admg, codes, removed, start * spec.d, bottoms[1] * spec.d, ceiling)
+    if witness is not None:
+        return SeparationResult(False, tuple(map(admg.node, witness))), reported, True
     floors = (earliest - lag, *bottoms) if earliest - lag > start else bottoms
     rounds = zip(floors, _connection(admg, codes, (t * spec.d for t in floors),
                                      ceiling, removed))
     for bottom, connection in rounds:
+        if connection is False:
+            return SeparationResult(True), reported, True
         if connection is not None:
             # a path below this window falls and climbs earliest - bottom + 1 lags
-            result = _result(admg, codes, removed, connection, admg.node)
-            if len(result.witness) - 1 < 2 * -(-(earliest - bottom + 1) // lag):
-                return result, (bottoms[1], top), True
+            result = _result(admg, codes, removed, connection, admg.node,
+                             2 * -(-(earliest - bottom + 1) // lag))
+            if result is not None:
+                return result, reported, True
         if bottom == start:
             break
-    previous = connection is None
+    previous = not connection
     for bottom, connection in rounds:
-        if previous == (connection is None):
+        if previous == (not connection):
             break
-        previous = connection is None
-    return _result(admg, codes, removed, connection, admg.node), (bottom, top), True
+        previous = not connection
+    return (_result(admg, codes, removed, connection, admg.node), (bottom, top),
+            connection is not None)
 
 
 def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
@@ -189,18 +238,23 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
     so that takes at most three windows. A connected query whose witness is
     too short to dip below the window it was found in is final at once, and
     the second window, which would find the same witness, is reported
-    without being searched: a query with an edge between a and c runs no
-    pass at all, and a witness of under 4 edges is found in the shallow
-    window that reaches max(p,q,1) lags below the earliest query time. For
+    without being searched: a query with an edge between a and c, or with a
+    two-edge witness inside the first window, runs no pass at all, and a
+    witness of under 4 edges is found in the shallow window that reaches
+    max(p,q,1) lags below the earliest query time. A separated verdict is
+    final at once, and exact for the infinite graph, when the Bayes-ball
+    pass parked no state below its window, so no deeper window can change
+    it. Otherwise the separated verdict rests on the stopping rule: for
     stationary processes some finite depth always suffices, but no
-    constructive bound is available, so this is a heuristic stopping rule:
-    a separated verdict may still turn connected deeper down.
+    constructive bound is available here, so such a verdict may still turn
+    connected deeper down.
     The verdict and witness equal :func:`~varma_causal.graphs.m_separated` on
     ``marginalized_admg_window(spec, *window)``.
 
-    Returns (SeparationResult, (t_min_used, t_max_used), stabilized), where
-    ``stabilized`` is True by construction, kept in the output until a
-    certified depth bound replaces the stopping rule.
+    Returns (SeparationResult, (t_min_used, t_max_used), depth_certified),
+    where ``depth_certified`` is True for a connected verdict and for a
+    separated one certified as above, and False for a separated verdict
+    that only the stopping rule settled.
     """
     nodes = (*query.a, *query.b, *query.c)
     return _deepening_separation(spec, query, nodes, max(v.time for v in nodes), t_min)
@@ -231,9 +285,10 @@ class IvConditionReport:
     cutting the causal treatment edges (condition 1). ``confounding_free``:
     ancestors of b avoid spouses of descendants of x ∪ {y} (condition 2).
     ``rank``/``rank_ok``: rank of E[Cov(X, I | B)] vs dim(X) (condition 3).
-    ``under_identified`` flags dim(X) > dim(I). ``stabilized`` is True by
-    construction, as in :func:`stable_marginal_separation`; the window bounds
-    used are included because the stopping rule is heuristic.
+    ``under_identified`` flags dim(X) > dim(I). ``depth_certified`` says
+    whether condition 1's verdict holds in the infinite graph, as in
+    :func:`stable_marginal_separation`; the window bounds used are included
+    because an uncertified verdict rests on the stopping rule.
     """
 
     instrument_separated: bool
@@ -243,7 +298,7 @@ class IvConditionReport:
     under_identified: bool
     all_hold: bool
     window_used: tuple[int, int]
-    stabilized: bool
+    depth_certified: bool
     witness: Optional[tuple[TimedNode, ...]] = None
 
     to_dict = _field_dict
@@ -267,7 +322,7 @@ def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
     """Conditions 1 and 2 on the marginalized ADMG, with the rank of
     E[Cov(X, I | B)] (condition 3) computed by the caller."""
     nodes = (y, *x_set, *i_set, *b_set)
-    result, (bottom, top), stabilized = _deepening_separation(
+    result, (bottom, top), depth_certified = _deepening_separation(
         spec, SeparationQuery(i_set, b_set, (y,)), nodes,
         max(v.time for v in nodes) + spec.q, None, cut=EffectQuery(y, x_set))
 
@@ -290,7 +345,7 @@ def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
         under_identified=len(x_set) > len(i_set),
         all_hold=result.separated and confounding_free and rank_ok,
         window_used=(bottom, top),
-        stabilized=stabilized,
+        depth_certified=depth_certified,
         witness=result.witness,
     )
 
@@ -305,11 +360,13 @@ def check_iv_conditions(
     """Evaluate the three identification conditions on the marginalized ADMG.
 
     Conditions 1 and 2 run on the spec's compiled marginalized ADMG.
-    Condition 1 uses the deepening-window heuristic of
+    Condition 1 uses the deepening windows of
     :func:`stable_marginal_separation` after cutting the causal treatment
-    edges, on windows topped out q lags above the query. Condition 2 is read
-    off the last of those windows, uncut; it is exact there, because spouse
-    pairs span at most q lags and ancestors of b are bounded by b's times.
+    edges, on windows topped out q lags above the query; ``depth_certified``
+    says whether its verdict is exact for the infinite graph. Condition 2 is
+    read off the last of those windows, uncut; it is exact there, because
+    spouse pairs span at most q lags and ancestors of b are bounded by b's
+    times.
     Condition 3 compares the numerical rank of E[Cov(X, I | B)] (singular
     values above 1e-8 of the largest) with dim(X).
     """

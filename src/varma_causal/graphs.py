@@ -304,7 +304,8 @@ def _junction_open(node, entered_head, exit_head, b_set, an_b):
 
 def _connection(coded: _CodedGraph, query, floors, ceiling: int, cut=frozenset()):
     """For each of the descending ``floors`` in turn: the reachability table
-    of a connected query, or None when b separates it.
+    of a connected query; when b separates it, None if the pass parked a
+    state under the floor, and False if it parked none.
 
     ``query`` holds the code tuples (a, b, c); the graph is ``coded`` inside
     [floor, ceiling) without the edges in ``cut`` (see :func:`_reach`). The
@@ -319,6 +320,9 @@ def _connection(coded: _CodedGraph, query, floors, ceiling: int, cut=frozenset()
     edge points back in time, so a node or state with a step under the floor
     is parked and expanded again when the floor drops. Each yield equals a
     fresh pass on its window; the next floor extends its tables in place.
+    A separated pass that parked no state is final for every lower floor: a
+    lower one makes the same decisions above this floor, and it could reach
+    a new state only by a step under the floor, which would have been parked.
     """
     a, b, c = query
     b_set, period, entering = set(b), coded.period, coded.entering
@@ -348,20 +352,24 @@ def _connection(coded: _CodedGraph, query, floors, ceiling: int, cut=frozenset()
                 if (x in an_b if head_x else free) and entered + 1 not in good:
                     good.add(entered + 1)
                     stack.append(entered + 1)
-        connected = any(2 * other + there in good for _, other, there in starts)
-        yield (keep, an_b, good, starts) if connected else None
+        if any(2 * other + there in good for _, other, there in starts):
+            yield keep, an_b, good, starts
+        else:
+            yield None if parked[2] else False
 
 
-def _result(coded: _CodedGraph, query, cut, connection, node) -> SeparationResult:
+def _result(coded: _CodedGraph, query, cut, connection, node,
+            limit: Optional[int] = None) -> Optional[SeparationResult]:
     """Separated, or connected with its shortest m-connecting path as witness
     (ties broken by incidence order), given what :func:`_connection` found;
-    ``node`` decodes a code.
+    ``node`` decodes a code. With ``limit``, only paths of fewer than
+    ``limit`` edges are searched, and None means the witness is longer.
 
     The witness comes from a depth-first search over simple paths, pruned by
     the reachability table; the table is sound for walks, hence never prunes
     a valid simple-path completion.
     """
-    if connection is None:
+    if not connection:
         return SeparationResult(True)
     keep, an_b, good, starts = connection
     b_set, c_set = set(query[1]), set(query[2])
@@ -386,7 +394,8 @@ def _result(coded: _CodedGraph, query, cut, connection, node) -> SeparationResul
 
     # Iterative deepening returns the shortest connecting path; the budget
     # counts interior nodes still allowed.
-    for budget in range(len(keep)):
+    budgets = len(keep) if limit is None else min(len(keep), limit - 1)
+    for budget in range(budgets):
         for u, other, head_other in starts:
             if other in c_set:
                 return SeparationResult(False, (node(u), node(other)))
@@ -395,6 +404,8 @@ def _result(coded: _CodedGraph, query, cut, connection, node) -> SeparationResul
             found = dfs(dfs, other, head_other, [u, other], {u, other}, budget - 1)
             if found is not None:
                 return SeparationResult(False, tuple(map(node, found)))
+    if budgets < len(keep):
+        return None
     raise GraphError("internal inconsistency: reachability table connected "
                      "but no m-connecting path found")
 

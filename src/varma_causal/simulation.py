@@ -176,8 +176,9 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     a few matrix products, applied in place to groups of blocks, so the
     working memory beyond the series returned is O(d·_CHUNK_ROWS), not
     series-sized. It equals the per-step recursion up to rounding. Specs
-    without AR lags apply the MA part directly, on whole series-sized
-    arrays. The series starts from zero, and the burn-in (default
+    without AR lags apply the MA part directly, in the same groups of
+    ``_CHUNK_ROWS`` steps, last group first, each written over its draws.
+    The series starts from zero, and the burn-in (default
     50(p+q)+100 steps) only damps that start by rho^burn for spectral radius
     rho: near the unit root the transient remains.
     """
@@ -207,9 +208,16 @@ def simulate(config: SimulationConfig) -> np.ndarray:
         series = _var_solve(buf, total, spec)
     else:
         eps *= np.sqrt(spec.gamma)
-        series = eps @ rw.ice.T
-        for lag, mat in enumerate(rw.ma_eps, start=1):
-            series[lag:] += eps[:-lag] @ mat.T
+        # last group first: a group reads the q draws before it, which the
+        # groups before it have not yet overwritten
+        for lo, hi in reversed(_chunks(total, _CHUNK_ROWS)):
+            resp = eps[lo:hi] @ rw.ice.T
+            for lag, mat in enumerate(rw.ma_eps, start=1):
+                first = max(lo, lag)
+                if first < hi:
+                    resp[first - lo:] += eps[first - lag:hi - lag] @ mat.T
+            eps[lo:hi] = resp
+        series = eps
     if not (series.max() <= 1e12 and series.min() >= -1e12):  # also rejects NaN
         raise EstimationError(
             "simulation diverged; re-check the stability of the specification")
@@ -338,7 +346,7 @@ class QueryRecord:
     b: tuple
     c: tuple
     separated: bool
-    stabilized: bool
+    depth_certified: bool
     magnitude: float
     degenerate: bool
     violation: bool
@@ -395,7 +403,7 @@ def _draw_query(rng: np.random.Generator, d: int, window: int) -> SeparationQuer
 def faithfulness_check(spec: VarmaSpec, query: SeparationQuery,
                        tol: float = CI_DEFAULT_TOL,
                        ss: Optional[StateSpaceForm] = None):
-    """Return (separated, ci_verdict, violation, stabilized) for one query.
+    """Return (separated, ci_verdict, violation, depth_certified) for one query.
 
     A faithfulness violation is an m-connected query whose population
     conditional covariance vanishes at tolerance ``tol`` (non-degenerate).
@@ -406,10 +414,10 @@ def faithfulness_check(spec: VarmaSpec, query: SeparationQuery,
     b e_(t-1), Cov(X@-5, X@-2 | X@-3) = 0 although the query is connected).
     """
     ss = ss or solve_stationary(spec)
-    result, _, stabilized = stable_marginal_separation(spec, query)
+    result, _, depth_certified = stable_marginal_separation(spec, query)
     ci = population_ci(ss, query, tol=tol)
     violation = (not result.separated) and ci.independent and not ci.degenerate
-    return result.separated, ci, violation, stabilized
+    return result.separated, ci, violation, depth_certified
 
 
 def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
@@ -432,7 +440,7 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
                 spec, n=4000, seed=int(rng.integers(0, 2**63 - 1))))
         for _ in range(queries_per_trial):
             query = _draw_query(rng, spec.d, window)
-            separated, ci, violation, stabilized = faithfulness_check(spec, query, tol, ss)
+            separated, ci, violation, depth_certified = faithfulness_check(spec, query, tol, ss)
             if kind == "gmp":
                 violation = separated and not ci.independent
             p_value = None
@@ -445,7 +453,7 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
                 trial=trial,
                 a=query.a, b=query.b, c=query.c,
                 separated=separated,
-                stabilized=stabilized,
+                depth_certified=depth_certified,
                 magnitude=ci.max_abs_correlation,
                 degenerate=ci.degenerate,
                 violation=violation,
@@ -470,7 +478,7 @@ def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
         "violations": int(violations),
         "violation_rate": violations / relevant if relevant else 0.0,
         extreme_key: extreme,
-        "all_stabilized": all(r.stabilized for r in records),
+        "uncertified": sum(not r.depth_certified for r in records),
     }
     return ExperimentReport(
         kind=kind, seed=seed, trials=trials, queries_per_trial=queries_per_trial,

@@ -196,15 +196,22 @@ def _schur_complement(joint: np.ndarray, nb: int):
     (S_AB V_k / w_k)(V_k' S_BC) on the kept columns k. The mask of those kept,
     in ``eigh`` order, comes second (``()`` for an empty B); callers only count
     it. On a sample Gram matrix that drops each direction of the B rows whose
-    singular value is below about 1e-5 of the largest.
+    singular value is below about 1e-5 of the largest. For one B node ``eigh``
+    gives w = S_BB and V = 1, so the step is S_AC - (S_AB (1/S_BB)) S_BC,
+    taken directly with the same roundings, and S_AC itself when S_BB = 0.
     """
     if not nb:
         return joint, ()
     na = len(joint) - nb
+    if nb == 1:
+        s_bb = joint[na, 0]
+        kept = np.array([abs(s_bb) > PINV_RTOL * abs(s_bb)])
+        if not kept[0]:
+            return joint[:na, 1:].copy(), kept
+        return joint[:na, 1:] - (joint[:na, :1] * (1 / s_bb)) @ joint[na:, 1:], kept
     w, v = np.linalg.eigh(joint[na:, :nb])
     kept = abs(w) > PINV_RTOL * abs(w).max()
     v = v[:, kept]
-    # times 1/w: for one B node that is S_AC - S_AB (1/S_BB) S_BC, rounded as such
     scaled = joint[:na, :nb] @ v * (1 / w[kept])
     return joint[:na, nb:] - scaled @ (v.T @ joint[na:, nb:]), kept
 
@@ -252,8 +259,11 @@ def population_ci(ss: StateSpaceForm, query: SeparationQuery,
     """
     _check_tol(tol)
     stacked = (*query.a, *query.c)
-    # Python floats round abs, /, * and sqrt as numpy's float64 scalars do
-    cond = conditional_covariance(ss, stacked, stacked, query.b).tolist()
+    # a query's sets are disjoint; Python floats round abs, /, * and sqrt as
+    # numpy's float64 scalars do
+    b = query.b
+    cond = _schur_complement(cross_covariance(ss, (*stacked, *b), (*b, *stacked)),
+                             len(b))[0].tolist()
     uncond = ss.autocov(0).diagonal().tolist()
     na, tiny = len(query.a), float(np.finfo(float).tiny)
     degenerate_node = [cond[k][k] <= 1e-10 * max(uncond[v.component], tiny)

@@ -10,8 +10,9 @@ library's coded incidence.
 from a finite window graph, through the library's ``_causal_cut`` on the
 window's one-slice coding; the IV tests compare the compiled cut against it.
 
-``window_separation`` is one window of the deepening loop: a fresh pass of
-the library's ``_connection`` on the window, from scratch.
+``window_pass`` is one window of the deepening loop: a fresh pass of the
+library's ``_connection`` on the window, from scratch, and
+``window_separation`` its verdict and witness.
 ``deepening_separation`` is the window-deepening loop as it ran before one
 Bayes-ball pass served all of a query's windows: that fresh pass on each
 window, until two verdicts agree or for at most ``DEEPENING_ROUNDS`` windows.
@@ -24,7 +25,9 @@ answers never call, live here too: ``augmented_graph`` (the library's
 doubled-dimension VAR.
 
 ``autocovariances_by_recursion`` is the n x n recursion from which the
-stationary law read its autocovariances before it kept one lag table.
+stationary law read its autocovariances before it kept one lag table, and
+``schur_complement_by_eigh`` the Schur step before it took one conditioning
+node without ``eigh``.
 
 ``exact_lyapunov`` solves X = F X F^T + Q in rationals by the Kronecker
 system (I - F kron F) vec X = vec Q, and ``exact_state_covariance`` builds
@@ -51,7 +54,7 @@ from varma_causal.graphs import (
     m_separated, sorted_nodes)
 from varma_causal.model import VarmaSpec, remove_instantaneous
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
-from varma_causal.stationary import LYAPUNOV_MAX_DOUBLINGS, numerical_rank
+from varma_causal.stationary import LYAPUNOV_MAX_DOUBLINGS, PINV_RTOL, numerical_rank
 
 
 # windows tried by ``deepening_separation`` before it gives up; the library
@@ -323,22 +326,34 @@ def _coded_window_query(spec, query: SeparationQuery, top: int, cut):
     return codes, ceiling, removed
 
 
-def window_separation(spec, query: SeparationQuery, bottom: int, top: int, cut=None):
-    """m-separation on the one marginalized window [bottom, top] of the
-    spec's compiled ADMG, by a fresh pass of ``_connection``, with the causal
-    edges of the effect query ``cut`` removed when given."""
+def window_pass(spec, query: SeparationQuery, bottom: int, top: int, cut=None):
+    """What a fresh pass of ``_connection`` yields on the one marginalized
+    window [bottom, top] of the spec's compiled ADMG, with the causal edges
+    of the effect query ``cut`` removed when given: the reachability table
+    when connected, None when separated with a state parked under the
+    bottom, False when separated with none parked."""
     admg = spec._admg
     codes, ceiling, removed = _coded_window_query(spec, query, top, cut)
-    connection = next(_connection(admg, codes, (bottom * spec.d,), ceiling, removed))
-    return _result(admg, codes, removed, connection, admg.node)
+    return next(_connection(admg, codes, (bottom * spec.d,), ceiling, removed))
+
+
+def window_separation(spec, query: SeparationQuery, bottom: int, top: int, cut=None):
+    """m-separation on the one marginalized window [bottom, top], from
+    :func:`window_pass`."""
+    admg = spec._admg
+    codes, _, removed = _coded_window_query(spec, query, top, cut)
+    return _result(admg, codes, removed, window_pass(spec, query, bottom, top, cut), admg.node)
 
 
 def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
                          t_min: Optional[int], cut=None):
     """``effects._deepening_separation`` with a fresh pass per window.
 
-    Returns (SeparationResult, (bottom, top) of the last window, stabilized,
-    the separated verdict of each window in turn).
+    Returns (SeparationResult, (bottom, top) of the last window,
+    depth_certified, the separated verdict of each window in turn), where
+    depth_certified holds when the verdicts agreed twice within
+    ``DEEPENING_ROUNDS`` windows and the last window is connected or its
+    pass parked nothing.
     """
     admg = spec._admg
     codes, ceiling, removed = _coded_window_query(spec, query, top, cut)
@@ -350,13 +365,13 @@ def deepening_separation(spec, query: SeparationQuery, nodes, top: int,
     verdicts, stabilized = [], False
     for _ in range(DEEPENING_ROUNDS):
         bottom -= lag
-        connection = next(_connection(admg, codes, (bottom * spec.d,), ceiling, removed))
-        verdicts.append(connection is None)
+        connection = window_pass(spec, query, bottom, top, cut)
+        verdicts.append(not connection)
         if verdicts[-2:] == [verdicts[-1]] * 2:
             stabilized = True
             break
     result = _result(admg, codes, removed, connection, admg.node)
-    return result, (bottom, top), stabilized, verdicts
+    return result, (bottom, top), stabilized and connection is not None, verdicts
 
 
 def lyapunov_doubling_by_difference(f, q):
@@ -372,6 +387,19 @@ def lyapunov_doubling_by_difference(f, q):
         if done:
             break
     return (sigma + sigma.T) / 2.0, iterations
+
+
+def schur_complement_by_eigh(joint: np.ndarray, nb: int):
+    """The library's Schur step as it ran for every non-empty B before it
+    took one B node without ``eigh``: S_AC - (S_AB V_k / w_k)(V_k' S_BC)
+    over the eigenvalues w_k of S_BB above PINV_RTOL of the largest, and
+    the mask of those kept."""
+    na = len(joint) - nb
+    w, v = np.linalg.eigh(joint[na:, :nb])
+    kept = abs(w) > PINV_RTOL * abs(w).max()
+    v = v[:, kept]
+    scaled = joint[:na, :nb] @ v * (1 / w[kept])
+    return joint[:na, nb:] - scaled @ (v.T @ joint[na:, nb:]), kept
 
 
 def autocovariances_by_recursion(ss, span: int) -> dict:

@@ -166,7 +166,7 @@ class TestIvCommand:
         assert list(payload) == ["beta", "moment_residual", "conditions", "sample_size"]
         assert list(payload["conditions"]) == [
             "instrument_separated", "confounding_free", "rank", "rank_ok",
-            "under_identified", "all_hold", "window_used", "stabilized", "witness"]
+            "under_identified", "all_hold", "window_used", "depth_certified", "witness"]
         assert payload["conditions"]["witness"] == [
             {"component": 0, "time": -2, "kind": "endogenous"},
             {"component": 1, "time": -1, "kind": "endogenous"},
@@ -325,13 +325,14 @@ class TestExperimentCommand:
         assert list(data) == ["kind", "seed", "trials", "queries_per_trial", "window",
                               "tol", "mode", "summary", "records"]
         record = data["records"][0]
-        assert list(record) == ["trial", "a", "b", "c", "separated", "stabilized",
+        assert list(record) == ["trial", "a", "b", "c", "separated", "depth_certified",
                                 "magnitude", "degenerate", "violation", "p_value"]
         assert all(list(node) == ["component", "time", "kind"]
                    for node in record["a"] + record["b"] + record["c"])
         assert isinstance(record["p_value"], float)
         lines = csv_path.read_text().splitlines()
-        assert lines[0] == "trial,a,b,c,separated,stabilized,magnitude,degenerate,violation,p_value"
+        assert lines[0] == ("trial,a,b,c,separated,depth_certified,magnitude,degenerate,"
+                            "violation,p_value")
         assert len(lines) == 3
 
 

@@ -12,6 +12,7 @@ from varma_causal import (
     GraphError,
     ModelError,
     SeparationQuery,
+    SeparationResult,
     VarmaSpec,
     check_iv_conditions,
     endo,
@@ -25,7 +26,7 @@ from varma_causal import (
 from varma_causal import effects, graphs, model, simulation
 from reference import (
     DEEPENING_ROUNDS, cut_causal_edges, deepening_separation, is_m_connecting_path,
-    window_separation)
+    window_pass, window_separation)
 from test_acceptance import mixed_sampler
 from test_model import random_stable_spec
 
@@ -253,7 +254,7 @@ class TestIvConditions:
             (endo(X, -2), endo(Y, -2)))
         assert report.all_hold
         assert report.rank == 2
-        assert report.stabilized
+        assert report.depth_certified
         assert not report.under_identified
 
     def test_report_serializes(self, varma_lagged_spec):
@@ -305,15 +306,15 @@ class TestIvConditions:
                     monkeypatch.setattr(module, name, forbidden)
 
         query = SeparationQuery([endo(X, 0)], [endo(X, -1), endo(Y, -1)], [endo(Y, 0)])
-        first, _, stabilized = stable_marginal_separation(spec, query)
-        assert first.separated and stabilized
+        first, _, depth_certified = stable_marginal_separation(spec, query)
+        assert first.separated and depth_certified
         shifted = SeparationQuery([endo(X, 3)], [endo(Y, 2)], [endo(Y, 5)])
         assert not stable_marginal_separation(spec, shifted)[0].separated
         assert len(validations) == 1
         report = check_iv_conditions(
             spec, endo(Y, 0), (endo(X, -1), endo(Y, -1)),
             (endo(X, -2), endo(Y, -2)), b_set=(endo(Y, -3),))
-        assert report.stabilized
+        assert report.depth_certified
         effect = total_causal_effect(spec, EffectQuery(endo(Y, 0), (endo(X, -1), endo(Y, -1))))
         assert np.max(np.abs(effect.beta - [1 / 3, 1 / 2])) < 1e-15
         assert len(compiles) == 1
@@ -334,8 +335,8 @@ class TestIvConditions:
 class TestStableSeparation:
     def test_known_separation_on_varma_lagged(self, varma_lagged_spec):
         q = SeparationQuery([endo(X, 0)], [endo(X, -1), endo(Y, -1)], [endo(Y, 0)])
-        result, window, stabilized = stable_marginal_separation(varma_lagged_spec, q)
-        assert result.separated and stabilized
+        result, window, depth_certified = stable_marginal_separation(varma_lagged_spec, q)
+        assert result.separated and depth_certified
         assert window[1] == 0
 
     def test_translation_consistency(self, varma_lagged_spec):
@@ -383,7 +384,7 @@ def settles_below(window, bottom, top, lag):
 def count_work(monkeypatch):
     """Count the separation core's work in effects: one entry per
     ``_connection`` pass, the number of windows it yielded, and one entry
-    per ``_result`` call."""
+    per ``_result`` call, what it returned."""
     passes, searches = [], []
     connection, result = effects._connection, effects._result
 
@@ -393,9 +394,12 @@ def count_work(monkeypatch):
             passes[-1] += 1
             yield found
 
+    def counted_result(*args):
+        searches.append(result(*args))
+        return searches[-1]
+
     monkeypatch.setattr(effects, "_connection", counted_connection)
-    monkeypatch.setattr(effects, "_result", lambda *args: searches.append(None)
-                        or result(*args))
+    monkeypatch.setattr(effects, "_result", counted_result)
     return passes, searches
 
 
@@ -454,13 +458,16 @@ class TestWindowOracle:
         # the cut separation of _iv_report: one pass extended across the
         # windows against a fresh pass per window, from the default first
         # window and from the narrowest one, which the verdicts outgrow.
-        # Each answer takes one branch, with its own work: an a-c edge
-        # returns before any pass; a witness with fewer edges than a path
-        # dipping below the window needs returns from the shallow window
-        # [earliest - lag, top], tried first when it lies above the first
-        # window, or from the first window; otherwise the pass resumes below
+        # Each answer takes one branch, with its own work: an a-c edge, or
+        # a two-edge witness whose middle node lies in the first window,
+        # returns before any pass; a separated window whose pass parked
+        # nothing is certified at once; a witness with fewer edges than a
+        # path dipping below the window needs returns from the shallow
+        # window [earliest - lag, top], tried first when it lies above the
+        # first window, or from the first window; otherwise the pass resumes
         passes, searches = count_work(monkeypatch)
-        rounds, branches = [], dict.fromkeys(("adjacent", "shallow", "first", "resumed"), 0)
+        rounds, branches = [], dict.fromkeys(
+            ("adjacent", "two-edge", "certified", "shallow", "first", "resumed"), 0)
         for trial in range(200):
             rng = np.random.default_rng((707, trial))
             spec = mixed_sampler(rng)
@@ -487,11 +494,18 @@ class TestWindowOracle:
                 rounds.append(len(verdicts))
                 start = earliest - (0 if narrowest else (spec.max_lag + 1) * (spec.d + 1))
                 shallow = earliest - lag > start
-                shallow_connected = shallow and not window_separation(
-                    spec, query, earliest - lag, top, cut).separated
+                # what a fresh pass yields on the shallow and the first window
+                early = [window_pass(spec, query, bottom, top, cut)
+                         for bottom in (earliest - lag, start)[1 - shallow:]]
+                certified = [i for i, found in enumerate(early) if found is False]
+                shallow_connected = shallow and bool(early[0])
                 edges = math.inf if fresh[0].separated else len(fresh[0].witness) - 1
                 if edges == 1:
                     branch, work = "adjacent", ([], 0)
+                elif edges == 2 and fresh[0].witness[1].time >= start:
+                    branch, work = "two-edge", ([], 0)
+                elif certified:
+                    branch, work = "certified", ([1 + certified[0]], 0)
                 elif shallow and edges < 4:
                     branch, work = "shallow", ([1], 1)
                 elif edges < 2 * -(-(earliest - start + 1) // lag):
@@ -505,17 +519,19 @@ class TestWindowOracle:
         assert len(rounds) == 9600 and set(rounds) == {2, 3}
         assert min(branches.values()) > 0
 
-    @pytest.mark.parametrize("c_time, depth", [(-1, 1), (-2, 2), (-2, 3), (-2, 4), (-4, 6)])
+    @pytest.mark.parametrize("c_time, depth", [(-1, 1), (-2, 2), (-2, 3), (-2, 4), (-4, 6),
+                                               (-3, 3), (-3, 4), (-3, 5)])
     def test_connected_first_window_stops_below_the_dip_bound(self, monkeypatch, c_time, depth):
         # X_t = X_(t-1)/2 + e_t, lag 1, from the first window [-depth, 0]:
         # the witness X@0 <- ... <- X@c_time has -c_time edges, and a path
         # below window [s, 0] needs 2·(c_time - s + 1). The 1-edge witness is
-        # an edge: no pass runs. From depth 2 the 2-edge witness meets the
-        # first window's bound and the second is searched; from depth 3 it
-        # stops in the first window, and from depth 4 in the shallow window
-        # [-3, 0] ahead of it. From depth 6 the 4-edge witness meets the
-        # shallow window's bound of 4 and falls through to the first. All
-        # match a fresh pass per window
+        # an edge and the 2-edge one has its middle node in the first
+        # window: no pass runs. The 3-edge witness from depth 3 meets the
+        # first window's bound of 2 and the second is searched; from depth 4
+        # it stops in the first window, and from depth 5 in the shallow
+        # window [-4, 0] ahead of it. From depth 6 the 4-edge witness meets
+        # the shallow window's bound of 4 and falls through to the first.
+        # All match a fresh pass per window
         t_min = -depth
         spec = VarmaSpec(a=[[[0.0]], [[0.5]]], gamma=[1.0])
         query = SeparationQuery([endo(X, 0)], [], [endo(X, c_time)])
@@ -526,8 +542,9 @@ class TestWindowOracle:
         assert list(effects._deepening_separation(spec, query, nodes, 0, t_min)) == fresh
         assert fresh[1:] == [(t_min - 1, 0), True]
         assert (passes, len(searches)) == {
-            (-1, 1): ([], 0), (-2, 2): ([2], 2), (-2, 3): ([1], 1), (-2, 4): ([1], 1),
-            (-4, 6): ([2], 2)}[c_time, depth]
+            (-1, 1): ([], 0), (-2, 2): ([], 0), (-2, 3): ([], 0), (-2, 4): ([], 0),
+            (-4, 6): ([2], 2), (-3, 3): ([2], 2), (-3, 4): ([1], 1),
+            (-3, 5): ([1], 1)}[c_time, depth]
 
     def test_adjacent_query_runs_no_pass(self, monkeypatch):
         # an a-c edge decides the query: neither the Bayes-ball pass nor
@@ -557,16 +574,91 @@ class TestWindowOracle:
         assert result.witness == (endo(X, -1), endo(Y, -2), endo(X, -4), endo(X, -2), endo(X, 0))
         assert (result, window) == (window_separation(spec, query, -12, 0), (-12, 0))
         assert result == m_separated(marginalized_admg_window(spec, *window), query)
-        assert (passes, len(searches)) == ([2], 2)
+        # the shallow search stops at its bound: it finds no witness under 4 edges
+        assert passes == [2] and searches == [None, result]
 
-    def test_short_witness_exits_on_dense_specs(self):
+    def test_two_edge_witness_under_the_first_window_falls_through(self, monkeypatch):
+        # X_t = X_(t-1)/2 + e, Y_t = X_(t-1)/2 + e': the witness X@0 <- X@-1
+        # -> Y@0 has its middle node one lag under the narrowest first
+        # window [0, 0], which is separated; the pass settles at (-2, 0),
+        # where accepting the two-edge witness would report (-1, 0)
+        spec = VarmaSpec(a=[np.zeros((2, 2)), [[0.5, 0], [0.5, 0]]], gamma=[1, 1])
+        query = SeparationQuery([endo(X, 0)], [], [endo(Y, 0)])
+        nodes = (endo(X, 0), endo(Y, 0))
+        *fresh, verdicts = deepening_separation(spec, query, nodes, 0, 0)
+        assert verdicts == [True, False, False]
+        passes, searches = count_work(monkeypatch)
+        assert list(effects._deepening_separation(spec, query, nodes, 0, 0)) == fresh
+        assert fresh[:2] == [SeparationResult(False, (endo(X, 0), endo(X, -1), endo(Y, 0))),
+                             (-2, 0)]
+        assert (passes, len(searches)) == ([3], 1)
+        # from the default first window the same witness needs no pass
+        passes.clear()
+        searches.clear()
+        assert stable_marginal_separation(spec, query) == (fresh[0], (-7, 0), True)
+        assert (passes, searches) == ([], [])
+
+    @pytest.mark.parametrize("ar, certified", [(0.0, True), (0.5, False)])
+    def test_separated_verdict_certified_when_nothing_parks(self, monkeypatch, ar, certified):
+        # X_t = ar·X_(t-1) + e_t, X@0 against X@-2 given X@-1. With ar = 0
+        # X@-2 has no ancestor, the walk back from it stops at once, and the
+        # shallow window certifies the verdict. With ar = 1/2 the walk climbs
+        # down X@-2's parents to every floor: the verdict rests on the two
+        # agreeing windows, as a fresh pass per window finds
+        spec = VarmaSpec(a=[[[0.0]], [[ar]]], gamma=[1.0])
+        query = SeparationQuery([endo(X, 0)], [endo(X, -1)], [endo(X, -2)])
+        nodes = (*query.a, *query.b, *query.c)
+        fresh = deepening_separation(spec, query, nodes, 0, None)
+        passes, searches = count_work(monkeypatch)
+        result, window, depth_certified = stable_marginal_separation(spec, query)
+        assert [result, window, depth_certified] == list(fresh[:3])
+        assert result.separated and depth_certified == certified
+        assert window_separation(spec, query, window[0] - 40, 0).separated
+        assert (window_pass(spec, query, -3, 0) is False) == certified
+        # certified in the shallow window, or the pass runs on to the second
+        assert (passes, len(searches)) == (([1], 0) if certified else ([3], 1))
+
+    def test_certified_verdicts_hold_40_lags_deeper(self):
+        # criterion-07-style queries and IV cut queries (seed 2707): every
+        # certified separated verdict is separated on a window 40 lag steps
+        # below the one reported, and connected answers are certified
+        rng = np.random.default_rng(2707)
+        certified = uncertified = 0
+        for _ in range(200):
+            spec = mixed_sampler(rng)
+            lag = max(spec.max_lag, 1)
+            calls = [simulation._draw_query(rng, spec.d, 5) for _ in range(20)]
+            calls = [(query, (*query.a, *query.b, *query.c), 0, None) for query in calls]
+            for _ in range(4):
+                y, xs, instruments, b = draw_iv_sets(rng, spec.d)
+                calls.append((SeparationQuery(instruments, b, (y,)), (y, *xs, *instruments, *b),
+                              spec.q, EffectQuery(y, xs)))
+            for query, nodes, above, cut in calls:
+                top = max(v.time for v in nodes) + above
+                result, (bottom, _), depth_certified = effects._deepening_separation(
+                    spec, query, nodes, top, None, cut)
+                if not result.separated:
+                    assert depth_certified
+                elif depth_certified:
+                    certified += 1
+                    assert window_separation(spec, query, bottom - 40 * lag, top, cut).separated
+                else:
+                    uncertified += 1
+        assert certified > 5 * uncertified > 0
+
+    def test_short_witness_exits_on_dense_specs(self, monkeypatch):
         # denser specs than the criterion sampler (d up to 6, sparsity down
         # to 0.3), with IV cut queries, from the default and the narrowest
         # first window: every answer equals the fresh-pass loop and
         # m_separated on the materialized window it reports, among them
-        # shallow-window witnesses of exactly 4 edges, which fall through
+        # shallow-window witnesses of exactly 4 edges, which fall through,
+        # two-edge witnesses that run no pass, IV cut ones among them, and
+        # two-edge witnesses under the narrowest first window, which do not
+        # return before the pass
+        passes, _ = count_work(monkeypatch)
         rng = np.random.default_rng(612)
         four_edge_shallow = 0
+        two_edge = dict.fromkeys(("exit", "cut exit", "narrow fall-through"), 0)
         for k in range(24):
             spec = sample_stable_spec(CoefficientSampler(
                 d=1 + k % 6, p=1 + k % 2, q=k % 3, sparsity=(0.3, 0.45, 0.6)[k % 3]), rng)
@@ -582,14 +674,23 @@ class TestWindowOracle:
                 earliest = min(v.time for v in nodes)
                 t_min = earliest if narrowest else None
                 *fresh, _ = deepening_separation(spec, query, nodes, top, t_min, cut)
-                result, window, stabilized = effects._deepening_separation(
+                passes.clear()
+                result, window, depth_certified = effects._deepening_separation(
                     spec, query, nodes, top, t_min, cut)
-                assert [result, window, stabilized] == fresh
+                assert [result, window, depth_certified] == fresh
                 g = marginalized_admg_window(spec, *window)
                 assert result == m_separated(g if cut is None else cut_causal_edges(g, cut), query)
                 shallow = window_separation(spec, query, earliest - lag, top, cut)
                 four_edge_shallow += not narrowest and len(shallow.witness or ()) == 5
+                if len(result.witness or ()) == 3:
+                    # no pass runs iff the middle node lies in the first window
+                    start = window[0] + lag
+                    assert (passes == []) == (result.witness[1].time >= start)
+                    key = ("narrow fall-through" if passes
+                           else "cut exit" if cut is not None else "exit")
+                    two_edge[key] += 1
         assert four_edge_shallow > 0
+        assert min(two_edge.values()) > 0
 
     def test_iv_report_matches_its_last_window(self):
         rng = np.random.default_rng(608)
@@ -665,20 +766,21 @@ class TestIntegerCoding:
         for spec in sampled_query_specs(rng, 9):
             for _ in range(4):
                 query = simulation._draw_query(rng, spec.d, 5)
-                result, (lo, hi), stabilized = stable_marginal_separation(spec, query)
-                moved, window, moved_stabilized = stable_marginal_separation(
+                result, (lo, hi), depth_certified = stable_marginal_separation(spec, query)
+                moved, window, moved_certified = stable_marginal_separation(
                     spec, SeparationQuery(*(shifted(n, s) for n in (query.a, query.b, query.c))))
                 assert moved.separated == result.separated
                 assert moved.witness == (result.witness and shifted(result.witness, s))
-                assert (window, moved_stabilized) == ((lo + s, hi + s), stabilized)
+                assert (window, moved_certified) == ((lo + s, hi + s), depth_certified)
                 y, xs, instruments, b = draw_iv_sets(rng, spec.d)
                 report = check_iv_conditions(spec, y, xs, instruments, b)
                 moved = check_iv_conditions(spec, *shifted((y,), s), shifted(xs, s),
                                             shifted(instruments, s), shifted(b, s))
                 assert moved.window_used == tuple(t + s for t in report.window_used)
                 assert moved.witness == (report.witness and shifted(report.witness, s))
-                assert (moved.instrument_separated, moved.confounding_free, moved.stabilized) == (
-                    report.instrument_separated, report.confounding_free, report.stabilized)
+                assert (moved.instrument_separated, moved.confounding_free,
+                        moved.depth_certified) == (report.instrument_separated,
+                                                   report.confounding_free, report.depth_certified)
 
     def test_one_component(self):
         # d = 1: the code is the time itself
@@ -686,12 +788,13 @@ class TestIntegerCoding:
         verdicts = []
         for ma in ([], [[[0.4]]]):
             spec = VarmaSpec([[[0]], [[0.5]], [[-0.2]]], ma, [1])
-            result, window, stabilized = stable_marginal_separation(spec, query)
-            assert stabilized
+            result, window, depth_certified = stable_marginal_separation(spec, query)
             assert result == m_separated(marginalized_admg_window(spec, *window), query)
-            verdicts.append(result.separated)
-        # two past values screen off an AR(2), not an ARMA(2, 1)
-        assert verdicts == [True, False]
+            verdicts.append((result.separated, depth_certified))
+        # two past values screen off an AR(2), not an ARMA(2, 1); the walk
+        # back from c = X@-3 through its unconditioned parents reaches every
+        # floor, so the separated verdict is left uncertified
+        assert verdicts == [(True, False), (False, True)]
 
     def test_offsets_wrapping_across_a_time_slice(self):
         # S2@-1 -> S0@0 has code offset +1 and S0@-1 -> S2@0 offset -1: both

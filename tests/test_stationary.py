@@ -27,7 +27,7 @@ from varma_causal import (
     solve_stationary,
     validate,
 )
-from varma_causal import stationary
+from varma_causal import iv, stationary
 from varma_causal.stationary import (
     LYAPUNOV_MAX_DOUBLINGS,
     LYAPUNOV_RESIDUAL_RTOL,
@@ -38,7 +38,7 @@ from varma_causal.stationary import (
 )
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
 from reference import (autocovariances_by_recursion, embed_as_var, exact_state_covariance,
-                       lyapunov_doubling_by_difference)
+                       lyapunov_doubling_by_difference, schur_complement_by_eigh)
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -387,6 +387,61 @@ class TestPseudoInverse:
                     inverse = -schur_of_blocks(monkeypatch, np.zeros((m, m)), eye, eye, s_bb)
                     expected = np.linalg.pinv(s_bb, rcond=PINV_RTOL, hermitian=True)
                     assert np.linalg.norm(inverse - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+class TestOneNodeSchurStep:
+    """One B node takes S_AC - (S_AB (1/S_BB)) S_BC without ``eigh``; on a
+    1 x 1 matrix ``eigh`` gives w = S_BB and V = 1, so the bytes and the
+    kept mask are those of the ``eigh`` route."""
+
+    @staticmethod
+    def assert_same_bytes(joint):
+        got, kept = stationary._schur_complement(joint, 1)
+        want, want_kept = schur_complement_by_eigh(joint, 1)
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        assert kept.tolist() == want_kept.tolist()
+
+    def test_population_side(self):
+        rng = np.random.default_rng(2701)
+        for k in range(40):
+            spec = sample_stable_spec(CoefficientSampler(
+                d=1 + k % 3, p=1 + k % 2, q=k % 3, sparsity=0.3), rng)
+            ss = solve_stationary(spec)
+            pool = [endo(i, -t) for t in range(6) for i in range(spec.d)]
+            for _ in range(5):
+                nodes = [pool[j] for j in rng.permutation(len(pool))[:5]]
+                na = int(rng.integers(1, 3))
+                a, b, c = nodes[:na], nodes[na:na + 1], nodes[na + 1:]
+                self.assert_same_bytes(cross_covariance(ss, (*a, *b), (*b, *c)))
+                stacked = (*a, *c)
+                self.assert_same_bytes(cross_covariance(ss, (*stacked, *b), (*b, *stacked)))
+
+    def test_sample_side(self, varma_lagged_spec, monkeypatch):
+        # the (A ∪ B) x (B ∪ C) Gram matrices that estimate_from_data and
+        # fisher_z_pvalue form, one chunk and several
+        joints = []
+        original = iv._schur_complement
+        monkeypatch.setattr(iv, "_schur_complement",
+                            lambda joint, nb: joints.append(joint.copy()) or original(joint, nb))
+        for n in (500, 40_000):
+            series = simulate(SimulationConfig(varma_lagged_spec, n=n, seed=n))
+            estimate_from_data(series, IvQuery(endo(Y, 0), (endo(X, -1),), (endo(X, -2),),
+                                               (endo(Y, -3),)))
+            fisher_z_pvalue(series, endo(X, 0), endo(Y, -1), (endo(X, -2),))
+        assert len(joints) == 4
+        for joint in joints:
+            self.assert_same_bytes(joint)
+
+    @pytest.mark.parametrize("s_bb", [0.0, -0.0, 1e-300, -2.5, 1e300])
+    def test_edge_values_of_s_bb(self, s_bb):
+        # S_BB = 0 keeps nothing and returns S_AC, signed zeros included
+        joint = np.array([[1.5, -0.0, 0.0, 2.0],
+                          [-3.0, 0.25, -0.0, 7.0],
+                          [s_bb, 0.5, -1.25, 3.0]])
+        self.assert_same_bytes(joint)
+        got, kept = stationary._schur_complement(joint, 1)
+        if s_bb == 0:
+            assert not kept[0] and got.tobytes() == joint[:2, 1:].tobytes()
 
 
 class TestPopulationCi:
