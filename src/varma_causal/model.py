@@ -119,7 +119,9 @@ def instantaneous_order(a0: np.ndarray):
     Returns None when the support graph is cyclic.
     """
     d = a0.shape[0]
-    order = _kahn_order(range(d), lambda j: np.flatnonzero(a0[:, j]).tolist(), int)
+    # the children of j, read once: the rows i with A0[i, j] != 0 (-0.0 is zero)
+    children = [[i for i, edge in enumerate(col) if edge] for col in (a0 != 0).T.tolist()]
+    order = _kahn_order(range(d), children.__getitem__, int)
     return order if len(order) == d else None
 
 

@@ -29,6 +29,8 @@ CI_DEFAULT_TOL = 1e-7
 # LYAPUNOV_STEP_RTOL of its Frobenius norm, or after LYAPUNOV_MAX_DOUBLINGS
 LYAPUNOV_STEP_RTOL = 1e-12
 LYAPUNOV_MAX_DOUBLINGS = 200
+# the smallest positive normal float, the floor of relative cutoffs
+_TINY = float(np.finfo(float).tiny)
 
 
 def _solve_lyapunov_doubling(f: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, int]:
@@ -55,7 +57,7 @@ def _solve_lyapunov_doubling(f: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, 
 
 def _rank_of(svals: np.ndarray) -> int:
     """Number of the singular values ``svals`` above RANK_RTOL times the largest."""
-    cutoff = RANK_RTOL * max(svals.max(initial=0.0), np.finfo(float).tiny)
+    cutoff = RANK_RTOL * max(svals.max(initial=0.0), _TINY)
     return int(np.count_nonzero(svals > cutoff))
 
 
@@ -89,7 +91,10 @@ class StateSpaceForm:
     AR block anew; nothing is cached across forms. The autocovariances are
     kept in one lag table, grown on demand by the n x d column blocks
     X_h = F X_(h-1) from X_0 = Sigma_z[:, :d]: the top d rows of X_h are
-    autocov(h), and only the last block is kept to grow from.
+    autocov(h), and only the last block is kept to grow from. ``population_ci``
+    reads the table as nested Python lists, built from it on first request and
+    kept paired with the table they came from, so a grown table makes them
+    stale; the other readers gather from the array and build no lists.
     """
 
     def __init__(self, spec: VarmaSpec):
@@ -128,7 +133,7 @@ class StateSpaceForm:
             sigma_z, _ = _solve_lyapunov_doubling(phi, q_mat)
 
         gap = sigma_z - f @ sigma_z @ f.T - q_mat
-        denom = max(math.sqrt(np.vdot(sigma_z, sigma_z)), np.finfo(float).tiny)
+        denom = max(math.sqrt(np.vdot(sigma_z, sigma_z)), _TINY)
         residual = math.sqrt(np.vdot(gap, gap)) / denom
         if residual > LYAPUNOV_RESIDUAL_RTOL:
             raise ModelError(
@@ -140,8 +145,10 @@ class StateSpaceForm:
         self.sigma_z = sigma_z
         self.residual = float(residual)
         sigma_z.setflags(write=False)
-        # (lag table for s = 0, X_0), swapped as one pair for concurrent readers
+        # (lag table for s = 0, X_0), swapped as one pair for concurrent readers;
+        # (lag table, its rows as lists), likewise, built on request
         self._lags = sigma_z[None, :d, :d], sigma_z[:, :d]
+        self._rows = None, None
 
     def autocov(self, h: int) -> np.ndarray:
         """Cov(S_t, S_(t-h)), read-only; autocov(-h) is autocov(h).T."""
@@ -161,6 +168,15 @@ class StateSpaceForm:
             table.setflags(write=False)
             self._lags = table, block
         return table
+
+    def _lag_rows(self, span: int) -> list:
+        """``_lag_table(span)`` as nested lists of Python floats."""
+        table = self._lag_table(span)
+        rows = self._rows
+        if rows[0] is not table:
+            rows = table, table.tolist()
+            self._rows = rows
+        return rows[1]
 
 
 def solve_stationary(spec: VarmaSpec) -> StateSpaceForm:
@@ -199,6 +215,9 @@ def _schur_complement(joint: np.ndarray, nb: int):
     singular value is below about 1e-5 of the largest. For one B node ``eigh``
     gives w = S_BB and V = 1, so the step is S_AC - (S_AB (1/S_BB)) S_BC,
     taken directly with the same roundings, and S_AC itself when S_BB = 0.
+    When every eigenvalue is kept, V is not copied through the mask; it is
+    only laid out column-major, as the mask's copy would be, so the products
+    round the same.
     """
     if not nb:
         return joint, ()
@@ -211,8 +230,11 @@ def _schur_complement(joint: np.ndarray, nb: int):
         return joint[:na, 1:] - (joint[:na, :1] * (1 / s_bb)) @ joint[na:, 1:], kept
     w, v = np.linalg.eigh(joint[na:, :nb])
     kept = abs(w) > PINV_RTOL * abs(w).max()
-    v = v[:, kept]
-    scaled = joint[:na, :nb] @ v * (1 / w[kept])
+    if False in kept.tolist():
+        v, w = v[:, kept], w[kept]
+    else:
+        v = np.asfortranarray(v)
+    scaled = joint[:na, :nb] @ v * (1 / w)
     return joint[:na, nb:] - scaled @ (v.T @ joint[na:, nb:]), kept
 
 
@@ -252,25 +274,35 @@ def population_ci(ss: StateSpaceForm, query: SeparationQuery,
     variance is at most 1e-10 of its unconditional variance is degenerate: its
     entries count as independent and the verdict is flagged.
 
+    The joint (A ∪ C ∪ B) x (B ∪ A ∪ C) covariance is gathered as Python
+    floats from the lag table's rows, the entries ``cross_covariance`` gathers;
+    only a non-empty B hands it to numpy, for the Schur step of
+    ``conditional_covariance``, so the verdict has the bytes of that route.
+
     For non-Gaussian innovations m-separation still forces these covariances
     to zero, but zero covariance then no longer certifies independence; the
     verdict is only an independence statement under Gaussianity. A tol
     outside (0, inf), NaN included, raises ModelError.
     """
     _check_tol(tol)
-    stacked = (*query.a, *query.c)
-    # a query's sets are disjoint; Python floats round abs, /, * and sqrt as
-    # numpy's float64 scalars do
-    b = query.b
-    cond = _schur_complement(cross_covariance(ss, (*stacked, *b), (*b, *stacked)),
-                             len(b))[0].tolist()
-    uncond = ss.autocov(0).diagonal().tolist()
-    na, tiny = len(query.a), float(np.finfo(float).tiny)
-    degenerate_node = [cond[k][k] <= 1e-10 * max(uncond[v.component], tiny)
-                       for k, v in enumerate(stacked)]
+    # a query's sets are disjoint; its nodes are checked once, a, c, b in turn
+    nodes = process_nodes((*query.a, *query.c, *query.b), ss.d)
+    nb, ns = len(query.b), len(nodes) - len(query.b)
+    times = [w.time for w in nodes]
+    rows = ss._lag_rows(max(times) - min(times))
+    mid = len(rows) // 2
+    # entry (i, j) is autocov(t_i - t_j)[c_i, c_j], rows (A, C, B), columns (B, A, C)
+    cols = [(mid - t, j) for j, t, _ in (*nodes[ns:], *nodes[:ns])]
+    cond = [[rows[t + k][i][j] for k, j in cols] for i, t, _ in nodes]
+    if nb:
+        cond = _schur_complement(np.array(cond), nb)[0].tolist()
+    # Python floats round abs, /, * and sqrt as numpy's float64 scalars do
+    uncond, na = rows[mid], len(query.a)
+    degenerate_node = [cond[k][k] <= 1e-10 * max(uncond[v.component][v.component], _TINY)
+                       for k, v in enumerate(nodes[:ns])]
     degenerate, max_corr, independent = False, 0.0, True
     for i in range(na):
-        for j in range(na, len(stacked)):
+        for j in range(na, ns):
             if degenerate_node[i] or degenerate_node[j]:
                 degenerate = True
                 continue

@@ -27,7 +27,16 @@ doubled-dimension VAR.
 ``autocovariances_by_recursion`` is the n x n recursion from which the
 stationary law read its autocovariances before it kept one lag table, and
 ``schur_complement_by_eigh`` the Schur step before it took one conditioning
-node without ``eigh``.
+node without ``eigh`` or skipped the mask copies when it keeps every
+eigenvalue. ``population_ci_by_cross_covariance`` is the CI verdict as it ran
+before it gathered Python floats from the lag rows: the numpy gather of
+``cross_covariance``, that Schur step for every B, the empty one included,
+and the same verdict loop.
+
+``instantaneous_order_by_columns`` and ``ice_matrix_by_columns`` are the
+topological order and total instantaneous effects as they ran before the
+Kahn pass read its children once: one ``flatnonzero`` per column of A0, on
+every visit.
 
 ``exact_lyapunov`` solves X = F X F^T + Q in rationals by the Kronecker
 system (I - F kron F) vec X = vec Q, and ``exact_state_covariance`` builds
@@ -50,11 +59,12 @@ import numpy as np
 from varma_causal import effects
 from varma_causal.errors import EstimationError, GraphError, ModelError
 from varma_causal.graphs import (
-    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, _connection, _result, augment,
-    m_separated, sorted_nodes)
+    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, _connection, _kahn_order,
+    _result, augment, m_separated, sorted_nodes)
 from varma_causal.model import VarmaSpec, remove_instantaneous
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
-from varma_causal.stationary import LYAPUNOV_MAX_DOUBLINGS, PINV_RTOL, numerical_rank
+from varma_causal.stationary import (CI_DEFAULT_TOL, LYAPUNOV_MAX_DOUBLINGS, PINV_RTOL,
+                                     CiVerdict, cross_covariance, numerical_rank)
 
 
 # windows tried by ``deepening_separation`` before it gives up; the library
@@ -400,6 +410,57 @@ def schur_complement_by_eigh(joint: np.ndarray, nb: int):
     v = v[:, kept]
     scaled = joint[:na, :nb] @ v * (1 / w[kept])
     return joint[:na, nb:] - scaled @ (v.T @ joint[na:, nb:]), kept
+
+
+def population_ci_by_cross_covariance(ss, query: SeparationQuery,
+                                      tol: float = CI_DEFAULT_TOL) -> CiVerdict:
+    """``population_ci`` by the numpy gather of ``cross_covariance`` of the
+    (A ∪ C ∪ B) x (B ∪ A ∪ C) nodes, ``schur_complement_by_eigh`` for a
+    non-empty B, and the library's verdict loop in Python floats."""
+    stacked, b = (*query.a, *query.c), query.b
+    joint = cross_covariance(ss, (*stacked, *b), (*b, *stacked))
+    cond = (schur_complement_by_eigh(joint, len(b))[0] if b else joint).tolist()
+    uncond = ss.autocov(0).diagonal().tolist()
+    na, tiny = len(query.a), float(np.finfo(float).tiny)
+    degenerate_node = [cond[k][k] <= 1e-10 * max(uncond[v.component], tiny)
+                       for k, v in enumerate(stacked)]
+    degenerate, max_corr, independent = False, 0.0, True
+    for i in range(na):
+        for j in range(na, len(stacked)):
+            if degenerate_node[i] or degenerate_node[j]:
+                degenerate = True
+                continue
+            corr = abs(cond[i][j]) / math.sqrt(cond[i][i] * cond[j][j])
+            max_corr = max(max_corr, corr)
+            if corr >= tol:
+                independent = False
+    return CiVerdict(independent, max_corr, degenerate, tol)
+
+
+def instantaneous_order_by_columns(a0: np.ndarray):
+    """Topological order of the support of A0, children read by one
+    ``flatnonzero`` per column on every visit; None on a cycle."""
+    d = a0.shape[0]
+    order = _kahn_order(range(d), lambda j: np.flatnonzero(a0[:, j]).tolist(), int)
+    return order if len(order) == d else None
+
+
+def ice_matrix_by_columns(a0: np.ndarray) -> np.ndarray:
+    """(I - A0)^(-1) by forward substitution in ``instantaneous_order_by_columns``
+    order, with the library's errors."""
+    a0 = np.asarray(a0, dtype=float)
+    d = a0.shape[0]
+    if np.any(np.diag(a0) != 0):
+        raise ModelError("diag(A0) must be zero")
+    order = instantaneous_order_by_columns(a0)
+    if order is None:
+        raise ModelError("instantaneous effect graph has a cycle")
+    ice = np.zeros((d, d))
+    for i in order:
+        ice[i, i] = 1.0
+        for j in np.nonzero(a0[i])[0]:
+            ice[i] += a0[i, j] * ice[j]
+    return ice
 
 
 def autocovariances_by_recursion(ss, span: int) -> dict:

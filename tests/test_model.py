@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from varma_causal import (
 )
 from varma_causal import model
 from conftest import decoded_records
-from reference import embed_as_var, subgraph
+from reference import (embed_as_var, ice_matrix_by_columns, instantaneous_order_by_columns,
+                       subgraph)
 
 X, Y = 0, 1
 
@@ -229,6 +231,45 @@ class TestIceMatrix:
             assert np.max(np.abs((np.eye(d) - a0) @ ice - np.eye(d))) < 1e-12
             brute = brute_force_ice(a0)
             assert np.max(np.abs(brute - ice)) < 1e-10
+
+    def test_kahn_pass_matches_the_column_route(self):
+        # order and ICE bytes against one flatnonzero per column on every
+        # visit: sampled specs, and supports with -0.0 entries (zero in both
+        # routes), cycles and non-zero diagonals, whose errors stay the same
+        rng = np.random.default_rng(2806)
+        a0s = [sample_stable_spec(CoefficientSampler(d=d, p=1, q=0, sparsity=s), rng).a[0]
+               for d in range(1, 7) for s in (0.2, 0.5, 0.8)]
+        for k in range(300):
+            d = 1 + k % 6
+            a0 = random_acyclic_a0(rng, d, keep=0.7)
+            a0[(a0 == 0) & (rng.random((d, d)) < 0.5)] = -0.0
+            if k % 4 == 1:  # a back edge, often closing a cycle
+                i, j = rng.integers(0, d, 2)
+                a0[i, j] = 0.3 if i != j else 0.0
+            if k % 9 == 2:
+                a0[k % d, k % d] = 0.5
+            a0s.append(a0)
+        cyclic = diagonal = 0
+        for a0 in a0s:
+            order = instantaneous_order_by_columns(a0)
+            assert model.instantaneous_order(a0) == order
+            try:
+                want = ice_matrix_by_columns(a0)
+            except ModelError as err:
+                cyclic += "cycle" in str(err)
+                diagonal += "diag" in str(err)
+                with pytest.raises(ModelError, match=re.escape(str(err))):
+                    ice_matrix(a0)
+                continue
+            assert ice_matrix(a0).tobytes() == want.tobytes()
+            report = validate(VarmaSpec([a0, 0.1 * np.eye(len(a0))]))
+            assert report.topological_order == order and report.passed
+        assert cyclic >= 10 and diagonal >= 10
+
+    def test_negative_zero_closes_no_cycle(self):
+        a0 = np.array([[0.0, -0.0], [0.5, 0.0]])
+        assert model.instantaneous_order(a0) == instantaneous_order_by_columns(a0) == (0, 1)
+        assert ice_matrix(a0).tobytes() == ice_matrix_by_columns(a0).tobytes()
 
     def test_structural_zeros_are_exact(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 import math
+import struct
 import sys
+from collections import Counter
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -18,6 +20,7 @@ from varma_causal import (
     endo,
     estimate_from_data,
     fisher_z_pvalue,
+    identify_population,
     innov,
     m_separated,
     population_ci,
@@ -28,6 +31,7 @@ from varma_causal import (
     validate,
 )
 from varma_causal import iv, stationary
+from varma_causal.simulation import _draw_query
 from varma_causal.stationary import (
     LYAPUNOV_MAX_DOUBLINGS,
     LYAPUNOV_RESIDUAL_RTOL,
@@ -38,7 +42,8 @@ from varma_causal.stationary import (
 )
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
 from reference import (autocovariances_by_recursion, embed_as_var, exact_state_covariance,
-                       lyapunov_doubling_by_difference, schur_complement_by_eigh)
+                       lyapunov_doubling_by_difference, population_ci_by_cross_covariance,
+                       schur_complement_by_eigh)
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -325,9 +330,11 @@ class TestConditionalCovariance:
             conditional_covariance(ss, [endo(X, 0)], [endo(Y, 0)], [endo(X, 0)])
 
     @pytest.mark.parametrize("caller", ["conditional_covariance", "estimate_from_data",
-                                        "fisher_z_pvalue"])
+                                        "fisher_z_pvalue", "population_ci",
+                                        "population_ci_without_b"])
     def test_one_schur_step_per_call(self, varma_lagged_spec, monkeypatch, caller):
-        # population and sample moments share one Schur step, taken once per call
+        # population and sample moments share one Schur step, taken once per
+        # call; population_ci takes none for an empty B
         b = (endo(Y, -3), endo(X, -4))
         series = simulate(SimulationConfig(varma_lagged_spec, n=500, seed=2))
         calls = {
@@ -336,6 +343,12 @@ class TestConditionalCovariance:
             "estimate_from_data": lambda: estimate_from_data(series, IvQuery(
                 endo(Y, 0), (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2)), b)),
             "fisher_z_pvalue": lambda: fisher_z_pvalue(series, endo(X, 0), endo(Y, -1), b),
+            "population_ci": lambda: population_ci(
+                solve_stationary(varma_lagged_spec), SeparationQuery([endo(X, 0)], b,
+                                                                     [endo(Y, -1)])),
+            "population_ci_without_b": lambda: population_ci(
+                solve_stationary(varma_lagged_spec), SeparationQuery([endo(X, 0)], (),
+                                                                     [endo(Y, -1)])),
         }
         steps = []
         original = stationary._schur_complement
@@ -349,7 +362,7 @@ class TestConditionalCovariance:
                     and vars(module).get("_schur_complement") is original):
                 monkeypatch.setattr(module, "_schur_complement", counting)
         calls[caller]()
-        assert steps == [len(b)]
+        assert steps == ([] if caller == "population_ci_without_b" else [len(b)])
 
 
 def schur_of_blocks(monkeypatch, s_ac, s_ab, s_cb, s_bb):
@@ -389,17 +402,18 @@ class TestPseudoInverse:
                     assert np.linalg.norm(inverse - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
+def assert_same_schur_bytes(joint, nb):
+    got, kept = stationary._schur_complement(joint, nb)
+    want, want_kept = schur_complement_by_eigh(joint, nb)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert kept.tolist() == want_kept.tolist()
+    return kept
+
+
 class TestOneNodeSchurStep:
     """One B node takes S_AC - (S_AB (1/S_BB)) S_BC without ``eigh``; on a
     1 x 1 matrix ``eigh`` gives w = S_BB and V = 1, so the bytes and the
     kept mask are those of the ``eigh`` route."""
-
-    @staticmethod
-    def assert_same_bytes(joint):
-        got, kept = stationary._schur_complement(joint, 1)
-        want, want_kept = schur_complement_by_eigh(joint, 1)
-        assert got.tobytes() == want.tobytes() and got.shape == want.shape
-        assert kept.tolist() == want_kept.tolist()
 
     def test_population_side(self):
         rng = np.random.default_rng(2701)
@@ -412,9 +426,9 @@ class TestOneNodeSchurStep:
                 nodes = [pool[j] for j in rng.permutation(len(pool))[:5]]
                 na = int(rng.integers(1, 3))
                 a, b, c = nodes[:na], nodes[na:na + 1], nodes[na + 1:]
-                self.assert_same_bytes(cross_covariance(ss, (*a, *b), (*b, *c)))
+                assert_same_schur_bytes(cross_covariance(ss, (*a, *b), (*b, *c)), 1)
                 stacked = (*a, *c)
-                self.assert_same_bytes(cross_covariance(ss, (*stacked, *b), (*b, *stacked)))
+                assert_same_schur_bytes(cross_covariance(ss, (*stacked, *b), (*b, *stacked)), 1)
 
     def test_sample_side(self, varma_lagged_spec, monkeypatch):
         # the (A ∪ B) x (B ∪ C) Gram matrices that estimate_from_data and
@@ -430,7 +444,7 @@ class TestOneNodeSchurStep:
             fisher_z_pvalue(series, endo(X, 0), endo(Y, -1), (endo(X, -2),))
         assert len(joints) == 4
         for joint in joints:
-            self.assert_same_bytes(joint)
+            assert_same_schur_bytes(joint, 1)
 
     @pytest.mark.parametrize("s_bb", [0.0, -0.0, 1e-300, -2.5, 1e300])
     def test_edge_values_of_s_bb(self, s_bb):
@@ -438,10 +452,114 @@ class TestOneNodeSchurStep:
         joint = np.array([[1.5, -0.0, 0.0, 2.0],
                           [-3.0, 0.25, -0.0, 7.0],
                           [s_bb, 0.5, -1.25, 3.0]])
-        self.assert_same_bytes(joint)
+        assert_same_schur_bytes(joint, 1)
         got, kept = stationary._schur_complement(joint, 1)
         if s_bb == 0:
             assert not kept[0] and got.tobytes() == joint[:2, 1:].tobytes()
+
+
+class TestEighSchurStep:
+    """Two or more B nodes take the ``eigh`` step; when every eigenvalue is
+    kept it uses V without the mask copies, in the order they give it, so the
+    bytes are those of the masked route."""
+
+    def test_population_joints(self):
+        rng = np.random.default_rng(2803)
+        for k in range(30):
+            spec = sample_stable_spec(CoefficientSampler(
+                d=2 + k % 2, p=1 + k % 2, q=k % 3, sparsity=0.3), rng)
+            ss = solve_stationary(spec)
+            pool = [endo(i, -t) for t in range(6) for i in range(spec.d)]
+            for nb in (2, 3):
+                nodes = [pool[j] for j in rng.permutation(len(pool))[:nb + 3]]
+                a, b, c = nodes[:1], nodes[1:nb + 1], nodes[nb + 1:]
+                assert all(assert_same_schur_bytes(
+                    cross_covariance(ss, (*a, *b), (*b, *c)), nb))
+
+    def test_dropped_direction(self):
+        # the fourth column is a combination of the second and third, so
+        # S_BB of B = columns 1..3 is singular and one direction is dropped
+        rng = np.random.default_rng(2804)
+        m = rng.standard_normal((50, 5))
+        m[:, 3] = m[:, 1] - 2.0 * m[:, 2]
+        gram = m.T @ m
+        for a, c in (([0], [4]), ([0, 4], [4, 0])):
+            kept = assert_same_schur_bytes(gram[np.ix_([*a, 1, 2, 3], [1, 2, 3, *c])], 3)
+            assert kept.tolist().count(False) == 1
+
+
+class TestPopulationCiGather:
+    """``population_ci`` gathers Python floats from the lag rows; its
+    verdicts are those of the ``cross_covariance`` route."""
+
+    @staticmethod
+    def assert_same_verdict(ss, query):
+        got = population_ci(ss, query)
+        want = population_ci_by_cross_covariance(ss, query)
+        assert (got.independent, got.degenerate, got.tol) == (
+            want.independent, want.degenerate, want.tol)
+        assert (struct.pack("<d", got.max_abs_correlation)
+                == struct.pack("<d", want.max_abs_correlation))
+        return got
+
+    def test_matches_the_cross_covariance_route(self):
+        # criterion-07 specs and queries: d 1-3, p 1-2, q 0-2, sparsity 0.65,
+        # nodes at lags 0..5 and 0-3 conditioning nodes
+        sizes = Counter()
+        for trial in range(40):
+            rng = np.random.default_rng((2805, trial))
+            spec = sample_stable_spec(CoefficientSampler(
+                d=int(rng.integers(1, 4)), p=int(rng.integers(1, 3)),
+                q=int(rng.integers(0, 3)), sparsity=0.65), rng)
+            ss = solve_stationary(spec)
+            for _ in range(20):
+                query = _draw_query(rng, spec.d, 5)
+                self.assert_same_verdict(ss, query)
+                sizes[len(query.b)] += 1
+        assert min(sizes[nb] for nb in range(4)) >= 100
+
+    def test_degenerate_node_and_dropped_direction(self):
+        # S_t = eps_t: in the embedded process component 2 copies component
+        # 0, so conditioning 0 on 2 leaves it no variance, and Cov(B, B) of
+        # B = {0, 2} at one time is singular
+        ss = solve_stationary(embed_as_var(VarmaSpec(a=[np.zeros((2, 2))], gamma=[1.0, 1.0])))
+        flagged = self.assert_same_verdict(
+            ss, SeparationQuery([endo(0, 0)], [endo(2, 0)], [endo(1, 0)]))
+        assert flagged.degenerate
+        a, b, c = [endo(1, 0)], [endo(0, -1), endo(2, -1)], [endo(3, 0), endo(1, -1)]
+        self.assert_same_verdict(ss, SeparationQuery(a, b, c))
+        kept = stationary._schur_complement(
+            cross_covariance(ss, (*a, *c, *b), (*b, *a, *c)), len(b))[1]
+        assert kept.tolist().count(False) == 1
+
+    def test_rows_only_for_population_ci(self, varma_lagged_spec, monkeypatch):
+        # the other readers of a fresh law gather from the table and build no rows
+        built = []
+        original = stationary.StateSpaceForm._lag_rows
+        monkeypatch.setattr(stationary.StateSpaceForm, "_lag_rows",
+                            lambda self, span: built.append(span) or original(self, span))
+        ss = solve_stationary(varma_lagged_spec)
+        conditional_covariance(ss, [endo(X, 0)], [endo(Y, -1)], [endo(Y, -3), endo(X, -4)])
+        identify_population(varma_lagged_spec, IvQuery(
+            endo(Y, 0), (endo(X, -1), endo(Y, -1)), (endo(X, -2), endo(Y, -2))))
+        assert built == [] and ss._rows == (None, None)
+        population_ci(ss, SeparationQuery([endo(X, 0)], [endo(Y, -3)], [endo(Y, -1)]))
+        assert built == [3] and ss._rows[0] is ss._lags[0]
+
+    def test_rows_are_never_served_after_a_growth(self, varma_instant_spec):
+        ss = solve_stationary(varma_instant_spec)
+        short = SeparationQuery([endo(X, 0)], [endo(Y, 0)], [endo(Y, -1)])
+        population_ci(ss, short)
+        old_table, old_rows = ss._rows
+        assert old_table is ss._lags[0] and old_rows == old_table.tolist()
+        ss.autocov(12)  # grows the table past the rows
+        assert ss._lags[0] is not old_table
+        for query in (short, SeparationQuery([endo(X, 0)], [endo(Y, -4)], [endo(Y, -9)])):
+            verdict = population_ci(ss, query)
+            table, rows = ss._rows
+            assert table is ss._lags[0] and rows is not old_rows and rows == table.tolist()
+            assert verdict == population_ci_by_cross_covariance(
+                solve_stationary(varma_instant_spec), query)
 
 
 class TestPopulationCi:
@@ -552,3 +670,26 @@ class TestConcurrentTableGrowth:
         finally:
             sys.setswitchinterval(interval)
         assert max(errors) == 0.0
+
+    def test_parallel_verdicts_read_rows_of_their_own_table(self, varma_instant_spec):
+        # on each fresh law, verdicts spanning 1..39 lags in a shuffled order
+        # interleave row builds with table growth
+        from concurrent.futures import ThreadPoolExecutor
+
+        queries = [SeparationQuery([endo(X, 0)], [endo(Y, -(h // 2))], [endo(Y, -h)])
+                   for h in range(1, 40)]
+        reference = [population_ci_by_cross_covariance(solve_stationary(varma_instant_spec), q)
+                     for q in queries]
+        order = np.random.default_rng(2807).permutation(list(range(39)) * 3).tolist()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads between the table and its rows
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(10):
+                    ss = solve_stationary(varma_instant_spec)
+                    same = list(pool.map(lambda k: population_ci(ss, queries[k]) == reference[k],
+                                         order, timeout=60))
+                    assert all(same)
+        finally:
+            sys.setswitchinterval(interval)
