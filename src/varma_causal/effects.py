@@ -78,7 +78,11 @@ def total_causal_effect(spec: VarmaSpec, query: EffectQuery) -> TotalEffect:
     O(log h) products. Cut at their last treatment, the paths from x_k to y
     give R(x_k, y) = Σ_l R(x_k, x_l)·β_l, one solve whose matrix is unit
     triangular in causal order. A treatment with no causal path to y that
-    avoids the other treatments, a later one included, gets an exact 0.
+    avoids the other treatments, a later one included, gets an exact 0. The
+    converse holds only while the path sums stay above the float range: a
+    treatment with such a path reads 0.0 too once its impulse responses
+    underflow, about 1,100 lags back on the worked VARMA(1,1) example
+    (6.2e-299 at 1,000 lags).
     """
     y, *x_set = nodes = process_nodes((query.y, *query.x_set), spec.d)
     rw, admg, start = remove_instantaneous(spec), spec._admg, min(v.time for v in nodes)
@@ -327,14 +331,16 @@ def _iv_report(spec: VarmaSpec, y: TimedNode, x_set, i_set, b_set,
         max(v.time for v in nodes) + spec.q, None, cut=EffectQuery(y, x_set))
 
     # condition 2 on the uncut last window: An(b) ∩ Sp(De(x ∪ y)), where Sp
-    # adds one bi-directed step and keeps the nodes themselves
-    admg = spec._admg
-    floor, ceiling = bottom * spec.d, (top + 1) * spec.d
-    an_b = _reach(admg, map(admg.code, b_set), admg.parents, floor, ceiling)
-    de = _reach(admg, map(admg.code, (y, *x_set)), admg.children, floor, ceiling)
-    sp_de = de | {v + off for v in de for off in admg.spouses[v % spec.d]
-                  if floor <= v + off < ceiling}
-    confounding_free = not (an_b & sp_de)
+    # adds one bi-directed step and keeps the nodes themselves; An(∅) is empty
+    confounding_free = True
+    if b_set:
+        admg = spec._admg
+        floor, ceiling = bottom * spec.d, (top + 1) * spec.d
+        an_b = _reach(admg, map(admg.code, b_set), admg.parents, floor, ceiling)
+        de = _reach(admg, map(admg.code, (y, *x_set)), admg.children, floor, ceiling)
+        sp_de = de | {v + off for v in de for off in admg.spouses[v % spec.d]
+                      if floor <= v + off < ceiling}
+        confounding_free = not (an_b & sp_de)
     rank_ok = rank == len(x_set)
 
     return IvConditionReport(
@@ -366,7 +372,7 @@ def check_iv_conditions(
     says whether its verdict is exact for the infinite graph. Condition 2 is
     read off the last of those windows, uncut; it is exact there, because
     spouse pairs span at most q lags and ancestors of b are bounded by b's
-    times.
+    times, and it holds at once for an empty b, whose ancestor set is empty.
     Condition 3 compares the numerical rank of E[Cov(X, I | B)] (singular
     values above 1e-8 of the largest) with dim(X).
     """

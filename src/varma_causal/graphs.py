@@ -137,14 +137,20 @@ def _incidence(nodes, directed, bidirected, code) -> tuple:
     pairs by code, which follows ``node_sort_key``, time first; then the
     time-sorted bi-directed pairs compared as ``TimedNode`` tuples, component
     first. Endpoints coded outside ``nodes`` get no record."""
-    records = [[] for _ in nodes]
-    directed = sorted((code(t), code(h), False, True) for t, h in directed)
-    bidirected = [(code(v), code(w), True, True) for v, w in sorted(map(sorted_nodes, bidirected))]
-    for v, w, at_v, at_w in directed + bidirected:
-        if 0 <= v < len(records):
-            records[v].append((w - v, at_v, at_w))
-        if 0 <= w < len(records):
-            records[w].append((v - w, at_w, at_v))
+    return _coded_records(len(nodes), sorted((code(t), code(h)) for t, h in directed),
+                          [(code(v), code(w)) for v, w in sorted(map(sorted_nodes, bidirected))])
+
+
+def _coded_records(count: int, directed, bidirected) -> tuple:
+    """Records of codes 0..count-1 from code pairs in :func:`_incidence` order:
+    directed (tail, head), then bi-directed; other codes get no record."""
+    records = [[] for _ in range(count)]
+    for pairs, at_v in ((directed, False), (bidirected, True)):
+        for v, w in pairs:
+            if 0 <= v < count:
+                records[v].append((w - v, at_v, True))
+            if 0 <= w < count:
+                records[w].append((v - w, True, at_v))
     return tuple(map(tuple, records))
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ModelError
-from .graphs import DirectedMixedGraph, TimedNode, _CodedGraph, _incidence, _kahn_order, endo, innov
+from .graphs import DirectedMixedGraph, TimedNode, _CodedGraph, _coded_records, _kahn_order, endo, innov
 
 STABILITY_MARGIN = 1e-8
 
@@ -30,7 +30,7 @@ def _as_matrix(m, d, what):
     arr = np.array(m, dtype=float)  # a copy, so no caller can change a validated spec
     if arr.shape != (d, d):
         raise ModelError(f"{what} must be {d}x{d}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ModelError(f"{what} has non-finite entries")
     return arr
 
@@ -87,9 +87,9 @@ class VarmaSpec:
         self.gamma = np.array(gamma, dtype=float)
         if self.gamma.shape != (d,):
             raise ModelError(f"gamma must have length {d}, got shape {self.gamma.shape}")
-        if not np.all(np.isfinite(self.gamma)):
+        if not np.isfinite(self.gamma).all():
             raise ModelError("gamma has non-finite entries")
-        if np.any(self.gamma < 0):
+        if (self.gamma < 0).any():
             raise ModelError("gamma entries must be non-negative")
         self.names = component_names(names, d) if names is not None else None
         for arr in (*self.a, *self.b, self.gamma):
@@ -155,12 +155,14 @@ def validate(spec: VarmaSpec, allow_zero_variance: bool = False) -> ValidationRe
     The stability clause requires every root of
     det((I - A0) λ^p - A1 λ^(p-1) - ... - Ap) to satisfy |λ| < 1; it is
     checked through the companion matrix of (I - A0)^(-1) Ak with a margin of
-    1e-8 on the spectral radius. The report is computed anew on every call;
-    an acyclic, stable spec keeps the rewrite built from the same matrices.
+    1e-8 on the spectral radius. The report is computed anew on every call,
+    with one topological pass, whose order the substitution of
+    :func:`ice_matrix` runs on; an acyclic, stable spec keeps the rewrite
+    built from the same matrices.
     """
     messages = []
     a0 = spec.a[0]
-    if np.any(np.diag(a0) != 0):
+    if a0.diagonal().any():
         messages.append("diag(A0) must be zero")
         order = None
     else:
@@ -171,26 +173,19 @@ def validate(spec: VarmaSpec, allow_zero_variance: bool = False) -> ValidationRe
 
     radius = float("inf")
     if acyclic:
-        ice = ice_matrix(a0)
+        ice = _forward_substitution(a0, order)
         ar = tuple(ice @ ak for ak in spec.a[1:])
         comp = companion_matrix(ar)
-        radius = float(np.max(np.abs(np.linalg.eigvals(comp)))) if comp.size else 0.0
+        radius = float(np.abs(np.linalg.eigvals(comp)).max()) if comp.size else 0.0
     if radius >= 1 - STABILITY_MARGIN:
         messages.append(f"unstable: companion spectral radius {radius:.6g} >= 1 - 1e-8")
     elif spec._rewrite is None:
-        inv_ice = np.eye(spec.d) - a0
-        rw = RewrittenVarSpec(
-            ice=ice,
-            ar=ar,
-            ma_eps=tuple(ice @ bl for bl in spec.b),
-            ma_delta=tuple(ice @ bl @ inv_ice for bl in spec.b),
-            sigma_delta=ice @ np.diag(spec.gamma) @ ice.T,
-        )
-        for arr in (rw.ice, *rw.ar, *rw.ma_eps, *rw.ma_delta, rw.sigma_delta):
+        rw = RewrittenVarSpec(ice=ice, ar=ar, ma_eps=tuple(ice @ bl for bl in spec.b))
+        for arr in (rw.ice, *rw.ar, *rw.ma_eps):
             arr.setflags(write=False)
         spec._rewrite = rw
 
-    gamma_pos = bool(np.all(spec.gamma > 0))
+    gamma_pos = bool((spec.gamma > 0).all())
     if not gamma_pos and not allow_zero_variance:
         messages.append("gamma entries must be strictly positive")
     passed = (
@@ -218,18 +213,28 @@ def ice_matrix(a0: np.ndarray) -> np.ndarray:
     floating-point zeros.
     """
     a0 = np.asarray(a0, dtype=float)
-    d = a0.shape[0]
     if np.any(np.diag(a0) != 0):
         raise ModelError("diag(A0) must be zero")
     order = instantaneous_order(a0)
     if order is None:
         raise ModelError("instantaneous effect graph has a cycle")
-    ice = np.zeros((d, d))
+    return _forward_substitution(a0, order)
+
+
+def _forward_substitution(a0: np.ndarray, order) -> np.ndarray:
+    """:func:`ice_matrix` of an acyclic A0 given its topological ``order``:
+    row i is e_i plus A0[i, j] times row j for each parent j, ascending, in
+    Python floats, as one numpy row update per edge would round them."""
+    d, rows = len(order), a0.tolist()
+    ice = [None] * d
     for i in order:
-        ice[i, i] = 1.0
-        for j in np.nonzero(a0[i])[0]:
-            ice[i] += a0[i, j] * ice[j]
-    return ice
+        row = [0.0] * d
+        row[i] = 1.0
+        for j, coeff in enumerate(rows[i]):
+            if coeff:
+                row = [x + coeff * y for x, y in zip(row, ice[j])]
+        ice[i] = row
+    return np.array(ice).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -238,17 +243,13 @@ class RewrittenVarSpec:
 
     ``ar`` holds C A1..C Ap (C = (I - A0)^(-1)); ``ma_eps`` holds C B1..C Bq,
     the MA loadings when the equation is written against the original
-    innovations (with contemporaneous loading C); ``ma_delta`` holds
-    C Bl C^(-1), the loadings against delta_t = C eps_t; ``sigma_delta`` is
-    Var(delta_t) = C Gamma C^T. The arrays are read-only, as one rewrite
-    is shared by every caller of the spec.
+    innovations (with contemporaneous loading C). The arrays are read-only,
+    as one rewrite is shared by every caller of the spec.
     """
 
     ice: np.ndarray
     ar: tuple[np.ndarray, ...]
     ma_eps: tuple[np.ndarray, ...]
-    ma_delta: tuple[np.ndarray, ...]
-    sigma_delta: np.ndarray
 
 
 def remove_instantaneous(spec: VarmaSpec) -> RewrittenVarSpec:
@@ -266,18 +267,23 @@ def remove_instantaneous(spec: VarmaSpec) -> RewrittenVarSpec:
     return spec._rewrite
 
 
+def _support(mats) -> list:
+    """(k, i, j) of every exactly non-zero entry mats[k][i, j], by lag and
+    then row by row: the edge tail(j, t-k) -> S_i@t at every time t."""
+    return list(zip(*[axis.tolist() for axis in np.array(mats).nonzero()]))
+
+
 def _lag_edges(mats, tail, t_min, t_max):
     """Edges tail(j, t-k) -> endo(i, t) with coefficient mats[k][i, j].
 
-    One edge per exactly non-zero entry, for heads and tails in [t_min, t_max].
+    One edge per :func:`_support` entry, for heads and tails in [t_min, t_max].
     """
-    support = [(k, np.argwhere(mat).tolist()) for k, mat in enumerate(mats)]
+    support = _support(mats)
     return [
         (tail(j, t - k), endo(i, t), float(mats[k][i, j]))
         for t in range(t_min, t_max + 1)
-        for k, entries in support
+        for k, i, j in support
         if t - k >= t_min
-        for i, j in entries
     ]
 
 
@@ -293,8 +299,10 @@ class _MarginalizedAdmg(_CodedGraph):
     loadings underflows. The graph is translation invariant, so the separation core
     reads it integer-coded, period d: S_i@t is t·d + i, and ``records[i]``
     lists the edges at S_i@0 as offsets k·d + j - i to S_j@k, in the
-    ``graphs._incidence`` order of the window [-max(p,q), max(p,q)], which
-    holds every neighbour of slice 0.
+    ``graphs._incidence`` order. The compile reads them off the same
+    :func:`_support` entries as the windows, in codes and without a window:
+    an entry (k, i, j) gives the edge into slice 0, j - k·d to i, and its
+    translate by k slices out of slice 0, j to k·d + i (one edge at k = 0).
     """
 
     def __init__(self, spec: VarmaSpec, rewritten: bool):
@@ -304,16 +312,19 @@ class _MarginalizedAdmg(_CodedGraph):
             self.loadings = (rw.ice, *rw.ma_eps)
         else:
             self.lags, self.loadings = spec.a, (np.eye(spec.d), *spec.b)
-        support = [(m != 0).astype(np.int64) for m in self.loadings]
-        self.shared = [sum(support[l + delta] @ support[l].T for l in range(len(support) - delta))
-                       for delta in range(len(support))]
-        self.shared[0] = np.tril(self.shared[0], -1)
         d = self.d = spec.d
-        _, directed, bidirected = self.window(-spec.max_lag, spec.max_lag)
-        super().__init__(d, _incidence([endo(i, 0) for i in range(d)],
-                                       [(t, h) for t, h, _ in directed if 0 in (t.time, h.time)],
-                                       [(v, w) for v, w in bidirected if 0 in (v.time, w.time)],
-                                       self.code))
+        # [L_0 .. L_q] side by side: shared[δ] is [L_δ .. L_q] [L_0 .. L_(q-δ)]^T
+        wide = (np.concatenate(self.loadings, axis=1) != 0).astype(np.int64)
+        self.shared = [wide[:, delta * d:] @ wide[:, :wide.shape[1] - delta * d].T
+                       for delta in range(len(self.loadings))]
+        self.shared[0] = np.tril(self.shared[0], -1)
+        directed, bidirected = (
+            {e for k, i, j in _support(mats) for e in ((j - k * d, i), (j, i + k * d))}
+            for mats in (self.lags, self.shared))
+        # directed pairs by code; bi-directed ones as graphs._incidence compares
+        # them, as TimedNode tuples: component, then time
+        super().__init__(d, _coded_records(d, sorted(directed), sorted(
+            bidirected, key=lambda e: (e[0] % d, e[0] // d, e[1] % d, e[1] // d))))
 
     def code(self, v: TimedNode) -> int:
         return v.time * self.d + v.component

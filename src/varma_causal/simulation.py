@@ -283,18 +283,19 @@ def sample_stable_spec(sampler: CoefficientSampler, seed) -> VarmaSpec:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     c = sampler.entry_scale()
     d = sampler.d
+    lower = np.tri(d, k=-1, dtype=bool)  # np.tril(·, -1) as a fixed mask
 
     def draw(shape):
         out = rng.uniform(-c, c, shape)
         if sampler.sparsity > 0:
-            out = out * (rng.random(shape) >= sampler.sparsity)
+            out *= rng.random(shape) >= sampler.sparsity
         return out
 
     for _ in range(sampler.max_rejections + 1):
-        tri = np.tril(draw((d, d)), -1)
+        tri = np.where(lower, draw((d, d)), 0.0)
         perm = rng.permutation(d)
         a0 = np.zeros((d, d))
-        a0[np.ix_(perm, perm)] = tri
+        a0[perm[:, None], perm] = tri
         if sampler.mask_a0 is not None:
             a0 = a0 * sampler.mask_a0
         ars = [draw((d, d)) for _ in range(sampler.p)]

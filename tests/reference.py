@@ -36,7 +36,19 @@ and the same verdict loop.
 ``instantaneous_order_by_columns`` and ``ice_matrix_by_columns`` are the
 topological order and total instantaneous effects as they ran before the
 Kahn pass read its children once: one ``flatnonzero`` per column of A0, on
-every visit.
+every visit, and one numpy row update per edge of the substitution.
+
+``iv_report_walking_every_b`` is the IV report as it ran before condition 2
+skipped its walk for an empty B: De(x ∪ y) and its spouses are walked for
+every B.
+
+``ma_delta`` and ``sigma_delta`` are the rewrite's loadings against
+delta_t = C eps_t and Var(delta_t), which the library no longer forms.
+``admg_records_by_window`` compiles a marginalized ADMG form's slice records
+as the library did before it read them off the coefficient supports: the
+window [-max(p,q), max(p,q)] of ``TimedNode`` edges, cut to the edges at
+slice 0, through ``graphs._incidence``. ``sample_stable_spec_by_tril`` is the
+coefficient sampler before its numpy calls were trimmed.
 
 ``exact_lyapunov`` solves X = F X F^T + Q in rationals by the Kronecker
 system (I - F kron F) vec X = vec Q, and ``exact_state_covariance`` builds
@@ -59,9 +71,10 @@ import numpy as np
 from varma_causal import effects
 from varma_causal.errors import EstimationError, GraphError, ModelError
 from varma_causal.graphs import (
-    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, _connection, _kahn_order,
-    _result, augment, m_separated, sorted_nodes)
+    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, _connection, _incidence,
+    _kahn_order, _reach, _result, augment, endo, m_separated, sorted_nodes)
 from varma_causal.model import VarmaSpec, remove_instantaneous
+from varma_causal.simulation import CoefficientSampler
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
 from varma_causal.stationary import (CI_DEFAULT_TOL, LYAPUNOV_MAX_DOUBLINGS, PINV_RTOL,
                                      CiVerdict, cross_covariance, numerical_rank)
@@ -461,6 +474,87 @@ def ice_matrix_by_columns(a0: np.ndarray) -> np.ndarray:
         for j in np.nonzero(a0[i])[0]:
             ice[i] += a0[i, j] * ice[j]
     return ice
+
+
+def iv_report_walking_every_b(spec: VarmaSpec, y, x_set, i_set, b_set, rank: int):
+    """``effects._iv_report`` with the condition-2 walk run for every b."""
+    nodes = (y, *x_set, *i_set, *b_set)
+    result, (bottom, top), depth_certified = effects._deepening_separation(
+        spec, SeparationQuery(i_set, b_set, (y,)), nodes,
+        max(v.time for v in nodes) + spec.q, None, cut=effects.EffectQuery(y, x_set))
+    admg = spec._admg
+    floor, ceiling = bottom * spec.d, (top + 1) * spec.d
+    an_b = _reach(admg, map(admg.code, b_set), admg.parents, floor, ceiling)
+    de = _reach(admg, map(admg.code, (y, *x_set)), admg.children, floor, ceiling)
+    sp_de = de | {v + off for v in de for off in admg.spouses[v % spec.d]
+                  if floor <= v + off < ceiling}
+    confounding_free = not (an_b & sp_de)
+    return effects.IvConditionReport(
+        instrument_separated=result.separated, confounding_free=confounding_free, rank=rank,
+        rank_ok=rank == len(x_set), under_identified=len(x_set) > len(i_set),
+        all_hold=result.separated and confounding_free and rank == len(x_set),
+        window_used=(bottom, top), depth_certified=depth_certified, witness=result.witness)
+
+
+def ma_delta(spec: VarmaSpec) -> tuple:
+    """C Bl C^(-1), the MA loadings of the rewrite against delta_t = C eps_t."""
+    inv_ice = np.eye(spec.d) - spec.a[0]
+    return tuple(remove_instantaneous(spec).ice @ bl @ inv_ice for bl in spec.b)
+
+
+def sigma_delta(spec: VarmaSpec) -> np.ndarray:
+    """Var(delta_t) = C Gamma C^T of the rewrite's innovations delta_t = C eps_t."""
+    ice = remove_instantaneous(spec).ice
+    return ice @ np.diag(spec.gamma) @ ice.T
+
+
+def admg_records_by_window(spec: VarmaSpec, rewritten: bool = False) -> tuple:
+    """Slice-0 records of a marginalized ADMG form, read off the window
+    [-max(p,q), max(p,q)], which holds every neighbour of slice 0."""
+    admg = spec._rewritten_admg if rewritten else spec._admg
+    _, directed, bidirected = admg.window(-spec.max_lag, spec.max_lag)
+    return _incidence([endo(i, 0) for i in range(spec.d)],
+                      [(t, h) for t, h, _ in directed if 0 in (t.time, h.time)],
+                      [(v, w) for v, w in bidirected if 0 in (v.time, w.time)],
+                      admg.code)
+
+
+def sample_stable_spec_by_tril(sampler: CoefficientSampler, seed) -> VarmaSpec:
+    """The library's rejection sampler with ``np.tril``, ``np.ix_`` and a
+    fresh product per sparsity mask: the draws every later sampler must keep."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    c = sampler.entry_scale()
+    d = sampler.d
+
+    def draw(shape):
+        out = rng.uniform(-c, c, shape)
+        if sampler.sparsity > 0:
+            out = out * (rng.random(shape) >= sampler.sparsity)
+        return out
+
+    for _ in range(sampler.max_rejections + 1):
+        tri = np.tril(draw((d, d)), -1)
+        perm = rng.permutation(d)
+        a0 = np.zeros((d, d))
+        a0[np.ix_(perm, perm)] = tri
+        if sampler.mask_a0 is not None:
+            a0 = a0 * sampler.mask_a0
+        ars = [draw((d, d)) for _ in range(sampler.p)]
+        if sampler.mask_ar is not None:
+            ars = [m * mask for m, mask in zip(ars, sampler.mask_ar)]
+        mas = [draw((d, d)) for _ in range(sampler.q)]
+        if sampler.mask_ma is not None:
+            mas = [m * mask for m, mask in zip(mas, sampler.mask_ma)]
+        gamma = rng.uniform(0.5, 2.0, d)
+        spec = VarmaSpec([a0, *ars], mas, gamma)
+        try:
+            remove_instantaneous(spec)
+        except ModelError:
+            continue
+        return spec
+    raise ModelError(
+        f"no stable draw in {sampler.max_rejections + 1} draws; "
+        f"reduce the coefficient scale (current {c:.4g})")
 
 
 def autocovariances_by_recursion(ss, span: int) -> dict:

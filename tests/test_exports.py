@@ -21,6 +21,7 @@ ALLOWED = {
     "graph_from_json": "reads the graph JSON that graph_to_json and `graph -o` write",
     "spec_to_json": "writes the model-file JSON that load_spec reads",
     "rewritten_full_time_window": "the paper's rewritten process, checked by criteria 02/03",
+    "ice_matrix": "(I - A0)^(-1) of any A0; validate runs its substitution on the order it has",
 }
 
 

@@ -33,8 +33,8 @@ from varma_causal import (
 )
 from varma_causal import model
 from conftest import decoded_records
-from reference import (embed_as_var, ice_matrix_by_columns, instantaneous_order_by_columns,
-                       subgraph)
+from reference import (admg_records_by_window, embed_as_var, ice_matrix_by_columns,
+                       instantaneous_order_by_columns, ma_delta, sigma_delta, subgraph)
 
 X, Y = 0, 1
 
@@ -142,7 +142,7 @@ class TestRewrite:
         rw = remove_instantaneous(var_instant_spec)
         assert abs(rw.ar[0][1, 0] - 1 / 6) < 1e-12
         expected = np.array([[9, 3], [3, 10]]) / 9
-        assert np.max(np.abs(rw.sigma_delta - expected)) < 1e-12
+        assert np.max(np.abs(sigma_delta(var_instant_spec) - expected)) < 1e-12
 
     def test_varma_instant_rewrite_numbers(self, varma_instant_spec):
         rw = remove_instantaneous(varma_instant_spec)
@@ -154,18 +154,18 @@ class TestRewrite:
         rw = remove_instantaneous(varma_lagged_spec)
         assert np.array_equal(rw.ice, np.eye(2))
         assert np.array_equal(rw.ar[0], varma_lagged_spec.a[1])
-        assert np.array_equal(rw.sigma_delta, np.diag(varma_lagged_spec.gamma))
+        assert np.array_equal(sigma_delta(varma_lagged_spec), np.diag(varma_lagged_spec.gamma))
 
     def test_ma_delta_consistent_with_ma_eps(self, varma_instant_spec):
         rw = remove_instantaneous(varma_instant_spec)
         # C Bl C^{-1} * C = C Bl
-        recovered = rw.ma_delta[0] @ rw.ice
+        recovered = ma_delta(varma_instant_spec)[0] @ rw.ice
         assert np.max(np.abs(recovered - rw.ma_eps[0])) < 1e-14
 
     def test_rewrite_cached_and_read_only(self, varma_instant_spec):
         rw = remove_instantaneous(varma_instant_spec)
         assert remove_instantaneous(varma_instant_spec) is rw
-        for arr in (rw.ice, *rw.ar, *rw.ma_eps, *rw.ma_delta, rw.sigma_delta):
+        for arr in (rw.ice, *rw.ar, *rw.ma_eps):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0, 0] = 1.0
 
@@ -460,6 +460,48 @@ class TestWindows:
                     assert inside == decoded_records(g, v)
 
 
+class TestCompile:
+    @pytest.mark.parametrize("rewritten", [False, True])
+    def test_records_match_the_window_read(self, rewritten):
+        # slice records read off the supports in codes against the window
+        # [-max(p,q), max(p,q)] cut to slice 0 through graphs._incidence:
+        # d 1-6, p 0-3, q 0-3 and sparsity 0-0.8, one spec per cell
+        bidirected = 0
+        for d in range(1, 7):
+            for p in range(4):
+                for q in range(4):
+                    for sparsity in (0.0, 0.2, 0.4, 0.6, 0.8):
+                        spec = sample_stable_spec(
+                            CoefficientSampler(d=d, p=p, q=q, sparsity=sparsity), (29, d, p, q))
+                        admg = spec._rewritten_admg if rewritten else spec._admg
+                        want = model._CodedGraph(d, admg_records_by_window(spec, rewritten))
+                        for field in ("records", "entering", "children", "parents", "spouses"):
+                            assert getattr(admg, field) == getattr(want, field)
+                        bidirected += any(e[2] for r in admg.records for e in r)
+        assert bidirected > 300
+
+    def test_compile_builds_no_window_and_validate_one_order(self, monkeypatch):
+        # the compile reads the supports, not a window of TimedNode edges,
+        # and validate runs one Kahn pass, which ICE substitution reuses
+        spec = sample_stable_spec(CoefficientSampler(d=4, p=2, q=2, sparsity=0.3), 29)
+        want = [admg_records_by_window(spec, rewritten) for rewritten in (False, True)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("window built by the compile")
+
+        passes = []
+        kahn_order = model._kahn_order
+        with monkeypatch.context() as patch:
+            patch.setattr(model._MarginalizedAdmg, "window", forbidden)
+            patch.setattr(model._MarginalizedAdmg, "directed_window", forbidden)
+            patch.setattr(model, "_kahn_order", lambda *args: passes.append(args)
+                          or kahn_order(*args))
+            got = [model._MarginalizedAdmg(spec, rewritten).records for rewritten in (False, True)]
+            report = validate(spec)
+        assert got == want
+        assert report.passed and len(passes) == 1
+
+
 def sampled_window_specs():
     """18 seeded sampler specs: d 1-3, p 1-2, q 0-2."""
     return [sample_stable_spec(CoefficientSampler(d=d, p=p, q=q, sparsity=0.65), (55, d, p, q))
@@ -513,14 +555,14 @@ class TestRewriteGraphProperties:
             d = int(rng.integers(2, 5))
             a0 = random_acyclic_a0(rng, d, keep=0.4)
             spec = VarmaSpec([a0, np.zeros((d, d))], gamma=rng.uniform(0.5, 2, d))
-            rw = remove_instantaneous(spec)
+            sigma = sigma_delta(spec)
             g = full_time_window(spec, 0, 0)
             for i in range(d):
                 for j in range(i + 1, d):
                     an_i = {v for v in g.ancestors([endo(i, 0)])}
                     an_j = {v for v in g.ancestors([endo(j, 0)])}
                     if not an_i & an_j:
-                        assert rw.sigma_delta[i, j] == 0.0
+                        assert sigma[i, j] == 0.0
 
 
 class TestModelJson:

@@ -31,6 +31,7 @@ from varma_causal import (
 )
 from varma_causal.simulation import default_burn_in
 from reference import fisher_z_pvalue as lstsq_fisher_z
+from reference import sample_stable_spec_by_tril
 
 X, Y = 0, 1
 
@@ -425,6 +426,31 @@ class TestSampler:
         spec = sample_stable_spec(sampler, 9)
         zeros = sum(int(np.sum(m == 0)) for m in (*spec.a, *spec.b))
         assert zeros > 30  # 54 entries at 90% sparsity
+
+    def test_draws_match_the_tril_route(self):
+        # coefficient bytes, -0.0 entries of the sparsity masks included,
+        # against np.tril, np.ix_ and a fresh product per mask; rejections,
+        # masks, a generator seed and the exhausted-draws error included
+        rng = np.random.default_rng(2911)
+        masks = dict(mask_a0=rng.random((3, 3)) < 0.7, mask_ar=[rng.random((3, 3)) < 0.7] * 2,
+                     mask_ma=[rng.random((3, 3)) < 0.7])
+        samplers = [CoefficientSampler(d=d, p=p, q=q, sparsity=s)
+                    for d in (1, 2, 4, 6) for p in (0, 1, 3) for q in (0, 2) for s in (0.0, 0.5)]
+        samplers += [CoefficientSampler(d=3, p=2, q=1, sparsity=0.3, **masks),
+                     CoefficientSampler(d=3, p=2, q=1, scale=0.6)]
+        negative_zeros = 0
+        for k, sampler in enumerate(samplers):
+            for seed in (lambda: k, lambda: (k, 7), lambda: np.random.default_rng(k)):
+                want = sample_stable_spec_by_tril(sampler, seed())
+                got = sample_stable_spec(sampler, seed())
+                assert [m.tobytes() for m in (*got.a, *got.b, got.gamma)] == [
+                    m.tobytes() for m in (*want.a, *want.b, want.gamma)]
+                negative_zeros += sum(int(np.sum(np.signbit(m) & (m == 0))) for m in got.a)
+        assert negative_zeros > 0
+        hopeless = CoefficientSampler(d=3, p=2, q=0, scale=5.0, max_rejections=3)
+        for sample in (sample_stable_spec, sample_stable_spec_by_tril):
+            with pytest.raises(ModelError, match=re.escape("no stable draw in 4 draws; reduce")):
+                sample(hopeless, 0)
 
 
 class TestExperiments:
