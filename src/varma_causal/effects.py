@@ -3,12 +3,11 @@
 A causal path starts in the treatment set, never revisits it, and runs along
 directed endogenous edges only; the total effect is the sum over such paths of
 the products of edge coefficients, read off the structural impulse responses
-of the rewrite by one linear solve, with no window graph. Separation has no
-constructive window bound; one window-deepening loop serves both
-``stable_marginal_separation`` and the instrument condition, and reports
-carry the window actually used and whether the verdict is certified for the
-infinite graph. The loop builds no window graph: it runs the
-integer-coded separation core of ``graphs`` on the spec's compiled incidence.
+of the rewrite by one linear solve, with no window graph. Separation in the
+infinite graph, for ``stable_marginal_separation`` and the instrument
+condition, is the window-deepening policy of ``graphs`` on the spec's
+compiled incidence; reports carry the window used and whether the verdict
+is certified for the infinite graph.
 """
 
 from __future__ import annotations
@@ -21,12 +20,8 @@ import numpy as np
 from .errors import ModelError
 from .graphs import (
     SeparationQuery,
-    SeparationResult,
     TimedNode,
-    _connection,
-    _junction_open,
     _reach,
-    _result,
     node_to_json,
     process_nodes,
 )
@@ -111,83 +106,16 @@ def _causal_cut(coded, y: int, x_set: frozenset, floor: int, ceiling: int) -> se
             for e in ((head + off, head), (head, head + off))}
 
 
-def _short_witness(coded, query, cut, floor: int, deep: int, ceiling: int):
-    """The codes of the witness of one or two edges that ``graphs._result``
-    finds on every window of ``coded`` from [floor, ceiling) down to [deep,
-    ceiling), or None when the witness is longer or its middle node lies
-    under ``floor``. The scan runs in the search's order: the first steps of
-    the a codes as ``_connection`` lists them, an a–c edge first (budget 0),
-    then the edges on from a neighbour of c (budget 1), without the edges in
-    ``cut``. A middle node m is open by ``_junction_open``; An(b), needed
-    only when m is a collider, is taken inside [deep, ceiling). That is
-    exact at m, because no edge points back in time and the caller's
-    ``deep`` lies an edge span below every a code.
-    """
-    a, b, c = query
-    c_set, period, records = set(c), coded.period, coded.records
-    steps = [(u, u + off, there) for u in a for off, here, there in records[u % period]
-             if u + off not in a and not (here != there and (u, u + off) in cut)]
-    for u, other, _ in steps:
-        if other in c_set:
-            return u, other
-    near_c = {w + off for w in c for off, _, _ in records[w % period]}
-    b_set, an_b = set(b), None
-    for u, m, head_m in steps:
-        if m not in near_c:
-            continue
-        for off, here, there in records[m % period]:
-            w = m + off
-            if w not in c_set or (here != there and (m, w) in cut):
-                continue
-            if head_m and here and an_b is None:
-                an_b = _reach(coded, b, coded.parents, deep, ceiling, cut)
-            if _junction_open(m, head_m, here, b_set, an_b):
-                # a middle node under the floor: a deeper window's witness, not the first's
-                return (u, m, w) if m >= floor else None
-    return None
-
-
 def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
                           nodes: Sequence[TimedNode], top: int,
                           t_min: Optional[int], cut: Optional[EffectQuery] = None):
-    """m-separation on marginalized windows [bottom, top] of deepening bottom.
-
+    """m-separation on marginalized windows [bottom, top], decided by
+    ``graphs._CodedGraph._periodic_separation`` on the spec's compiled ADMG.
     The bottom starts at ``t_min`` (default: earliest of ``nodes`` minus
     (max(p,q)+1)·(d+1), never above the earliest node) and moves down by
-    lag = max(p,q,1) until two consecutive verdicts agree. With ``cut`` set,
-    the causal edges of that effect query are removed first. No window is
-    built: no edge points back in time, so whether a node of a window is in
-    its An(b) or An(a ∪ b ∪ c) does not depend on the window's bottom, and
-    one Bayes-ball pass, extended as the bottom drops (see
-    ``graphs._connection``), decides every round. Each window is an induced
-    subgraph of the next and An(b) only grows, so a path open in one window
-    is open in all deeper ones: verdicts never turn back from connected, and
-    three windows always settle them. The witness is searched on the last
-    window only, except in the early exits below. A path that leaves [s,
-    top] falls and climbs earliest − s + 1 lags, so it has at least
-    2·⌈(earliest − s + 1)/lag⌉ edges; a witness with fewer edges in window s
-    is then the shortest in every deeper window, tie-break included (the
-    bound is strict, so a path of equal length that dips cannot win the
-    tie). Each exit reports the second window, as the confirming round
-    would:
-
-    - an a–c edge, not cut, is the witness, first in incidence order; no
-      pass runs;
-    - a two-edge witness whose middle node lies in the first window is the
-      witness of every window from there down (see :func:`_short_witness`);
-      no pass runs;
-    - a separated window whose pass parked no state under its floor is
-      separated in every deeper window (see ``graphs._connection``): the
-      verdict is certified for the infinite graph;
-    - a witness of under 4 edges in the shallow window s = earliest − lag,
-      which the pass tries first when it lies above the first window;
-    - a witness in the first window under that window's bound.
-
-    The searches of the last two exits stop at their window's bound.
-
-    Returns (SeparationResult, (bottom, top) of the last window,
-    depth_certified): True for a connected verdict or a certified separated
-    one, False for a separated verdict that only the stopping rule settled.
+    max(p,q,1) lags; with ``cut`` set, the causal edges of that effect query
+    are removed first. Returns (SeparationResult, (bottom, top) of the
+    reported window, depth_certified).
     """
     admg = spec._admg
     nodes = process_nodes(nodes, spec.d)
@@ -200,34 +128,9 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     earliest = min(v.time for v in nodes)
     if t_min is None:
         t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
-    lag, start = max(spec.max_lag, 1), min(t_min, earliest)
-    # verdicts never turn back from connected, so three windows settle them
-    bottoms = range(start, start - 3 * lag, -lag)
-    reported = bottoms[1], top
-    witness = _short_witness(admg, codes, removed, start * spec.d, bottoms[1] * spec.d, ceiling)
-    if witness is not None:
-        return SeparationResult(False, tuple(map(admg.node, witness))), reported, True
-    floors = (earliest - lag, *bottoms) if earliest - lag > start else bottoms
-    rounds = zip(floors, _connection(admg, codes, (t * spec.d for t in floors),
-                                     ceiling, removed))
-    for bottom, connection in rounds:
-        if connection is False:
-            return SeparationResult(True), reported, True
-        if connection is not None:
-            # a path below this window falls and climbs earliest - bottom + 1 lags
-            result = _result(admg, codes, removed, connection, admg.node,
-                             2 * -(-(earliest - bottom + 1) // lag))
-            if result is not None:
-                return result, reported, True
-        if bottom == start:
-            break
-    previous = not connection
-    for bottom, connection in rounds:
-        if previous == (not connection):
-            break
-        previous = not connection
-    return (_result(admg, codes, removed, connection, admg.node), (bottom, top),
-            connection is not None)
+    result, bottom, depth_certified = admg._periodic_separation(
+        codes, removed, earliest, min(t_min, earliest), max(spec.max_lag, 1), ceiling)
+    return result, (bottom, top), depth_certified
 
 
 def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
@@ -237,28 +140,18 @@ def stable_marginal_separation(spec: VarmaSpec, query: SeparationQuery,
     Runs on the spec's compiled marginalized ADMG. Open paths never rise
     above the latest query time, so the window top is exact; the bottom
     starts at ``t_min`` (default: earliest query time minus
-    (max(p,q)+1)·(d+1)) and moves down by max(p,q,1) lags until the verdict
-    agrees twice in a row: a connecting path stays open in deeper windows,
-    so that takes at most three windows. A connected query whose witness is
-    too short to dip below the window it was found in is final at once, and
-    the second window, which would find the same witness, is reported
-    without being searched: a query with an edge between a and c, or with a
-    two-edge witness inside the first window, runs no pass at all, and a
-    witness of under 4 edges is found in the shallow window that reaches
-    max(p,q,1) lags below the earliest query time. A separated verdict is
-    final at once, and exact for the infinite graph, when the Bayes-ball
-    pass parked no state below its window, so no deeper window can change
-    it. Otherwise the separated verdict rests on the stopping rule: for
-    stationary processes some finite depth always suffices, but no
-    constructive bound is available here, so such a verdict may still turn
-    connected deeper down.
-    The verdict and witness equal :func:`~varma_causal.graphs.m_separated` on
+    (max(p,q)+1)·(d+1)) and moves down by max(p,q,1) lags, for at most three
+    windows. Which window settles the verdict, and why, is set out once at
+    ``graphs._CodedGraph._periodic_separation``. The verdict and witness
+    equal :func:`~varma_causal.graphs.m_separated` on
     ``marginalized_admg_window(spec, *window)``.
 
     Returns (SeparationResult, (t_min_used, t_max_used), depth_certified),
-    where ``depth_certified`` is True for a connected verdict and for a
-    separated one certified as above, and False for a separated verdict
-    that only the stopping rule settled.
+    where ``depth_certified`` is True for a verdict exact for the infinite
+    graph: every connected one, and a separated one whose pass parked no
+    state below its window. It is False for a separated verdict that only
+    two agreeing windows settled; with no constructive depth bound here,
+    such a verdict may still turn connected deeper down.
     """
     nodes = (*query.a, *query.b, *query.c)
     return _deepening_separation(spec, query, nodes, max(v.time for v in nodes), t_min)
@@ -366,10 +259,9 @@ def check_iv_conditions(
     """Evaluate the three identification conditions on the marginalized ADMG.
 
     Conditions 1 and 2 run on the spec's compiled marginalized ADMG.
-    Condition 1 uses the deepening windows of
-    :func:`stable_marginal_separation` after cutting the causal treatment
-    edges, on windows topped out q lags above the query; ``depth_certified``
-    says whether its verdict is exact for the infinite graph. Condition 2 is
+    Condition 1 is the separation of :func:`stable_marginal_separation`,
+    after cutting the causal treatment edges, on windows topped out q lags
+    above the query; ``depth_certified`` is as there. Condition 2 is
     read off the last of those windows, uncut; it is exact there, because
     spouse pairs span at most q lags and ancestors of b are bounded by b's
     times, and it holds at once for an empty b, whose ancestor set is empty.

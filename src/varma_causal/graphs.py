@@ -10,7 +10,8 @@ finite graphs and the periodic marginalized ADMG of a spec; its offset
 records are the one incidence either keeps. ``_connection``
 decides with one Bayes-ball pass over (node, entered-with-arrowhead) states
 of the query's ancestral nodes, and ``_result`` searches a witness path only
-when the query is connected. The proof devices of the global Markov
+when the query is connected; ``_CodedGraph._periodic_separation`` deepens
+the windows of the periodic graph. The proof devices of the global Markov
 property and the reference deciders of the tests (path enumeration,
 moralization) live outside the library, in ``tests/reference.py``.
 
@@ -107,6 +108,69 @@ class _CodedGraph:
         self.children, self.parents, self.spouses = (
             tuple(tuple(off for off, there in r if there == t) for r in self.entering[h])
             for h, t in ((False, True), (True, False), (True, True)))
+
+    def _periodic_separation(self, query, cut, earliest: int, start: int, lag: int,
+                             ceiling: int):
+        """m-separation of the code tuples (a, b, c) of ``query``, without the
+        edges in ``cut``, on windows of this periodic graph: the codes from
+        bottom·period up to ``ceiling``, decoded by the compiled ADMG's
+        ``node``. The bottom, a time, starts at ``start`` and drops by
+        ``lag``, the longest edge span in time slices; ``earliest`` is the
+        query's earliest time.
+
+        No edge points back in time, so a node's membership in An(b) or
+        An(a ∪ b ∪ c) does not depend on the bottom, and one
+        :func:`_connection` pass, extended as the bottom drops, decides every
+        window. Each window is an induced subgraph of the next and An(b) only
+        grows, so a path open in one window is open in all deeper ones: the
+        verdicts never turn back from connected, and three windows settle
+        them as two agreeing in a row. A separated pass that parked nothing
+        under its floor is final for every lower floor, which makes the same
+        decisions above it and could reach a new state only by a parked step.
+        A path that leaves window s falls and climbs earliest − s + 1 lags,
+        so it has at least 2·⌈(earliest − s + 1)/lag⌉ edges: a shorter
+        witness in window s is the shortest in every deeper window, tie-break
+        included (the bound is strict, so a path of equal length that dips
+        cannot win). The exits, each reporting the second window, as the
+        confirming round would, unless it says otherwise:
+
+        - an a–c edge, not cut, or a two-edge witness whose middle node lies
+          in the first window (see :func:`_short_witness`), before any pass;
+        - a separated pass that parked nothing, at any floor: certified, and
+          no search runs;
+        - a witness under the dip bound, whose search stops at the bound, in
+          the shallow window earliest − lag (a bound of 4 edges), tried first
+          when it lies above the first window, or in the first window;
+        - on the second window, reported: a separated verdict, or a connected
+          one after a connected first window, searched in full;
+        - on the third window, reported: its verdict, searched in full.
+
+        Returns (SeparationResult, bottom of the reported window,
+        depth_certified), which is False only for a separated verdict that
+        the stopping rule settled.
+        """
+        period, node = self.period, self.node
+        bottoms = range(start, start - 3 * lag, -lag)
+        starts = _first_steps(self, query[0], cut)
+        witness = _short_witness(self, query, cut, starts, start * period, bottoms[1] * period,
+                                 ceiling)
+        if witness is not None:
+            return SeparationResult(False, tuple(map(node, witness))), bottoms[1], True
+        floors = (earliest - lag, *bottoms) if earliest - lag > start else bottoms
+        passes = _connection(self, query, starts, (t * period for t in floors), ceiling, cut)
+        for bottom, connection in zip(floors, passes):
+            if connection is False:
+                return SeparationResult(True), bottoms[1], True
+            if bottom >= start:  # the shallow or the first window
+                if connection is not None:
+                    # a path below this window falls and climbs earliest - bottom + 1 lags
+                    result = _result(self, query, cut, connection, node,
+                                     2 * -(-(earliest - bottom + 1) // lag))
+                    if result is not None:
+                        return result, bottoms[1], True
+                first_connected = connection is not None
+            elif bottom == bottoms[2] or connection is None or first_connected:
+                return _result(self, query, cut, connection, node), bottom, connection is not None
 
 
 def _reach(coded: _CodedGraph, starts, offsets, floor: int, ceiling: int,
@@ -308,34 +372,41 @@ def _junction_open(node, entered_head, exit_head, b_set, an_b):
     return node not in b_set
 
 
-def _connection(coded: _CodedGraph, query, floors, ceiling: int, cut=frozenset()):
+def _first_steps(coded: _CodedGraph, a, cut) -> list:
+    """The first steps (u, w, arrowhead flag at w) of walks from the a codes,
+    in incidence order: each edge from an a node u to a non-a node w, without
+    the edges in ``cut``."""
+    period, records = coded.period, coded.records
+    return [(u, u + off, there) for u in a for off, here, there in records[u % period]
+            if u + off not in a and not (cut and here != there and (u, u + off) in cut)]
+
+
+def _connection(coded: _CodedGraph, query, starts, floors, ceiling: int, cut=frozenset()):
     """For each of the descending ``floors`` in turn: the reachability table
     of a connected query; when b separates it, None if the pass parked a
     state under the floor, and False if it parked none.
 
-    ``query`` holds the code tuples (a, b, c); the graph is ``coded`` inside
-    [floor, ceiling) without the edges in ``cut`` (see :func:`_reach`). The
+    ``query`` holds the code tuples (a, b, c), and ``starts`` the
+    :func:`_first_steps` of a; the graph is ``coded`` inside [floor,
+    ceiling) without the edges in ``cut`` (see :func:`_reach`). The
     table holds the states 2·x + h (x entered with arrowhead flag h) that
     start an m-connecting walk to c through An(a ∪ b ∪ c): Bayes-ball
     reachability (Shachter 1998; van der Zander, Liśkiewicz & Textor 2019)
-    run backwards from c, in O(V + E). The query is connected iff a non-a
-    neighbour of an a node starts such a walk. Yields (An(a ∪ b ∪ c), An(b),
-    table, first steps of a) when connected.
+    run backwards from c, in O(V + E). The query is connected iff a first
+    step of a starts such a walk. Yields (An(a ∪ b ∪ c), An(b), table,
+    ``starts``) when connected.
 
     One pass serves every floor: floors fall on time-slice boundaries and no
     edge points back in time, so a node or state with a step under the floor
     is parked and expanded again when the floor drops. Each yield equals a
     fresh pass on its window; the next floor extends its tables in place.
-    A separated pass that parked no state is final for every lower floor: a
-    lower one makes the same decisions above this floor, and it could reach
-    a new state only by a step under the floor, which would have been parked.
+    What a False yield means for lower floors is proved at
+    :func:`_periodic_separation`.
     """
     a, b, c = query
     b_set, period, entering = set(b), coded.period, coded.entering
     parked = [*a, *b, *c], list(b), [2 * v + flag for v in c for flag in (0, 1)]
     keep, an_b, good = map(set, parked)
-    starts = [(u, u + off, there) for u in a for off, here, there in coded.records[u % period]
-              if u + off not in a and not (cut and here != there and (u, u + off) in cut)]
     for floor in floors:
         (keep_from, b_from, stack), parked = parked, ([], [], [])
         _reach(coded, keep_from, coded.parents, floor, ceiling, cut, keep, parked[0])
@@ -416,6 +487,41 @@ def _result(coded: _CodedGraph, query, cut, connection, node,
                      "but no m-connecting path found")
 
 
+def _short_witness(coded: _CodedGraph, query, cut, starts, floor: int, deep: int,
+                   ceiling: int):
+    """The codes of the witness of one or two edges that :func:`_result`
+    finds on every window of ``coded`` from [floor, ceiling) down to [deep,
+    ceiling), or None when the witness is longer or its middle node lies
+    under ``floor``. The scan runs in the search's order over ``starts``,
+    the :func:`_first_steps` of a: an a–c edge first (budget 0), then the
+    edges on from a neighbour of c (budget 1), without the edges in ``cut``.
+    A middle node m is open by :func:`_junction_open`; An(b), needed only
+    when m is a collider, is taken inside [deep, ceiling). That is exact at
+    m, because no edge points back in time and ``deep`` lies an edge span
+    below every a code.
+    """
+    _, b, c = query
+    c_set, period, records = set(c), coded.period, coded.records
+    for u, other, _ in starts:
+        if other in c_set:
+            return u, other
+    near_c = {w + off for w in c for off, _, _ in records[w % period]}
+    b_set, an_b = set(b), None
+    for u, m, head_m in starts:
+        if m not in near_c:
+            continue
+        for off, here, there in records[m % period]:
+            w = m + off
+            if w not in c_set or (here != there and (m, w) in cut):
+                continue
+            if head_m and here and an_b is None:
+                an_b = _reach(coded, b, coded.parents, deep, ceiling, cut)
+            if _junction_open(m, head_m, here, b_set, an_b):
+                # a middle node under the floor: a deeper window's witness, not the first's
+                return (u, m, w) if m >= floor else None
+    return None
+
+
 def m_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationResult:
     """m-separation verdict with a connecting-path witness when it fails.
 
@@ -424,7 +530,8 @@ def m_separated(g: DirectedMixedGraph, query: SeparationQuery) -> SeparationResu
     :func:`_connection`). On a DAG this is d-separation.
     """
     codes = tuple(map(g._codes, (query.a, query.b, query.c)))
-    connection = next(_connection(g._coded, codes, (0,), len(g.nodes)))
+    starts = _first_steps(g._coded, codes[0], frozenset())
+    connection = next(_connection(g._coded, codes, starts, (0,), len(g.nodes)))
     return _result(g._coded, codes, frozenset(), connection, g.nodes.__getitem__)
 
 

@@ -187,38 +187,33 @@ def _sample_conditional_covariance(data, a, c, b):
     (B, C), over n_eff, through the Schur step. By Frisch–Waugh–Lovell that is
     the cross moment of the OLS residuals on B, short of the directions dropped.
 
-    A design of at most ``_CHUNK_ROWS`` rows is centred and multiplied as
-    one block. A longer one is built by :func:`lagged_design` one chunk of
-    rows at a time, each centred on its own means, and the chunks combine
-    exactly (Chan, Golub & LeVeque 1983) as M = Σ_c M_c + Σ_c n_c (μ_c − μ)
-    (μ_c − μ)ᵀ, so the working memory is O(k² + k·_CHUNK_ROWS) for k nodes.
-    Non-finite moments (a NaN or infinity in a column read, in any chunk)
-    raise EstimationError.
+    The design is built by :func:`lagged_design` one chunk of at most
+    ``_CHUNK_ROWS`` rows at a time, each centred on its own means and
+    multiplied in one product; more than one chunk combine exactly (Chan,
+    Golub & LeVeque 1983) as M = Σ_c M_c + Σ_c n_c (μ_c − μ)(μ_c − μ)ᵀ, so
+    the working memory is O(k² + k·_CHUNK_ROWS) for k nodes. Non-finite
+    moments (a NaN or infinity in a column read, in any chunk) raise
+    EstimationError.
     """
     _check_conditioning(a, c, b)
     nodes, na, nb = (*a, *b, *c), len(a), len(b)
-    n = len(data)  # n_eff <= n, so a short series needs no span
-    span = max(v.time for v in nodes) - min(v.time for v in nodes) if n > _CHUNK_ROWS else 0
+    span = max(v.time for v in nodes) - min(v.time for v in nodes)
+    n_eff = len(data) - span
+    parts = _chunks(n_eff, _CHUNK_ROWS)
+    means = np.empty((len(parts), len(nodes)))
     with np.errstate(invalid="ignore", over="ignore"):  # checked on the k x k result
-        if n - span <= _CHUNK_ROWS:
-            rows = lagged_design(data, nodes).T  # one contiguous row per node
-            n_eff = rows.shape[1]
-            rows -= rows.mean(axis=1, keepdims=True)
-            joint = rows[:na + nb] @ rows[na:].T / n_eff
-        else:
-            n_eff = n - span
-            parts = _chunks(n_eff, _CHUNK_ROWS)
+        for k, ((lo, hi), mean) in enumerate(zip(parts, means)):
+            rows = lagged_design(data[lo:hi + span], nodes).T  # one contiguous row per node
+            mean[:] = rows.mean(axis=1)
+            rows -= mean[:, None]
+            product = rows[:na + nb] @ rows[na:].T
+            joint = joint + product if k else product
+            del rows  # one chunk alive at a time
+        if len(parts) > 1:
             counts = np.array([hi - lo for lo, hi in parts], dtype=float)[:, None]
-            means = np.empty((len(parts), len(nodes)))
-            joint = 0.0
-            for (lo, hi), mean in zip(parts, means):
-                rows = lagged_design(data[lo:hi + span], nodes).T
-                mean[:] = rows.mean(axis=1)
-                rows -= mean[:, None]
-                joint += rows[:na + nb] @ rows[na:].T
-                del rows  # one chunk alive at a time
             means -= counts.T @ means / n_eff
-            joint = (joint + (means[:, :na + nb] * counts).T @ means[:, na:]) / n_eff
+            joint = joint + (means[:, :na + nb] * counts).T @ means[:, na:]
+        joint = joint / n_eff
     if not np.isfinite(joint).all():
         raise EstimationError("non-finite sample moments: the columns the query reads "
                               "hold NaN, infinite or overflowing values")

@@ -213,6 +213,8 @@ def ice_matrix(a0: np.ndarray) -> np.ndarray:
     floating-point zeros.
     """
     a0 = np.asarray(a0, dtype=float)
+    if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
+        raise ModelError(f"A0 must be a square matrix, got shape {a0.shape}")
     if np.any(np.diag(a0) != 0):
         raise ModelError("diag(A0) must be zero")
     order = instantaneous_order(a0)

@@ -71,8 +71,8 @@ import numpy as np
 from varma_causal import effects
 from varma_causal.errors import EstimationError, GraphError, ModelError
 from varma_causal.graphs import (
-    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, _connection, _incidence,
-    _kahn_order, _reach, _result, augment, endo, m_separated, sorted_nodes)
+    ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, _connection, _first_steps,
+    _incidence, _kahn_order, _reach, _result, augment, endo, m_separated, sorted_nodes)
 from varma_causal.model import VarmaSpec, remove_instantaneous
 from varma_causal.simulation import CoefficientSampler
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
@@ -357,7 +357,8 @@ def window_pass(spec, query: SeparationQuery, bottom: int, top: int, cut=None):
     bottom, False when separated with none parked."""
     admg = spec._admg
     codes, ceiling, removed = _coded_window_query(spec, query, top, cut)
-    return next(_connection(admg, codes, (bottom * spec.d,), ceiling, removed))
+    starts = _first_steps(admg, codes[0], removed)
+    return next(_connection(admg, codes, starts, (bottom * spec.d,), ceiling, removed))
 
 
 def window_separation(spec, query: SeparationQuery, bottom: int, top: int, cut=None):

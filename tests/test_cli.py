@@ -119,6 +119,11 @@ class TestGraphCommand:
         data = json.loads(target.read_text())
         assert {"nodes", "directed", "bidirected"} <= set(data)
 
+    @pytest.mark.parametrize("window", ["3", "-1:0:1", "a:0"])
+    def test_window_must_be_a_range(self, capsys, model_path, window):
+        code, out, err = run_cli(capsys, "graph", "-m", model_path, f"--window={window}")
+        assert (code, out, err) == (1, "", f"error: bad window {window!r}; expected a:b\n")
+
 
 class TestSeparateCommand:
     def test_separated_verdict(self, capsys, model_path):

@@ -3,6 +3,10 @@
 A name that ``varma_causal`` exports but no code in ``src/`` references
 outside its own definition (and ``__init__.py``) serves only the tests; such
 code belongs in ``tests/reference.py``. The allowlist names the exceptions.
+
+Modules keep to each other's public names, with one exception: ``effects``
+reads the closure walk ``graphs._reach``. The separation policy, with its
+passes and witness searches, stays behind ``graphs``.
 """
 
 import ast
@@ -63,3 +67,15 @@ def test_every_export_is_used_by_the_library():
 def test_allowlist_holds_only_unused_exports():
     # an allowed name that the library comes to call needs no exception
     assert sorted(set(ALLOWED) & referenced_names()) == []
+
+
+def test_effects_imports_no_graphs_private_but_reach():
+    # private names imported from .graphs, and the graphs module itself,
+    # through which an attribute could reach them
+    tree = ast.parse((PACKAGE / "effects.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names
+                if (node.module == "graphs" and alias.name.startswith("_"))
+                or (node.module is None and alias.name == "graphs")]
+    assert imported == ["_reach"]

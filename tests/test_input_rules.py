@@ -2,17 +2,24 @@
 ``graphs.process_nodes``, the IV query-set rule of ``effects._query_sets``,
 the component-name rule of ``model.component_names`` and the rule that a
 conditioning set shares no node with a or c, of
-``stationary._check_conditioning``."""
+``stationary._check_conditioning``. The rules that guard one entry point
+each are checked here too, each by its message."""
+
+import re
 
 import numpy as np
 import pytest
 
 from varma_causal import (
+    DirectedMixedGraph,
     EffectQuery,
+    EstimationError,
+    GraphError,
     IvQuery,
     ModelError,
     SeparationQuery,
     SimulationConfig,
+    VarmaSpec,
     check_iv_conditions,
     conditional_covariance,
     cross_covariance,
@@ -23,6 +30,7 @@ from varma_causal import (
     innov,
     lagged_design,
     population_ci,
+    run_gmp_experiment,
     simulate,
     solve_stationary,
     stable_marginal_separation,
@@ -91,3 +99,52 @@ def test_conditioning_set_overlapping_a_or_c_rejected(varma_lagged_spec, caller,
     b = (endo(0, -1), a if role == "a" else c)
     with pytest.raises(ModelError, match="overlaps"):
         OVERLAP_CALLERS[caller](varma_lagged_spec, a, c, b)
+
+
+def wrong_shape_law(rng, n, d):
+    return np.zeros((n, d + 1))
+
+
+# the rules of one entry point each: (call on a d = 2 spec, error, message)
+SINGLE_RULES = {
+    "names length": (lambda spec: VarmaSpec(spec.a, spec.b, spec.gamma, names=["X"]),
+                     ModelError, "names must have length 2"),
+    "no A0": (lambda spec: VarmaSpec([]), ModelError, "need at least A0"),
+    "negative gamma": (lambda spec: VarmaSpec(spec.a, spec.b, [1.0, -0.5]),
+                       ModelError, "gamma entries must be non-negative"),
+    "weight not k x k": (lambda spec: IvQuery(endo(1, 0), [endo(0, -1)],
+                                              [endo(0, -2), endo(1, -2)], weight=np.eye(3)),
+                         ModelError, "weight must be 2x2"),
+    "too few usable rows": (lambda spec: estimate_from_data(
+        np.random.default_rng(1).standard_normal((4, 2)),
+        IvQuery(endo(1, 0), [endo(0, -1)], [endo(0, -2)])),
+        EstimationError, "2 usable rows are too few for 1 regressors"),
+    "no steps": (lambda spec: simulate(SimulationConfig(spec, n=0, seed=1)),
+                 ModelError, "need n > 0 simulation steps"),
+    "innovation law shape": (lambda spec: simulate(SimulationConfig(
+        spec, n=10, seed=1, burn_in=0, innovation_law=wrong_shape_law)),
+        ModelError, "innovation law must return shape (10, 2)"),
+    "experiment mode": (lambda spec: run_gmp_experiment(lambda rng: spec, 1, 1, mode="exact"),
+                        ModelError, "unknown experiment mode 'exact'"),
+    "duplicate nodes": (lambda spec: DirectedMixedGraph([endo(0, 0), endo(0, 0)]),
+                        GraphError, "duplicate nodes in graph construction"),
+    "empty a": (lambda spec: SeparationQuery([], [], [endo(0, 0)]),
+                GraphError, "separation query needs non-empty a and c sets"),
+    "empty c": (lambda spec: SeparationQuery([endo(0, 0)], [], []),
+                GraphError, "separation query needs non-empty a and c sets"),
+}
+
+
+@pytest.mark.parametrize("rule", SINGLE_RULES)
+def test_single_entry_rules(varma_lagged_spec, rule):
+    call, error, message = SINGLE_RULES[rule]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(varma_lagged_spec)
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_fisher_z_of_a_constant_column_is_one(column):
+    # a zero conditional variance leaves no correlation to test: p = 1
+    data = np.random.default_rng(2).standard_normal((50, 2))
+    data[:, column] = 3.0
+    assert fisher_z_pvalue(data, endo(0, 0), endo(1, 0)) == 1.0

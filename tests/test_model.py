@@ -222,6 +222,12 @@ class TestIceMatrix:
         with pytest.raises(ModelError, match="cycle"):
             ice_matrix(np.array([[0, 0.5], [0.5, 0]]))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2,)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ModelError, match=re.escape(
+                f"A0 must be a square matrix, got shape {shape}")):
+            ice_matrix(np.zeros(shape))
+
     def test_inverse_identity_and_path_sums(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
