@@ -42,7 +42,6 @@ from .model import (
     load_spec,
     marginalized_admg_window,
     remove_instantaneous,
-    rewritten_full_time_window,
     spec_from_json,
     spec_to_json,
     validate,

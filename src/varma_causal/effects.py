@@ -25,7 +25,7 @@ from .graphs import (
     node_to_json,
     process_nodes,
 )
-from .model import VarmaSpec, companion_matrix, remove_instantaneous
+from .model import VarmaSpec, as_integer, companion_matrix, remove_instantaneous
 from .stationary import conditional_covariance, numerical_rank, solve_stationary
 
 
@@ -128,6 +128,8 @@ def _deepening_separation(spec: VarmaSpec, query: SeparationQuery,
     earliest = min(v.time for v in nodes)
     if t_min is None:
         t_min = earliest - (spec.max_lag + 1) * (spec.d + 1)
+    else:
+        t_min = as_integer(t_min, "t_min")
     result, bottom, depth_certified = admg._periodic_separation(
         codes, removed, earliest, min(t_min, earliest), max(spec.max_lag, 1), ceiling)
     return result, (bottom, top), depth_certified

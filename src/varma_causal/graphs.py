@@ -278,39 +278,12 @@ class DirectedMixedGraph:
             self._require(v)
         return tuple(self._index[v] for v in nodes)
 
-    # -- local neighborhoods ------------------------------------------------
-
     def _neighbors(self, v, offsets) -> tuple[TimedNode, ...]:
         (k,) = self._codes((v,))
         return tuple(self.nodes[k + off] for off in offsets[k])
 
-    def parents(self, v: TimedNode) -> tuple[TimedNode, ...]:
-        return self._neighbors(v, self._coded.parents)
-
     def children(self, v: TimedNode) -> tuple[TimedNode, ...]:
         return self._neighbors(v, self._coded.children)
-
-    def spouses(self, v: TimedNode) -> tuple[TimedNode, ...]:
-        """Bi-directed neighbors of ``v``; a node is a spouse of itself."""
-        return sorted_nodes({*self._neighbors(v, self._coded.spouses), v})
-
-    # -- reachability sets --------------------------------------------------
-
-    def ancestors(self, s: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
-        """Reflexive-transitive closure over reversed directed edges.
-
-        Bi-directed edges carry no ancestry. Every node is an ancestor of
-        itself.
-        """
-        return self._closure(s, self._coded.parents)
-
-    def descendants(self, s: Iterable[TimedNode]) -> tuple[TimedNode, ...]:
-        return self._closure(s, self._coded.children)
-
-    def _closure(self, s, offsets) -> tuple[TimedNode, ...]:
-        # codes follow the sorted node order
-        reached = _reach(self._coded, self._codes(tuple(s)), offsets, 0, len(self.nodes))
-        return tuple(self.nodes[k] for k in sorted(reached))
 
 
 @dataclass(frozen=True)
@@ -444,7 +417,11 @@ def _result(coded: _CodedGraph, query, cut, connection, node,
 
     The witness comes from a depth-first search over simple paths, pruned by
     the reachability table; the table is sound for walks, hence never prunes
-    a valid simple-path completion.
+    a valid simple-path completion. It says only whether a state reaches c,
+    not how soon, and a walk may repeat a node where a path may not: when
+    short walks connect but the simple paths are long, each budget up to the
+    witness's length visits every open simple path of that length, which
+    grows exponentially on dense windows.
     """
     if not connection:
         return SeparationResult(True)

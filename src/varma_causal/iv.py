@@ -166,6 +166,8 @@ def lagged_design(data: np.ndarray, nodes: Sequence[TimedNode]) -> np.ndarray:
         data = data[:, None]
     n, d = data.shape
     nodes = process_nodes(nodes, d)
+    if not nodes:
+        raise ModelError("nodes must be non-empty")
     times = [v.time for v in nodes]
     t_hi = max(times)
     span = t_hi - min(times)

@@ -14,6 +14,7 @@ of one time slice, on which the separation loop of ``effects`` runs.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -51,6 +52,18 @@ def component_names(names, d: int) -> tuple[str, ...]:
     return names
 
 
+def as_integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int if it is an integer, of at least ``least`` when
+    given; ModelError naming ``name`` otherwise."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ModelError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise ModelError(f"{name} must be >= {least}, got {number}")
+    return number
+
+
 class VarmaSpec:
     """Process definition: S_t = A0 S_t + sum_k Ak S_(t-k) + eps_t + sum_l Bl eps_(t-l).
 
@@ -69,7 +82,7 @@ class VarmaSpec:
     Shape errors and non-finite or negative entries raise immediately;
     stability and acyclicity are checked by :func:`validate`. Instances are
     immutable after construction. Every layer needs a valid spec: it is
-    validated once on first use; the rewrite, both ADMG forms and the
+    validated once on first use; the rewrite, the marginalized ADMG and the
     simulation levels are named slots on the spec, each filled on first use.
     """
 
@@ -106,11 +119,8 @@ class VarmaSpec:
 
     @cached_property
     def _admg(self) -> "_MarginalizedAdmg":
-        return _MarginalizedAdmg(self, False)
-
-    @cached_property
-    def _rewritten_admg(self) -> "_MarginalizedAdmg":
-        return _MarginalizedAdmg(self, True)
+        remove_instantaneous(self)  # validates the spec
+        return _MarginalizedAdmg(self.d, self.a, (np.eye(self.d), *self.b))
 
 
 def instantaneous_order(a0: np.ndarray):
@@ -290,12 +300,10 @@ def _lag_edges(mats, tail, t_min, t_max):
 
 
 class _MarginalizedAdmg(_CodedGraph):
-    """The full-time marginalized ADMG of a spec, validated and compiled once.
-
-    Lags A0..Ap and innovation loadings L_0..L_q = I, B1..Bq; in the
-    rewritten form (no instantaneous effects, original innovations) lags 0,
-    C A1..C Ap and loadings C, C B1..C Bq with C = (I - A0)^(-1). A window
-    reads S_j@(t-k) -> S_i@t off the lags and S_k@(t-δ) <-> S_i@t off
+    """The full-time marginalized ADMG of S_t = Σ_k lags[k] S_(t-k) +
+    Σ_l loadings[l] eps_(t-l), compiled once. A spec's is its ``_admg``:
+    lags A0..Ap and loadings L_0..L_q = I, B1..Bq. A window reads
+    S_j@(t-k) -> S_i@t off the lags and S_k@(t-δ) <-> S_i@t off
     ``shared[δ]`` = Σ_l supp(L_(l+δ)) supp(L_l)^T (i > k at δ = 0), which
     counts the innovations loading both in integers, so no product of small
     loadings underflows. The graph is translation invariant, so the separation core
@@ -307,14 +315,8 @@ class _MarginalizedAdmg(_CodedGraph):
     translate by k slices out of slice 0, j to k·d + i (one edge at k = 0).
     """
 
-    def __init__(self, spec: VarmaSpec, rewritten: bool):
-        rw = remove_instantaneous(spec)  # validates the spec
-        if rewritten:
-            self.lags = (np.zeros((spec.d, spec.d)), *rw.ar)
-            self.loadings = (rw.ice, *rw.ma_eps)
-        else:
-            self.lags, self.loadings = spec.a, (np.eye(spec.d), *spec.b)
-        d = self.d = spec.d
+    def __init__(self, d: int, lags, loadings):
+        self.d, self.lags, self.loadings = d, lags, loadings
         # [L_0 .. L_q] side by side: shared[δ] is [L_δ .. L_q] [L_0 .. L_(q-δ)]^T
         wide = (np.concatenate(self.loadings, axis=1) != 0).astype(np.int64)
         self.shared = [wide[:, delta * d:] @ wide[:, :wide.shape[1] - delta * d].T
@@ -368,33 +370,18 @@ def full_time_window(
     return _structural_window(spec._admg, t_min, t_max, include_innovations)
 
 
-def rewritten_full_time_window(
-    spec: VarmaSpec, t_min: int, t_max: int, include_innovations: bool = True
-) -> DirectedMixedGraph:
-    """Window of the full-time DAG of the rewrite without instantaneous effects.
-
-    The rewrite keeps the original innovations: the contemporaneous loading is
-    C = (I - A0)^(-1) and the lag-l loading is C Bl; endogenous lags are C Ak.
-    """
-    return _structural_window(spec._rewritten_admg, t_min, t_max, include_innovations)
-
-
-def marginalized_admg_window(
-    spec: VarmaSpec, t_min: int, t_max: int, rewritten: bool = False
-) -> DirectedMixedGraph:
+def marginalized_admg_window(spec: VarmaSpec, t_min: int, t_max: int) -> DirectedMixedGraph:
     """Window of the full-time marginalized ADMG over endogenous nodes.
 
     Innovations have no parents and only endogenous children, so their latent
     projection has a closed form: the directed edges are those of the
     full-time DAG between endogenous nodes of [t_min, t_max], with their
     coefficients, and S_i@t <-> S_k@u iff one innovation eps_j@s loads both
-    (the loadings of :func:`full_time_window`, or of
-    :func:`rewritten_full_time_window` when ``rewritten``), read off the
-    integer products of the loading supports by the walk that reads the
-    directed edges, as is the separation loop's compiled incidence.
+    (the loadings of :func:`full_time_window`), read off the integer
+    products of the loading supports by the walk that reads the directed
+    edges, as is the separation loop's compiled incidence.
     """
-    admg = spec._rewritten_admg if rewritten else spec._admg
-    return DirectedMixedGraph(*admg.window(t_min, t_max))
+    return DirectedMixedGraph(*spec._admg.window(t_min, t_max))
 
 
 # -- JSON model format --------------------------------------------------------

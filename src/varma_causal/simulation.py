@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EstimationError, ModelError
 from .graphs import SeparationQuery, TimedNode, endo, node_label
-from .model import VarmaSpec, companion_matrix, remove_instantaneous
+from .model import VarmaSpec, as_integer, companion_matrix, remove_instantaneous
 from .stationary import (CI_DEFAULT_TOL, StateSpaceForm, _check_tol, population_ci,
                          solve_stationary)
 from .effects import _field_dict, stable_marginal_separation
@@ -184,13 +184,15 @@ def simulate(config: SimulationConfig) -> np.ndarray:
     """
     spec = config.spec
     rw = remove_instantaneous(spec)
-    if config.n <= 0:
+    n, seed = as_integer(config.n, "n"), as_integer(config.seed, "seed", 0)
+    if n <= 0:
         raise ModelError("need n > 0 simulation steps")
-    if config.burn_in is not None and config.burn_in < 0:
+    burn = (default_burn_in(spec) if config.burn_in is None
+            else as_integer(config.burn_in, "burn_in"))
+    if burn < 0:
         raise ModelError("need burn_in >= 0")
-    burn = config.burn_in if config.burn_in is not None else default_burn_in(spec)
-    rng = np.random.default_rng(config.seed)
-    total = config.n + burn
+    rng = np.random.default_rng(seed)
+    total = n + burn
     d = spec.d
 
     buf, eps = _block_buffer(spec, 0, total) if rw.ar else (None, np.empty((total, d)))
@@ -249,6 +251,8 @@ class CoefficientSampler:
     max_rejections: int = 500
 
     def __post_init__(self):
+        for name in ("d", "p", "q", "max_rejections"):
+            as_integer(getattr(self, name), name)
         if not (self.d >= 1 and self.p >= 0 and self.q >= 0 and 0 <= self.sparsity <= 1
                 and self.max_rejections >= 0
                 and (self.scale is None or 0 <= self.scale < math.inf)):
@@ -421,19 +425,28 @@ def faithfulness_check(spec: VarmaSpec, query: SeparationQuery,
     return result.separated, ci, violation, depth_certified
 
 
+def _check_query_pool(window: int, d: int) -> None:
+    if (window + 1) * d < 2:  # _draw_query's pool of nodes
+        raise ModelError(f"separation queries need (window + 1)·d >= 2 nodes to draw from; "
+                         f"got window={window}, d={d}")
+
+
 def _run_experiment(kind, sampler, trials, queries_per_trial, window, tol,
                     seed, mode):
     _check_tol(tol)
     if mode not in ("population", "empirical"):
         raise ModelError(f"unknown experiment mode {mode!r}")
+    trials, queries_per_trial, seed = (as_integer(value, name, 0) for value, name in (
+        (trials, "trials"), (queries_per_trial, "queries_per_trial"), (seed, "seed")))
+    window = as_integer(window, "window")
+    if not callable(sampler):  # a callable sampler's d is known per spec
+        _check_query_pool(window, sampler.d)
 
     records = []
     for trial in range(trials):
         rng = np.random.default_rng((seed, trial))
         spec = sampler(rng) if callable(sampler) else sample_stable_spec(sampler, rng)
-        if (window + 1) * spec.d < 2:  # _draw_query's pool of nodes
-            raise ModelError(f"separation queries need (window + 1)·d >= 2 nodes to draw from; "
-                             f"got window={window}, d={spec.d}")
+        _check_query_pool(window, spec.d)
         ss = solve_stationary(spec)
         series = None
         if mode == "empirical":

@@ -2,9 +2,20 @@
 
 ``m_separated_oracle`` enumerates simple paths and ``d_separated_moral``
 applies the moralized-ancestral-graph criterion. Of the library's separation
-core they share only the ancestor sets of ``DirectedMixedGraph``; the edges
-at a node come from ``edges_at``, which reads the public edge sets, not the
-library's coded incidence.
+core they share only the closure walk ``graphs._reach``, through
+``ancestors``; the edges at a node come from ``edges_at``, which reads the
+public edge sets, not the library's coded incidence.
+
+The closures of a ``DirectedMixedGraph`` that the library's answers never
+take are here: ``parents`` and ``spouses`` of a node, ``ancestors`` and
+``descendants`` of a node set, each read off the graph's one-slice coding.
+
+The rewritten process without instantaneous effects, a device of the
+proofs, is compiled here by the library's compile: ``rewritten_admg`` is its
+marginalized ADMG, with lags 0, C A1..C Ap and loadings C, C B1..C Bq
+(C = (I - A0)^(-1)), compiled once per spec. ``admg_form`` picks either
+form of a spec, ``admg_window`` reads a window of it and
+``rewritten_full_time_window`` is the window of the rewrite's full-time DAG.
 
 ``cut_causal_edges`` removes the causal treatment edges of an effect query
 from a finite window graph, through the library's ``_causal_cut`` on the
@@ -65,15 +76,16 @@ import math
 from collections import deque
 from fractions import Fraction
 from typing import Optional, Sequence
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from varma_causal import effects
+from varma_causal import effects, model
 from varma_causal.errors import EstimationError, GraphError, ModelError
 from varma_causal.graphs import (
     ENDOGENOUS, DirectedMixedGraph, SeparationQuery, TimedNode, _connection, _first_steps,
     _incidence, _kahn_order, _reach, _result, augment, endo, m_separated, sorted_nodes)
-from varma_causal.model import VarmaSpec, remove_instantaneous
+from varma_causal.model import VarmaSpec, _structural_window, remove_instantaneous
 from varma_causal.simulation import CoefficientSampler
 from varma_causal.iv import IvQuery, IvResult, _weighted_solve
 from varma_causal.stationary import (CI_DEFAULT_TOL, LYAPUNOV_MAX_DOUBLINGS, PINV_RTOL,
@@ -83,6 +95,75 @@ from varma_causal.stationary import (CI_DEFAULT_TOL, LYAPUNOV_MAX_DOUBLINGS, PIN
 # windows tried by ``deepening_separation`` before it gives up; the library
 # stops by the third, which the tests check against this cap
 DEEPENING_ROUNDS = 12
+
+
+def parents(g: DirectedMixedGraph, v: TimedNode) -> tuple[TimedNode, ...]:
+    return g._neighbors(v, g._coded.parents)
+
+
+def spouses(g: DirectedMixedGraph, v: TimedNode) -> tuple[TimedNode, ...]:
+    """Bi-directed neighbors of ``v``; a node is a spouse of itself."""
+    return sorted_nodes({*g._neighbors(v, g._coded.spouses), v})
+
+
+def ancestors(g: DirectedMixedGraph, s) -> tuple[TimedNode, ...]:
+    """Reflexive-transitive closure of ``s`` over reversed directed edges.
+
+    Bi-directed edges carry no ancestry. Every node is an ancestor of itself.
+    """
+    return _closure(g, s, g._coded.parents)
+
+
+def descendants(g: DirectedMixedGraph, s) -> tuple[TimedNode, ...]:
+    return _closure(g, s, g._coded.children)
+
+
+def _closure(g: DirectedMixedGraph, s, offsets) -> tuple[TimedNode, ...]:
+    # codes follow the sorted node order
+    reached = _reach(g._coded, g._codes(tuple(s)), offsets, 0, len(g.nodes))
+    return tuple(g.nodes[k] for k in sorted(reached))
+
+
+# the compiled rewritten ADMG of each spec, kept while the spec lives
+_REWRITTEN_ADMGS = WeakKeyDictionary()
+
+
+def compile_admg(spec: VarmaSpec, rewritten: bool):
+    """A fresh compile of the spec's marginalized ADMG, by the code of its
+    ``_admg`` slot without the cache, or of its rewrite's: lags 0,
+    C A1..C Ap and loadings C, C B1..C Bq."""
+    if not rewritten:
+        return VarmaSpec._admg.func(spec)
+    rw = remove_instantaneous(spec)  # validates the spec
+    return model._MarginalizedAdmg(spec.d, (np.zeros((spec.d, spec.d)), *rw.ar),
+                                   (rw.ice, *rw.ma_eps))
+
+
+def rewritten_admg(spec: VarmaSpec):
+    """The marginalized ADMG of the rewrite, compiled once per spec."""
+    if spec not in _REWRITTEN_ADMGS:
+        _REWRITTEN_ADMGS[spec] = compile_admg(spec, rewritten=True)
+    return _REWRITTEN_ADMGS[spec]
+
+
+def admg_form(spec: VarmaSpec, rewritten: bool):
+    """The spec's compiled marginalized ADMG, or its rewrite's."""
+    return rewritten_admg(spec) if rewritten else spec._admg
+
+
+def admg_window(spec: VarmaSpec, t_min: int, t_max: int, rewritten: bool):
+    """``marginalized_admg_window`` of the spec, or of its rewrite."""
+    return DirectedMixedGraph(*admg_form(spec, rewritten).window(t_min, t_max))
+
+
+def rewritten_full_time_window(spec: VarmaSpec, t_min: int, t_max: int,
+                               include_innovations: bool = True) -> DirectedMixedGraph:
+    """Window of the full-time DAG of the rewrite without instantaneous effects.
+
+    The rewrite keeps the original innovations: the contemporaneous loading is
+    C = (I - A0)^(-1) and the lag-l loading is C Bl; endogenous lags are C Ak.
+    """
+    return _structural_window(rewritten_admg(spec), t_min, t_max, include_innovations)
 
 
 class UndirectedGraph:
@@ -158,7 +239,7 @@ def is_m_connecting_path(g: DirectedMixedGraph, path, b) -> bool:
     True result certifies at least one open edge realization of the path.
     """
     b_set = set(b)
-    an_b = set(g.ancestors(tuple(b_set))) if b_set else set()
+    an_b = set(ancestors(g, b_set)) if b_set else set()
     if len(path) < 2 or len(set(path)) != len(path):
         return False
 
@@ -197,7 +278,7 @@ def extend_separated_sets(g: DirectedMixedGraph, query: SeparationQuery):
     containing ``a`` go to the first returned set, those containing ``c`` to
     the second; leftover components join the first for determinism.
     """
-    closure = g.ancestors((*query.a, *query.b, *query.c))
+    closure = ancestors(g, (*query.a, *query.b, *query.c))
     if set(closure) != set(g.nodes):
         raise GraphError("extend_separated_sets requires nodes == "
                          "ancestors(a ∪ b ∪ c)")
@@ -247,7 +328,7 @@ def moralize(g: DirectedMixedGraph) -> UndirectedGraph:
         raise GraphError("graph has bi-directed edges; use augment() instead")
     edges = {frozenset(e) for e in g.directed}
     for v in g.nodes:
-        ps = g.parents(v)
+        ps = parents(g, v)
         for i in range(len(ps)):
             for j in range(i + 1, len(ps)):
                 edges.add(frozenset((ps[i], ps[j])))
@@ -276,7 +357,7 @@ def m_separated_oracle(
     """
     g._codes((*query.a, *query.b, *query.c))  # unknown nodes raise GraphError
     b_set, c_set = set(query.b), set(query.c)
-    an_b = set(g.ancestors(query.b)) if query.b else set()
+    an_b = set(ancestors(g, query.b)) if query.b else set()
     incident = {v: edges_at(g, v) for v in g.nodes}
     counter = [0]
 
@@ -317,7 +398,7 @@ def d_separated_moral(g: DirectedMixedGraph, query: SeparationQuery) -> bool:
     g._codes((*query.a, *query.b, *query.c))  # unknown nodes raise GraphError
     if g.bidirected:
         raise GraphError("moralization-based check requires a DAG")
-    ancestral = subgraph(g, g.ancestors((*query.a, *query.b, *query.c)))
+    ancestral = subgraph(g, ancestors(g, (*query.a, *query.b, *query.c)))
     return moralize(ancestral).separated(query.a, query.c, query.b)
 
 
@@ -512,7 +593,7 @@ def sigma_delta(spec: VarmaSpec) -> np.ndarray:
 def admg_records_by_window(spec: VarmaSpec, rewritten: bool = False) -> tuple:
     """Slice-0 records of a marginalized ADMG form, read off the window
     [-max(p,q), max(p,q)], which holds every neighbour of slice 0."""
-    admg = spec._rewritten_admg if rewritten else spec._admg
+    admg = admg_form(spec, rewritten)
     _, directed, bidirected = admg.window(-spec.max_lag, spec.max_lag)
     return _incidence([endo(i, 0) for i in range(spec.d)],
                       [(t, h) for t, h, _ in directed if 0 in (t.time, h.time)],

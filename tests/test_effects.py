@@ -25,8 +25,8 @@ from varma_causal import (
 )
 from varma_causal import effects, graphs, model, simulation
 from reference import (
-    DEEPENING_ROUNDS, cut_causal_edges, deepening_separation, is_m_connecting_path,
-    iv_report_walking_every_b, window_pass, window_separation)
+    DEEPENING_ROUNDS, ancestors, cut_causal_edges, deepening_separation, descendants,
+    is_m_connecting_path, iv_report_walking_every_b, spouses, window_pass, window_separation)
 from test_acceptance import mixed_sampler
 from test_model import random_stable_spec
 
@@ -737,8 +737,8 @@ class TestWindowOracle:
                 result = m_separated(cut, SeparationQuery(instruments, b, (y,)))
                 assert (report.instrument_separated, report.witness) == (
                     result.separated, result.witness)
-                an_b = set(g.ancestors(b)) if b else set()
-                sp_de = {s for v in g.descendants((y, *xs)) for s in g.spouses(v)}
+                an_b = set(ancestors(g, b)) if b else set()
+                sp_de = {s for v in descendants(g, (y, *xs)) for s in spouses(g, v)}
                 assert report.confounding_free == (not an_b & sp_de)
 
 

@@ -11,8 +11,8 @@ from varma_causal import (
     m_separated,
 )
 from reference import (
-    adjacent, augmented_graph, d_separated_moral, edges_at, extend_separated_sets,
-    is_m_connecting_path, m_separated_oracle, moralize, subgraph)
+    adjacent, ancestors, augmented_graph, d_separated_moral, descendants, edges_at,
+    extend_separated_sets, is_m_connecting_path, m_separated_oracle, moralize, subgraph)
 from conftest import random_admg, random_dag, random_query
 
 
@@ -36,14 +36,14 @@ class TestAncestorAlgebra:
         nodes = list(g.nodes)
         small = data.draw(st.sets(st.sampled_from(nodes), min_size=1))
         bigger = small | data.draw(st.sets(st.sampled_from(nodes)))
-        an_small = set(g.ancestors(small))
-        an_big = set(g.ancestors(bigger))
+        an_small = set(ancestors(g, small))
+        an_big = set(ancestors(g, bigger))
         assert an_small <= an_big
         assert small <= an_small
-        assert set(g.ancestors(an_small)) == an_small
-        de = set(g.descendants(small))
+        assert set(ancestors(g, an_small)) == an_small
+        de = set(descendants(g, small))
         assert small <= de
-        assert set(g.descendants(de)) == de
+        assert set(descendants(g, de)) == de
 
     @given(small_dags())
     @settings(max_examples=60, deadline=None)
@@ -149,7 +149,7 @@ class TestExtensionProperty:
             if q is None:
                 continue
             # restrict to the ancestral closure so the precondition holds
-            sub = subgraph(g, g.ancestors((*q.a, *q.b, *q.c)))
+            sub = subgraph(g, ancestors(g, (*q.a, *q.b, *q.c)))
             if not m_separated(sub, q).separated:
                 continue
             a_plus, c_plus = extend_separated_sets(sub, q)

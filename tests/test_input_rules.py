@@ -1,16 +1,19 @@
 """Every input rule is checked in one place: the process-node rule of
 ``graphs.process_nodes``, the IV query-set rule of ``effects._query_sets``,
-the component-name rule of ``model.component_names`` and the rule that a
+the component-name rule of ``model.component_names``, the integer rule of
+``model.as_integer`` for sizes, counts, times and seeds, and the rule that a
 conditioning set shares no node with a or c, of
 ``stationary._check_conditioning``. The rules that guard one entry point
 each are checked here too, each by its message."""
 
+import json
 import re
 
 import numpy as np
 import pytest
 
 from varma_causal import (
+    CoefficientSampler,
     DirectedMixedGraph,
     EffectQuery,
     EstimationError,
@@ -31,11 +34,14 @@ from varma_causal import (
     lagged_design,
     population_ci,
     run_gmp_experiment,
+    sample_stable_spec,
     simulate,
     solve_stationary,
+    spec_to_json,
     stable_marginal_separation,
     total_causal_effect,
 )
+from varma_causal.cli import main
 
 # every caller of the node rule, with the bad node in one of its roles
 NODE_CALLERS = {
@@ -132,6 +138,36 @@ SINGLE_RULES = {
                 GraphError, "separation query needs non-empty a and c sets"),
     "empty c": (lambda spec: SeparationQuery([endo(0, 0)], [], []),
                 GraphError, "separation query needs non-empty a and c sets"),
+    "experiment trials not an integer": (
+        lambda spec: run_gmp_experiment(lambda rng: spec, 2.5, 3),
+        ModelError, "trials must be an integer, got 2.5"),
+    "experiment trials negative": (lambda spec: run_gmp_experiment(lambda rng: spec, -1, 1),
+                                   ModelError, "trials must be >= 0, got -1"),
+    "experiment queries negative": (lambda spec: run_gmp_experiment(lambda rng: spec, 1, -2),
+                                    ModelError, "queries_per_trial must be >= 0, got -2"),
+    "experiment window not an integer": (
+        lambda spec: run_gmp_experiment(lambda rng: spec, 1, 1, window=2.5),
+        ModelError, "window must be an integer, got 2.5"),
+    "experiment window negative, no trials": (
+        lambda spec: run_gmp_experiment(CoefficientSampler(d=2, p=1, q=1), 0, 1, window=-1),
+        ModelError, "separation queries need (window + 1)·d >= 2 nodes to draw from; "
+                    "got window=-1, d=2"),
+    "experiment seed negative": (lambda spec: run_gmp_experiment(lambda rng: spec, 1, 1, seed=-1),
+                                 ModelError, "seed must be >= 0, got -1"),
+    "steps not an integer": (lambda spec: simulate(SimulationConfig(spec, n=10.5, seed=1)),
+                             ModelError, "n must be an integer, got 10.5"),
+    "burn-in not an integer": (lambda spec: simulate(SimulationConfig(
+        spec, n=10, seed=1, burn_in=2.5)), ModelError, "burn_in must be an integer, got 2.5"),
+    "simulation seed negative": (lambda spec: simulate(SimulationConfig(spec, n=10, seed=-1)),
+                                 ModelError, "seed must be >= 0, got -1"),
+    "sampler d not an integer": (
+        lambda spec: sample_stable_spec(CoefficientSampler(d=2.5, p=1, q=1), 1),
+        ModelError, "d must be an integer, got 2.5"),
+    "t_min not an integer": (lambda spec: stable_marginal_separation(
+        spec, SeparationQuery([endo(0, 0)], [], [endo(1, -1)]), t_min=-7.5),
+        ModelError, "t_min must be an integer, got -7.5"),
+    "no design nodes": (lambda spec: lagged_design(np.zeros((50, spec.d)), []),
+                        ModelError, "nodes must be non-empty"),
 }
 
 
@@ -148,3 +184,25 @@ def test_fisher_z_of_a_constant_column_is_one(column):
     data = np.random.default_rng(2).standard_normal((50, 2))
     data[:, column] = 3.0
     assert fisher_z_pvalue(data, endo(0, 0), endo(1, 0)) == 1.0
+
+
+# CLI runs whose counts or seed break a rule: (argv after the model, error line)
+CLI_RULES = {
+    "negative queries per trial": (("experiment", "gmp", "--queries-per-trial", "-2"),
+                                   "queries_per_trial must be >= 0, got -2"),
+    "negative trials and window": (("experiment", "gmp", "--trials", "-1", "--window", "-1"),
+                                   "trials must be >= 0, got -1"),
+    "negative simulation seed": (("simulate", "-m", "{model}", "-n", "10", "--seed", "-1",
+                                  "-o", "{out}"), "seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("rule", CLI_RULES)
+def test_cli_rules_exit_with_one_error_line(capsys, tmp_path, varma_lagged_spec, rule):
+    model, out = tmp_path / "model.json", tmp_path / "series.csv"
+    model.write_text(json.dumps(spec_to_json(varma_lagged_spec)))
+    argv, message = CLI_RULES[rule]
+    code = main([arg.format(model=model, out=out) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+    assert not out.exists()

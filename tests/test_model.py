@@ -22,7 +22,6 @@ from varma_causal import (
     latent_project,
     marginalized_admg_window,
     remove_instantaneous,
-    rewritten_full_time_window,
     sample_stable_spec,
     simulate,
     solve_stationary,
@@ -33,8 +32,9 @@ from varma_causal import (
 )
 from varma_causal import model
 from conftest import decoded_records
-from reference import (admg_records_by_window, embed_as_var, ice_matrix_by_columns,
-                       instantaneous_order_by_columns, ma_delta, sigma_delta, subgraph)
+from reference import (admg_form, admg_records_by_window, admg_window, ancestors, compile_admg,
+                       embed_as_var, ice_matrix_by_columns, instantaneous_order_by_columns,
+                       ma_delta, parents, rewritten_full_time_window, sigma_delta, subgraph)
 
 X, Y = 0, 1
 
@@ -205,7 +205,7 @@ class TestRewrite:
         stable_marginal_separation(
             spec, SeparationQuery([endo(X, 0)], [endo(X, -1), endo(Y, -1)], [endo(Y, 0)]))
         marginalized_admg_window(spec, -3, 0)
-        marginalized_admg_window(spec, -3, 0, rewritten=True)
+        admg_window(spec, -3, 0, rewritten=True)
         embed_as_var(spec)
         assert len(validations) == 1
 
@@ -390,7 +390,7 @@ class TestWindows:
 
     def test_rewrite_adds_bidirected_families(self, varma_instant_spec):
         original = marginalized_admg_window(varma_instant_spec, -2, 0)
-        rewritten = marginalized_admg_window(varma_instant_spec, -2, 0, rewritten=True)
+        rewritten = admg_window(varma_instant_spec, -2, 0, rewritten=True)
         assert original.bidirected < rewritten.bidirected
         assert frozenset((endo(X, 0), endo(Y, 0))) in rewritten.bidirected
 
@@ -413,7 +413,7 @@ class TestWindows:
                 projected = latent_project(
                     wide, [v for v in wide.nodes if v.kind == "endogenous"])
                 reference = subgraph(projected, (v for v in projected.nodes if v.time >= t_min))
-                g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten)
+                g = admg_window(spec, t_min, t_max, rewritten)
                 assert g.nodes == reference.nodes
                 assert g.directed == reference.directed
                 assert g.bidirected == reference.bidirected
@@ -424,7 +424,7 @@ class TestWindows:
         # loads dozens of nodes; past the one compile of the spec, the
         # structural windows build none of the bi-directed pairs
         spec = sample_stable_spec(CoefficientSampler(d=16, p=2, q=2), 16)
-        admg = spec._rewritten_admg if rewritten else spec._admg
+        admg = admg_form(spec, rewritten)
         rw = remove_instantaneous(spec)
         lags, loadings = (((np.zeros((16, 16)), *rw.ar), (rw.ice, *rw.ma_eps)) if rewritten
                           else (spec.a, (np.eye(16), *spec.b)))
@@ -456,9 +456,9 @@ class TestWindows:
         # node's edges in the order of the window graph's incidence table,
         # which breaks ties between shortest separation witnesses
         for spec in [varma_instant_spec] + sampled_window_specs():
-            admg = spec._rewritten_admg if rewritten else spec._admg
+            admg = admg_form(spec, rewritten)
             for t_min, t_max in ((-3, 0), (-12, 0), (5, 9), (0, 0), (-1, 0)):
-                g = marginalized_admg_window(spec, t_min, t_max, rewritten=rewritten)
+                g = admg_window(spec, t_min, t_max, rewritten)
                 for v in g.nodes:
                     decoded = [(admg.node(admg.code(v) + off), here, there)
                                for off, here, there in admg.records[v.component]]
@@ -479,7 +479,7 @@ class TestCompile:
                     for sparsity in (0.0, 0.2, 0.4, 0.6, 0.8):
                         spec = sample_stable_spec(
                             CoefficientSampler(d=d, p=p, q=q, sparsity=sparsity), (29, d, p, q))
-                        admg = spec._rewritten_admg if rewritten else spec._admg
+                        admg = admg_form(spec, rewritten)
                         want = model._CodedGraph(d, admg_records_by_window(spec, rewritten))
                         for field in ("records", "entering", "children", "parents", "spouses"):
                             assert getattr(admg, field) == getattr(want, field)
@@ -502,7 +502,7 @@ class TestCompile:
             patch.setattr(model._MarginalizedAdmg, "directed_window", forbidden)
             patch.setattr(model, "_kahn_order", lambda *args: passes.append(args)
                           or kahn_order(*args))
-            got = [model._MarginalizedAdmg(spec, rewritten).records for rewritten in (False, True)]
+            got = [compile_admg(spec, rewritten).records for rewritten in (False, True)]
             report = validate(spec)
         assert got == want
         assert report.passed and len(passes) == 1
@@ -521,10 +521,10 @@ def build_g_star(spec, t_min, t_max):
     extra = set()
     for v in base.nodes:
         instantaneous_ancestors = [
-            u for u in base.ancestors([v]) if u.time == v.time
+            u for u in ancestors(base, [v]) if u.time == v.time
         ]
         for u in instantaneous_ancestors:
-            for parent in base.parents(u):
+            for parent in parents(base, u):
                 if parent.time < u.time:
                     extra.add((parent, v))
     directed = {
@@ -542,8 +542,8 @@ class TestRewriteGraphProperties:
             rewr = rewritten_full_time_window(spec, -4, 0)
             for i in range(spec.d):
                 node = endo(i, 0)
-                an_orig = set(orig.ancestors([node]))
-                an_rewr = set(rewr.ancestors([node]))
+                an_orig = set(ancestors(orig, [node]))
+                an_rewr = set(ancestors(rewr, [node]))
                 assert an_rewr <= an_orig
 
     def test_prop6_edge_containment(self):
@@ -565,8 +565,8 @@ class TestRewriteGraphProperties:
             g = full_time_window(spec, 0, 0)
             for i in range(d):
                 for j in range(i + 1, d):
-                    an_i = {v for v in g.ancestors([endo(i, 0)])}
-                    an_j = {v for v in g.ancestors([endo(j, 0)])}
+                    an_i = {v for v in ancestors(g, [endo(i, 0)])}
+                    an_j = {v for v in ancestors(g, [endo(j, 0)])}
                     if not an_i & an_j:
                         assert sigma[i, j] == 0.0
 

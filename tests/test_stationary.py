@@ -24,7 +24,6 @@ from varma_causal import (
     innov,
     m_separated,
     population_ci,
-    rewritten_full_time_window,
     sample_stable_spec,
     simulate,
     solve_stationary,
@@ -43,7 +42,7 @@ from varma_causal.stationary import (
 from conftest import LAGGED_SPEC_COV_XI, LAGGED_SPEC_COV_YI
 from reference import (autocovariances_by_recursion, embed_as_var, exact_state_covariance,
                        lyapunov_doubling_by_difference, population_ci_by_cross_covariance,
-                       schur_complement_by_eigh)
+                       rewritten_full_time_window, schur_complement_by_eigh)
 from test_model import random_stable_spec
 
 X, Y = 0, 1
@@ -163,22 +162,58 @@ EXACT_SPECS = {
 }
 
 
+# the companion root 1 - 2^-20 of the near-unit-root rational specs, whose
+# entries are all dyadic, so each float spec is its rational spec exactly
+NEAR_ROOT = 1 - Fr(1, 2**20)
+NEAR_ROOT_SPECS = {
+    "ar1": ([[[0]], [[NEAR_ROOT]]], [], [1]),
+    # instantaneous edge 0 -> 1; C A1 = [[rho, 0], [1/4, 1/4]], roots rho and 1/4
+    "d2_varma11_instantaneous": (
+        [[[0, 0], [Fr(1, 2), 0]], [[NEAR_ROOT, 0], [Fr(1, 4) - NEAR_ROOT / 2, Fr(1, 4)]]],
+        [[[Fr(1, 4), 0], [Fr(1, 8), Fr(-1, 2)]]],
+        [1, Fr(3, 2)]),
+}
+RATIONAL_SPECS = {**EXACT_SPECS, **NEAR_ROOT_SPECS}
+
+
 def exact_spec(name):
-    a, b, gamma = EXACT_SPECS[name]
+    a, b, gamma = RATIONAL_SPECS[name]
     return VarmaSpec([np.array(m, dtype=float) for m in a],
                      [np.array(m, dtype=float) for m in b], [float(g) for g in gamma])
+
+
+def exact_sigma_z(name):
+    a, b, gamma = RATIONAL_SPECS[name]
+    frac = lambda ms: [[[Fr(x) for x in row] for row in m] for m in ms]
+    return np.array(exact_state_covariance(frac(a), frac(b), [Fr(g) for g in gamma]),
+                    dtype=float)
 
 
 class TestExactStateCovariance:
     @pytest.mark.parametrize("name", sorted(EXACT_SPECS))
     def test_sigma_z_matches_rational_solve(self, name):
-        a, b, gamma = EXACT_SPECS[name]
-        frac = lambda ms: [[[Fr(x) for x in row] for row in m] for m in ms]
-        exact = np.array(exact_state_covariance(frac(a), frac(b), [Fr(g) for g in gamma]),
-                         dtype=float)
+        exact = exact_sigma_z(name)
         ss = solve_stationary(exact_spec(name))
         assert ss.sigma_z.shape == exact.shape
         assert np.max(np.abs(ss.sigma_z - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("name", sorted(NEAR_ROOT_SPECS))
+    def test_near_unit_root_error_within_the_conditioning_bound(self, name):
+        # Sigma_z solves (I - F kron F) vec Sigma = vec Q. The eigenvalues of
+        # I - F kron F are 1 - l_i l_j over the roots l of F, the smallest
+        # being 1 - rho^2 at the slow root rho, so a rounding of relative
+        # size eps in the equation (eps = 2^-52) moves Sigma_z by up to
+        # eps / (1 - rho^2) relative: 2^-52 / (2^-19 - 2^-40) = 1.16e-10.
+        # The solve is off by about 9.8e-12 here, which the 1e-13 of the
+        # well-damped specs above would reject.
+        exact = exact_sigma_z(name)
+        ss = solve_stationary(exact_spec(name))
+        error = np.max(np.abs(ss.sigma_z - exact)) / np.max(np.abs(exact))
+        assert np.max(np.abs(np.linalg.eigvals(ss.f))) == pytest.approx(float(NEAR_ROOT),
+                                                                       abs=1e-12)
+        assert error <= np.finfo(float).eps / float(1 - NEAR_ROOT ** 2)
+        # the residual gate passes: it bounds the residual, not this error
+        assert ss.residual < LYAPUNOV_RESIDUAL_RTOL
 
 
 GATE_SPECS = {
